@@ -20,8 +20,10 @@ once, so the chain also maintains a dense ``uid -> slot`` int array plus a
 ``slot -> chain position`` table (``ordinals_of_uids``).  Each partition
 owns a stable integer *slot*; a split touches only the second half's uids
 (O(segment)), a merge only the merged members, and the slot→ordinal table
-is rebuilt lazily in O(k).  Slots are compacted when structural churn
-makes the table sparse, so the arrays stay O(n + k).  The result: mapping
+is patched by one vectorised shift per structural change (built lazily
+in O(k) only the first time, and after a compaction).  Slots are
+compacted when structural churn makes the table sparse, so the arrays
+stay O(n + k).  The result: mapping
 m candidate uids to chain positions is two numpy gathers instead of m
 dict lookups.
 
@@ -269,13 +271,16 @@ class PartialOrderPartitions:
         self._partition_by_slot = list(self._chain)
         self._next_slot = len(self._chain)
 
+    def _slots_sparse(self) -> bool:
+        return self._next_slot > max(64, 8 * len(self._chain))
+
     def _ensure_ordinals(self) -> None:
         if self._slot_ordinals is not None:
             return
         with self._rebuild_lock:
             if self._slot_ordinals is not None:
                 return
-            if self._next_slot > max(64, 8 * len(self._chain)):
+            if self._slots_sparse():
                 self._compact_slots()
             table = np.full(self._next_slot, -1, dtype=np.int64)
             for position, partition in enumerate(self._chain):
@@ -392,8 +397,32 @@ class PartialOrderPartitions:
     # refinement                                                          #
     # ------------------------------------------------------------------ #
 
-    def _invalidate(self) -> None:
-        self._slot_ordinals = None
+    def _splice_ordinals(self, index: int, died: int, born: int) -> None:
+        """Patch the slot→ordinal table after one structural change.
+
+        Mirrors ``chain[index:index + died] = [newest] * born``: the
+        slots at those ``died`` positions are dead, the newest slot
+        (``born`` is 0 or 1) sits at ``index`` and every later position
+        moved by ``born - died``.  Written into a *new* array published
+        by one reference swap, so a reader holding the previous table
+        never sees it half-shifted.  With no table yet, or once slot
+        churn crosses the compaction threshold, it is left to the lazy
+        rebuild (which compacts).
+        """
+        table = self._slot_ordinals
+        if table is None:
+            return
+        if self._slots_sparse():
+            self._slot_ordinals = None
+            return
+        shifted = np.empty(self._next_slot, dtype=np.int64)
+        kept = shifted[:table.size]
+        np.add(table, (born - died) * (table >= index + died), out=kept)
+        if died:
+            kept[(table >= index) & (table < index + died)] = -1
+        if born:
+            shifted[-1] = index
+        self._slot_ordinals = shifted
 
     def split(self, index: int, first_uids: np.ndarray,
               second_uids: np.ndarray) -> tuple[Partition, Partition]:
@@ -430,7 +459,7 @@ class PartialOrderPartitions:
             self._buffer[lo:cut] = first_uids
             self._buffer[cut:lo + len(old)] = second_uids
             self._offsets = np.insert(self._offsets, index + 1, cut)
-        self._invalidate()
+        self._splice_ordinals(index + 1, died=0, born=1)
         if self.listener is not None:
             self.listener.on_split(index, first_uids, second_uids)
         return first, second
@@ -460,7 +489,7 @@ class PartialOrderPartitions:
             # only the interior boundaries disappear.
             self._offsets = np.delete(self._offsets,
                                       np.arange(first + 1, last + 1))
-        self._invalidate()
+        self._splice_ordinals(first, died=last - first + 1, born=1)
         if self.listener is not None:
             self.listener.on_merge(first, last)
         return merged
@@ -506,7 +535,7 @@ class PartialOrderPartitions:
         index = self.index_of(partition)
         del self._chain[index]
         self._partition_by_slot[partition.slot] = None
-        self._invalidate()
+        self._splice_ordinals(index, died=1, born=0)
         return index
 
     # ------------------------------------------------------------------ #

@@ -466,19 +466,16 @@ class PRKBIndex:
         it through :meth:`health` rebuilt the full report (four numpy
         percentile calls) per planned query.  The value only changes
         when :meth:`_note_query` appends, so it is memoized on the note
-        counter — one percentile call per refinement instead of several
-        per planned query, with values identical to :meth:`health`.
+        counter; a workload of distinct statements still recomputes it
+        per query, hence :func:`_p90` instead of ``np.percentile`` —
+        values identical to :meth:`health`.
         """
         cached = self._scan_stats
         if cached is not None and cached[0] == self._queries_noted:
             return cached[1]
         history = self._history
-        scans = [ns for __, ns, __, eq in history if not eq]
-        if scans:
-            p90 = int(np.percentile(np.asarray(scans, dtype=np.int64), 90))
-        else:
-            p90 = 0
-        stats = (len(history), p90)
+        stats = (len(history),
+                 _p90(sorted(ns for __, ns, __, eq in history if not eq)))
         self._scan_stats = (self._queries_noted, stats)
         return stats
 
@@ -1178,6 +1175,23 @@ class PRKBIndex:
             if self._journal is not None:
                 self._journal.sep_del(retire, retire + 1)
             self.commit_journal()
+
+
+def _p90(ordered: list[int]) -> int:
+    """``int(np.percentile(ordered, 90))`` of a sorted int list, bit for
+    bit (numpy's "linear" method, including which side it interpolates
+    from), without the array round trip; 0 when empty."""
+    if not ordered:
+        return 0
+    virtual = (len(ordered) - 1) * 0.9
+    below = int(virtual)
+    if below >= len(ordered) - 1:
+        return ordered[-1]
+    low, high = ordered[below], ordered[below + 1]
+    weight = virtual - below
+    if weight < 0.5:
+        return int(low + (high - low) * weight)
+    return int(high - (high - low) * (1 - weight))
 
 
 def _decode_rng_state(state):

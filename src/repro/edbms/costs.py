@@ -178,8 +178,8 @@ class CostCounter:
 
     def reset(self) -> None:
         """Zero every counter in place."""
-        for f in fields(self):
-            setattr(self, f.name, 0)
+        for name in _FIELDS:
+            setattr(self, name, 0)
 
     def snapshot(self) -> "CostCounter":
         """Return an independent copy of the current tallies."""
@@ -192,8 +192,8 @@ class CostCounter:
         counter: snapshot before, run, then diff.
         """
         return CostCounter(**{
-            f.name: getattr(self, f.name) - getattr(before, f.name)
-            for f in fields(self)
+            name: getattr(self, name) - getattr(before, name)
+            for name in _FIELDS
         })
 
     def merge(self, other: "CostCounter") -> None:
@@ -204,12 +204,16 @@ class CostCounter:
         thread charges that query's tally, exactly like direct work.
         """
         self.charge(**{name: value for name, value in
-                       ((f.name, getattr(other, f.name)) for f in
-                        fields(other)) if value})
+                       other.as_dict().items() if value})
 
     def as_dict(self) -> dict:
         """Return the tallies as a plain ``dict`` (for reports)."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in _FIELDS}
+
+
+#: The tally field names, resolved once: ``dataclasses.fields()`` per
+#: snapshot/diff showed up on the per-query path.
+_FIELDS = tuple(f.name for f in fields(CostCounter))
 
 
 @dataclass(frozen=True)

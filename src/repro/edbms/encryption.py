@@ -95,6 +95,14 @@ class EncryptedTable:
             raise KeyError(f"unknown uid {int(uids[int(np.argmin(pos))])}")
         return pos
 
+    def position(self, uid: int) -> int:
+        """Scalar :meth:`positions`: one uid, same ``KeyError``."""
+        if 0 <= uid < self._position_lookup.size:
+            pos = int(self._position_lookup[uid])
+            if pos >= 0:
+                return pos
+        raise KeyError(f"unknown uid {uid}")
+
     def ciphertexts_for(self, attribute: str, uids: np.ndarray
                         ) -> tuple[np.ndarray, np.ndarray]:
         """(ciphertext words, nonce uids) for the requested rows.

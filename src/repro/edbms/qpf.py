@@ -317,7 +317,7 @@ class TrustedMachine:
         #: gathers.  ``column_cache_bytes=0`` disables it.
         self._column_cache = ColumnCache(column_cache_bytes)
 
-    def _plain_predicate(self, trapdoor: EncryptedPredicate):
+    def _plain_predicate(self, trapdoor: EncryptedPredicate, deltas: dict):
         """Unseal (and memoise) the plaintext predicate of a trapdoor.
 
         Caching models the trusted machine keeping recent predicate
@@ -327,17 +327,20 @@ class TrustedMachine:
         """
         cached = self._predicate_cache.get(trapdoor.serial)
         if cached is None:
-            self.counter.charge(predicate_cache_misses=1)
+            _bump(deltas, "predicate_cache_misses")
             cached = unseal_predicate(self._key, trapdoor)
             self._predicate_cache.put(trapdoor.serial, cached)
         else:
-            self.counter.charge(predicate_cache_hits=1)
+            _bump(deltas, "predicate_cache_hits")
         return cached
 
-    def _cross(self, tuples: int) -> None:
-        """Meter one enclave crossing carrying ``tuples`` tuples."""
-        self.counter.charge(qpf_roundtrips=1, parallel_wall_roundtrips=1,
-                            parallel_wall_qpf_uses=tuples)
+    def _cross(self, tuples: int) -> dict:
+        """Open the tally of one enclave crossing carrying ``tuples``.
+
+        Helpers add their cache tallies to the returned dict; the caller
+        charges it once, in a ``finally`` — one locked ``charge`` per
+        crossing, same field totals as before on every path.
+        """
         if self._latency is not None:
             delay = self._latency.delay(tuples)
             if delay > 0.0:
@@ -345,6 +348,9 @@ class TrustedMachine:
                 # which dominates hot benches with latency emulation
                 # attached but configured to zero.
                 time.sleep(delay)
+        return {"qpf_uses": tuples, "tuples_retrieved": tuples,
+                "qpf_roundtrips": 1, "parallel_wall_roundtrips": 1,
+                "parallel_wall_qpf_uses": tuples}
 
     def _subkey(self, table_name: str, attribute: str) -> SecretKey:
         cache_key = (table_name, attribute)
@@ -355,28 +361,35 @@ class TrustedMachine:
         return subkey
 
     def _decrypt_cells(self, table: EncryptedTable, attribute: str,
-                       uids: np.ndarray) -> np.ndarray:
+                       uids: "np.ndarray | int", deltas: dict) -> np.ndarray:
         # Warm path: a cached decrypted column turns the request into a
         # pure position gather — zero keystream work.  Version-keyed, so
         # any insert/delete invalidates on the next lookup; tables
         # without a version counter (e.g. the MPC backend's shares)
-        # bypass the cache entirely.
+        # bypass the cache entirely.  A plain ``int`` is the one-tuple
+        # lane (QFilter probes, insert placement): a scalar position
+        # lookup and a one-cell view instead of a vector gather.
         version = getattr(table, "version", None)
         if version is not None and self._column_cache.budget_bytes:
             column = self._column_cache.get(table.name, attribute, version)
             if column is not None:
-                self.counter.charge(column_cache_hits=1)
+                _bump(deltas, "column_cache_hits")
             else:
-                self.counter.charge(column_cache_misses=1)
-                column = self._fill_column(table, attribute, version)
+                _bump(deltas, "column_cache_misses")
+                column = self._fill_column(table, attribute, version, deltas)
             if column is not None:
+                if type(uids) is int:
+                    position = table.position(uids)
+                    return column[position:position + 1]
                 return column[table.positions(uids)]
+        if type(uids) is int:
+            uids = np.asarray([uids], dtype=np.uint64)
         ciphertexts, nonces = table.ciphertexts_for(attribute, uids)
         subkey = self._subkey(table.name, attribute)
         return decrypt_words(subkey, ciphertexts, nonces).view(np.int64)
 
-    def _fill_column(self, table, attribute: str,
-                     version: int) -> np.ndarray | None:
+    def _fill_column(self, table, attribute: str, version: int,
+                     deltas: dict) -> np.ndarray | None:
         """Whole-column decrypt into the cache (``None`` if not cachable).
 
         Uses the bulk in-place keystream path
@@ -398,7 +411,7 @@ class TrustedMachine:
                                ciphertexts, nonces, plain,
                                scratch.take(plain.size, np.uint64))
         column = plain.view(np.int64)
-        self.counter.charge(column_cache_evictions=self._column_cache.put(
+        _bump(deltas, "column_cache_evictions", self._column_cache.put(
             table.name, attribute, version, column))
         return column
 
@@ -418,7 +431,10 @@ class TrustedMachine:
         if self._column_cache.get(table.name, attribute,
                                   version) is not None:
             return True
-        return self._fill_column(table, attribute, version) is not None
+        deltas: dict = {}
+        column = self._fill_column(table, attribute, version, deltas)
+        self.counter.charge(**deltas)
+        return column is not None
 
     def column_cache_stats(self) -> dict:
         """Live :meth:`ColumnCache.stats` of this machine's cache."""
@@ -427,10 +443,7 @@ class TrustedMachine:
     def evaluate(self, trapdoor: EncryptedPredicate, table: EncryptedTable,
                  uid: int) -> bool:
         """Θ for a single encrypted tuple — one QPF use."""
-        return bool(
-            self.evaluate_batch(trapdoor, table,
-                                np.asarray([uid], dtype=np.uint64))[0]
-        )
+        return bool(self._evaluate(trapdoor, table, int(uid), 1)[0])
 
     def evaluate_batch(self, trapdoor: EncryptedPredicate,
                        table: EncryptedTable,
@@ -438,17 +451,29 @@ class TrustedMachine:
         """Θ applied tuple-by-tuple over ``uids`` — ``len(uids)`` QPF uses.
 
         One call is one enclave roundtrip (``qpf_roundtrips``), however
-        many tuples ride in it; empty payloads are never shipped.
+        many tuples ride in it; empty payloads are never shipped (and
+        charge nothing).
         """
         uids = np.asarray(uids, dtype=np.uint64)
-        self.counter.charge(qpf_uses=int(uids.size),
-                            tuples_retrieved=int(uids.size))
-        if uids.size == 0:
+        tuples = int(uids.size)
+        if tuples == 0:
             return np.zeros(0, dtype=bool)
-        self._cross(int(uids.size))
-        predicate = self._plain_predicate(trapdoor)
-        values = self._decrypt_cells(table, trapdoor.attribute, uids)
-        return _evaluate_plain(predicate, values)
+        return self._evaluate(trapdoor, table,
+                              uids.item(0) if tuples == 1 else uids,
+                              tuples)
+
+    def _evaluate(self, trapdoor: EncryptedPredicate, table: EncryptedTable,
+                  uids: "np.ndarray | int", tuples: int) -> np.ndarray:
+        """One homogeneous crossing (``uids`` is an ``int`` for the
+        one-tuple lane); all of its accounting lands in one charge."""
+        deltas = self._cross(tuples)
+        try:
+            predicate = self._plain_predicate(trapdoor, deltas)
+            values = self._decrypt_cells(table, trapdoor.attribute, uids,
+                                         deltas)
+            return _evaluate_plain(predicate, values)
+        finally:
+            self.counter.charge(**deltas)
 
     def evaluate_many(self, requests: Sequence[QPFRequest]
                       ) -> list[np.ndarray]:
@@ -462,53 +487,60 @@ class TrustedMachine:
         """
         sizes = [int(r.uids.size) for r in requests]
         total = sum(sizes)
-        self.counter.charge(qpf_uses=total, tuples_retrieved=total)
         if total == 0:
             return [np.zeros(0, dtype=bool) for _ in requests]
-        self._cross(total)
-        # Unseal in submission order first, so predicate-register
-        # hit/miss accounting and LRU recency are identical to a
-        # per-request loop.  Fuse decrypts: one position gather +
-        # keystream per (table, attribute) column instead of one per
-        # request.  Cell nonces are the row uids, so decrypting the
-        # concatenation and slicing it back is bit-identical to
-        # per-request calls.
-        empty = np.zeros(0, dtype=bool)
-        predicates: list[object | None] = []
-        groups: dict[tuple[int, str], list[int]] = {}
-        results: list[np.ndarray | None] = []
-        for position, request in enumerate(requests):
-            if sizes[position]:
-                predicates.append(self._plain_predicate(request.trapdoor))
-                groups.setdefault(
-                    (id(request.table), request.trapdoor.attribute), []
-                ).append(position)
-                results.append(None)
-            else:
-                predicates.append(None)
-                results.append(empty)
-        with _arena().scope() as scratch:
-            for (__, attribute), positions in groups.items():
-                if len(positions) == 1:
-                    request = requests[positions[0]]
-                    values = self._decrypt_cells(request.table, attribute,
-                                                 request.uids)
-                    results[positions[0]] = _evaluate_plain(
-                        predicates[positions[0]], values)
-                    continue
-                parts = [requests[p].uids for p in positions]
-                fused = scratch.take(sum(int(p.size) for p in parts),
-                                     np.uint64)
-                np.concatenate(parts, out=fused)
-                values = self._decrypt_cells(requests[positions[0]].table,
-                                             attribute, fused)
-                offset = 0
-                for position, part in zip(positions, parts):
-                    stop = offset + int(part.size)
-                    results[position] = _evaluate_plain(
-                        predicates[position], values[offset:stop])
-                    offset = stop
-        return results  # type: ignore[return-value]
+        deltas = self._cross(total)
+        try:
+            # Unseal in submission order first, so predicate-register
+            # hit/miss accounting and LRU recency are identical to a
+            # per-request loop.  Fuse decrypts: one position gather +
+            # keystream per (table, attribute) column instead of one per
+            # request.  Cell nonces are the row uids, so decrypting the
+            # concatenation and slicing it back is bit-identical to
+            # per-request calls.
+            empty = np.zeros(0, dtype=bool)
+            predicates: list[object | None] = []
+            groups: dict[tuple[int, str], list[int]] = {}
+            results: list[np.ndarray | None] = []
+            for position, request in enumerate(requests):
+                if sizes[position]:
+                    predicates.append(
+                        self._plain_predicate(request.trapdoor, deltas))
+                    groups.setdefault(
+                        (id(request.table), request.trapdoor.attribute), []
+                    ).append(position)
+                    results.append(None)
+                else:
+                    predicates.append(None)
+                    results.append(empty)
+            with _arena().scope() as scratch:
+                for (__, attribute), positions in groups.items():
+                    if len(positions) == 1:
+                        request = requests[positions[0]]
+                        values = self._decrypt_cells(request.table, attribute,
+                                                     request.uids, deltas)
+                        results[positions[0]] = _evaluate_plain(
+                            predicates[positions[0]], values)
+                        continue
+                    parts = [requests[p].uids for p in positions]
+                    fused = scratch.take(sum(int(p.size) for p in parts),
+                                         np.uint64)
+                    np.concatenate(parts, out=fused)
+                    values = self._decrypt_cells(requests[positions[0]].table,
+                                                 attribute, fused, deltas)
+                    offset = 0
+                    for position, part in zip(positions, parts):
+                        stop = offset + int(part.size)
+                        results[position] = _evaluate_plain(
+                            predicates[position], values[offset:stop])
+                        offset = stop
+            return results  # type: ignore[return-value]
+        finally:
+            self.counter.charge(**deltas)
+
+
+def _bump(deltas: dict, name: str, amount: int = 1) -> None:
+    deltas[name] = deltas.get(name, 0) + amount
 
 
 def _evaluate_plain(predicate, values: np.ndarray) -> np.ndarray:

@@ -106,7 +106,12 @@ class PhysicalOperator:
         self.step = step
 
     def execute(self, ctx: ExecutionContext) -> np.ndarray:
-        """Run this operator under ``ctx``; returns sorted matching UIDs."""
+        """Run this operator under ``ctx``; returns the matching UIDs.
+
+        Contract: a 1-D ``uint64`` array, strictly increasing (sorted,
+        no duplicates).  Every operator orders its own answer exactly
+        once; :class:`SelectionRoot` relies on this and never re-sorts.
+        """
         raise NotImplementedError
 
     def _seal_condition(self, ctx: ExecutionContext, condition):
@@ -296,7 +301,9 @@ class SelectionRoot:
         self.children = children
 
     def execute(self, ctx: ExecutionContext) -> np.ndarray:
-        """Run every child and intersect their sorted winner sets."""
+        """Run every child and intersect their winner sets — already in
+        order by the :meth:`PhysicalOperator.execute` contract, which
+        ``np.intersect1d`` preserves, so nothing is re-sorted here."""
         if not self.children:
             return np.sort(ctx.server.table(self.table).uids)
         winners: np.ndarray | None = None
@@ -310,7 +317,7 @@ class SelectionRoot:
             winners = part if winners is None else np.intersect1d(
                 winners, part, assume_unique=True)
         assert winners is not None
-        return np.sort(winners)
+        return winners
 
 
 class AggregateOp:

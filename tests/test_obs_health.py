@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.bench import Testbed
+from repro.core.prkb import HEALTH_HISTORY
 from repro.edbms.engine import EncryptedDatabase
+from repro.workloads import uniform_table
 
 DOMAIN = (1, 10_000)
 ROWS = 500
@@ -85,3 +89,33 @@ class TestMultiDimensionHealth:
         endpoint = db.observability_endpoint()
         doc = json.loads(endpoint.handle("/health")[2])
         assert set(doc["indexes"]) == {"t.A", "t.B"}
+
+
+_NOTES = st.lists(
+    st.tuples(st.integers(0, 10**6), st.booleans()),
+    max_size=2 * HEALTH_HISTORY + 40)
+
+
+class TestScanStatsP90Identity:
+    """``observed_scan_stats`` computes its p90 without numpy; it must
+    stay bit-identical to the ``np.percentile`` figure ``health()``
+    reports, for any history the bounded deque can hold."""
+
+    @given(notes=_NOTES, all_equivalent_tail=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_p90_equals_numpy_percentile(self, notes, all_equivalent_tail):
+        if all_equivalent_tail:
+            # A full window of cache hits: no scan widths left at all.
+            notes = notes + [(0, True)] * HEALTH_HISTORY
+        index = Testbed(uniform_table("t", 8, ["X"], seed=1), ["X"],
+                        seed=1).prkb["X"]
+        for step, (width, equivalent) in enumerate(notes):
+            index._note_query(width + 2, width, False, equivalent)
+            if step % 37 == 0:
+                index.observed_scan_stats()  # exercise the memo too
+        window = notes[-HEALTH_HISTORY:]  # the deque wrapped past these
+        widths = [width for width, equivalent in window if not equivalent]
+        want = (int(np.percentile(np.asarray(widths, dtype=np.int64), 90))
+                if widths else 0)
+        assert index.observed_scan_stats() == (len(window), want)
+        assert index.health()["ns_scan_width"]["p90"] == want

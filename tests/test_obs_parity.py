@@ -6,6 +6,7 @@ allocate zero spans), one traced — must agree bit-for-bit on the global
 that counter exactly: every use attributed once, none twice.
 """
 
+import numpy as np
 import pytest
 
 import repro.obs.tracing as tracing
@@ -15,21 +16,38 @@ from repro.workloads import distinct_comparison_thresholds, uniform_table
 
 #: The probe's deterministic global cost (seeds pinned below).
 EXPECTED_QPF = 23455
+#: Every QPF-side tally of the probe, as charged site by site before the
+#: trusted machine batched its accounting into one charge per crossing.
+EXPECTED_CROSSING_FIELDS = {
+    "qpf_uses": 23455, "qpf_roundtrips": 950, "tuples_retrieved": 23455,
+    "parallel_wall_qpf_uses": 23455, "parallel_wall_roundtrips": 950,
+    "predicate_cache_hits": 830, "predicate_cache_misses": 120,
+    "column_cache_hits": 949, "column_cache_misses": 1,
+    "column_cache_evictions": 0,
+}
 #: Span names that carry exclusive qpf cost; containers carry attrs only.
 LEAF_PHASES = {"prkb.qfilter.sample", "prkb.qfilter.search",
                "prkb.qscan", "prkb.update", "prkb.cached"}
 
 
-def _run_probe(tracer=None):
+def _probe_bed(tracer=None):
     table = uniform_table("t", 2000, ["X"], domain=(1, 300_000), seed=0)
     bed = Testbed(table, ["X"], seed=7)
     if tracer is not None:
         bed.counter.tracer = tracer
+    return bed
+
+
+def _drive_probe(bed):
     thresholds = distinct_comparison_thresholds((1, 300_000), 120, seed=1)
     for threshold in thresholds:
         trapdoor = bed.owner.comparison_trapdoor("X", "<", int(threshold))
         bed.prkb["X"].select(trapdoor)
     return bed
+
+
+def _run_probe(tracer=None):
+    return _drive_probe(_probe_bed(tracer))
 
 
 class TestDisabled:
@@ -41,6 +59,47 @@ class TestDisabled:
         monkeypatch.setattr(tracing.Span, "__init__", forbid)
         bed = _run_probe(tracer=None)
         assert bed.counter.qpf_uses == EXPECTED_QPF
+
+
+class TestCrossingAccounting:
+    """One ``charge`` per crossing must add up to the per-site totals."""
+
+    def test_probe_fields_unchanged(self):
+        spent = _run_probe().counter.as_dict()
+        assert {name: spent[name] for name in EXPECTED_CROSSING_FIELDS} \
+            == EXPECTED_CROSSING_FIELDS
+
+    def test_measure_scope_sees_the_same_deltas(self):
+        bed = _probe_bed()
+        with bed.counter.measure() as scoped:
+            _drive_probe(bed)
+        assert scoped.as_dict() == bed.counter.as_dict()
+        assert scoped.qpf_uses == EXPECTED_QPF
+
+    @pytest.mark.parametrize("payload", [
+        lambda unknown: unknown,                        # scalar Θ
+        lambda unknown: np.asarray([unknown], dtype=np.uint64),
+        lambda unknown: np.asarray([0, unknown], dtype=np.uint64),
+    ], ids=["scalar", "one-tuple", "vector"])
+    def test_unknown_uid_still_charges_its_crossing(self, payload):
+        table = uniform_table("t", 50, ["X"], domain=(1, 1000), seed=0)
+        bed = Testbed(table, ["X"], seed=7)
+        trapdoor = bed.owner.comparison_trapdoor("X", "<", 500)
+        bed.qpf.batch(trapdoor, bed.table, bed.table.uids)  # warm column
+        uids = payload(10_000)
+        tuples = int(np.size(uids))
+        with bed.counter.measure() as spent:
+            with pytest.raises(KeyError, match="unknown uid 10000"):
+                if isinstance(uids, int):
+                    bed.qpf(trapdoor, bed.table, uids)
+                else:
+                    bed.qpf.batch(trapdoor, bed.table, uids)
+        assert {name: value for name, value in spent.as_dict().items()
+                if value} == {
+            "qpf_uses": tuples, "tuples_retrieved": tuples,
+            "qpf_roundtrips": 1, "parallel_wall_roundtrips": 1,
+            "parallel_wall_qpf_uses": tuples,
+            "predicate_cache_hits": 1, "column_cache_hits": 1}
 
 
 class TestEnabled:

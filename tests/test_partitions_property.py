@@ -7,12 +7,15 @@ with hypothesis:
   (:meth:`PartialOrderPartitions.ordinals_of_uids`) stays consistent
   with actual :class:`Partition` membership across arbitrary interleaved
   split / merge / insert / delete sequences — the incremental slot
-  bookkeeping must never drift from the chain; and
+  bookkeeping must never drift from the chain, and the slot→ordinal
+  table it patches in place always equals a from-scratch rebuild
+  (through emptied-partition drops, slot compaction and pickling); and
 * :class:`ChainView` snapshots are *set-stable*: while a shard pool is
   reading a window's payloads on worker threads, concurrent splits of
   the live chain never change which uids any snapshot slice contains.
 """
 
+import pickle
 import threading
 
 import numpy as np
@@ -44,6 +47,73 @@ def _assert_ordinals_consistent(pop: PartialOrderPartitions) -> None:
     pop.check_invariants()
 
 
+def _rebuilt_ordinals(pop: PartialOrderPartitions) -> np.ndarray:
+    """The slot→ordinal table from scratch: the reference loop that
+    used to run after every structural change."""
+    table = np.full(pop._next_slot, -1, dtype=np.int64)
+    for position, partition in enumerate(pop):
+        table[partition.slot] = position
+    return table
+
+
+def _apply(pop: PartialOrderPartitions, op: tuple, next_uid: int,
+           seen: dict) -> PartialOrderPartitions:
+    """Run one encoded structural op; returns the (possibly reloaded)
+    chain.  ``seen`` tallies the rare events the directed test wants."""
+    code, a, b = op
+    k = pop.num_partitions
+    slots_before = pop._next_slot
+    if code == 0:  # split a partition with >= 2 members
+        splittable = [i for i, size in enumerate(pop.sizes()) if size >= 2]
+        if splittable:
+            index = splittable[a % len(splittable)]
+            members = pop[index].uids.copy()
+            cut = 1 + b % (members.size - 1)
+            pop.split(index, members[:cut], members[cut:])
+    elif code == 1:  # merge an adjacent run
+        if k >= 2:
+            first = a % (k - 1)
+            pop.merge_range(first, min(k - 1, first + 1 + b % 3))
+    elif code == 2:  # insert a brand-new uid
+        pop.insert(next_uid, a % k)
+    elif code == 3:  # delete a tracked uid (keep the chain non-empty)
+        if pop.num_tuples > 1:
+            tracked = np.sort(np.concatenate([p.uids for p in pop]))
+            if pop.delete(int(tracked[a % tracked.size])) is not None:
+                seen["drops"] += 1
+    elif code == 4:  # empty one whole partition: its chain slot drops
+        if k >= 2:
+            for uid in pop[a % k].uids.copy():
+                if pop.delete(int(uid)) is not None:
+                    seen["drops"] += 1
+    else:  # pickle round trip (checkpoints, process shards)
+        pop = pickle.loads(pickle.dumps(pop))
+        seen["pickles"] += 1
+    pop._ensure_ordinals()
+    if pop._next_slot < slots_before:
+        seen["compactions"] += 1
+    return pop
+
+
+def _drive(ops, size: int = 16) -> dict:
+    pop = PartialOrderPartitions(np.arange(size, dtype=np.uint64))
+    pop._ensure_ordinals()  # maintained incrementally from here on
+    seen = {"drops": 0, "pickles": 0, "compactions": 0}
+    for next_uid, op in enumerate(ops, start=size):
+        pop = _apply(pop, op, next_uid, seen)
+        assert np.array_equal(pop._slot_ordinals, _rebuilt_ordinals(pop))
+        _assert_ordinals_consistent(pop)
+    # Untracked uids must be rejected, not silently mis-mapped.
+    try:
+        pop.ordinals_of_uids(
+            np.asarray([size + len(ops) + 7], dtype=np.uint64))
+    except KeyError:
+        pass
+    else:
+        raise AssertionError("untracked uid produced an ordinal")
+    return seen
+
+
 _OPS = st.lists(
     st.tuples(st.integers(0, 3), st.integers(0, 1_000_000),
               st.integers(0, 1_000_000)),
@@ -54,42 +124,25 @@ _OPS = st.lists(
 @given(ops=_OPS)
 @settings(max_examples=60, deadline=None)
 def test_ordinal_array_tracks_membership(ops):
-    pop = PartialOrderPartitions(np.arange(16, dtype=np.uint64))
-    next_uid = 16
-    for code, a, b in ops:
-        k = pop.num_partitions
-        if code == 0:  # split a partition with >= 2 members
-            splittable = [i for i, size in enumerate(pop.sizes())
-                          if size >= 2]
-            if not splittable:
-                continue
-            index = splittable[a % len(splittable)]
-            members = pop[index].uids.copy()
-            cut = 1 + b % (members.size - 1)
-            pop.split(index, members[:cut], members[cut:])
-        elif code == 1:  # merge an adjacent run
-            if k < 2:
-                continue
-            first = a % (k - 1)
-            last = min(k - 1, first + 1 + b % 3)
-            pop.merge_range(first, last)
-        elif code == 2:  # insert a brand-new uid
-            pop.insert(next_uid, a % k)
-            next_uid += 1
-        else:  # delete a tracked uid (keep the chain non-empty)
-            if pop.num_tuples <= 1:
-                continue
-            tracked = np.sort(np.concatenate(
-                [p.uids for p in pop]))
-            pop.delete(int(tracked[a % tracked.size]))
-        _assert_ordinals_consistent(pop)
-    # Untracked uids must be rejected, not silently mis-mapped.
-    try:
-        pop.ordinals_of_uids(np.asarray([next_uid + 7], dtype=np.uint64))
-    except KeyError:
-        pass
-    else:
-        raise AssertionError("untracked uid produced an ordinal")
+    _drive(ops)
+
+
+@given(ops=st.lists(
+    st.tuples(st.integers(0, 5), st.integers(0, 1_000_000),
+              st.integers(0, 1_000_000)), max_size=80))
+@settings(max_examples=60, deadline=None)
+def test_incremental_ordinals_equal_rebuild(ops):
+    _drive(ops, size=32)
+
+
+def test_incremental_ordinals_through_drop_compaction_and_pickle():
+    # Split/merge churn on a short chain burns two slots a pair, so the
+    # table crosses the compaction threshold (64 slots) mid-stream.
+    ops = ([(0, 0, 3), (0, 1, 1), (4, 1, 0), (5, 0, 0)]
+           + [(0, 0, 7), (1, 0, 0)] * 40
+           + [(0, 0, 5), (5, 0, 0), (0, 1, 2), (4, 0, 0), (2, 0, 0)])
+    seen = _drive(ops)
+    assert seen["drops"] and seen["pickles"] and seen["compactions"]
 
 
 @given(plan=st.lists(st.tuples(st.integers(0, 1_000_000),
