@@ -18,6 +18,11 @@ Metrics are flattened to dotted keys and classified:
 * **info** — everything else (cache tallies, record counts): reported,
   never fatal.
 
+A baseline key absent from the current file is never silent: a missing
+**qpf** key exits nonzero (a parity gate that stops measuring a mode is
+not a gate — regenerate the baseline in the same change if the metric
+is meant to go), a missing wall/info key is printed as a note.
+
 ``--floor KEY=FRACTION`` promotes one metric back to a hard gate even
 under ``--warn-wall``: the run fails when the current value drops below
 ``FRACTION`` of the baseline's.  CI uses it to hold a throughput floor
@@ -37,7 +42,7 @@ import sys
 from _common import load_bench_json
 
 __all__ = ["flatten", "classify", "higher_is_better", "diff",
-           "check_floors", "main"]
+           "missing_keys", "check_floors", "main"]
 
 #: Substrings marking a metric where bigger numbers are improvements.
 _HIGHER_BETTER = ("per_sec", "speedup", "saved", "hits", "hit_ratio",
@@ -104,6 +109,12 @@ def diff(baseline: dict, current: dict, threshold: float) -> list[dict]:
             "regressed": worse > threshold,
         })
     return records
+
+
+def missing_keys(baseline: dict, current: dict) -> list[str]:
+    """Baseline metric keys the current file no longer reports."""
+    return sorted(set(flatten(baseline["metrics"]))
+                  - set(flatten(current["metrics"])))
 
 
 def check_floors(baseline: dict, current: dict,
@@ -197,10 +208,19 @@ def main(argv: list[str] | None = None) -> int:
         print(f"FAIL: {record['kind']} metric {record['key']} regressed "
               f"{100 * record['worse_by']:.1f}% "
               f"({record['old']:.4g} -> {record['new']:.4g})")
+    vanished = []
+    for key in missing_keys(baseline, current):
+        if classify(key) == "qpf":
+            vanished.append(key)
+            print(f"FAIL: qpf metric {key} is in the baseline but "
+                  f"missing from the current file")
+        else:
+            print(f"note: {classify(key)} metric {key} is in the "
+                  f"baseline but missing from the current file")
     floor_failures = check_floors(baseline, current, args.floor)
     for message in floor_failures:
         print(f"FAIL: {message}")
-    if hard or floor_failures:
+    if hard or vanished or floor_failures:
         return 1
     print("bench_diff: no fatal regressions")
     return 0

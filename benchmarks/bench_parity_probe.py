@@ -10,9 +10,8 @@ exact number:
 * ``serial`` — lone ``TrustedMachine``, the reference.
 * ``traced`` — same run under a live ``Tracer`` (observation must not
   perturb work).
-* ``shard_thread`` / ``shard_process`` / ``shard_shm`` — the
-  ``QPFShardPool`` worker modes (sharding changes *where* tuples are
-  evaluated, never *how many*).
+* ``shard_thread`` — a two-worker ``QPFShardPool`` (sharding changes
+  *where* tuples are evaluated, never *how many*).
 * ``engine_serial`` — the full SQL path (parse -> plan cache -> physical
   operators) on a seed-twin ``EncryptedDatabase``; the planner layer
   must add zero QPF.
@@ -49,8 +48,8 @@ NUM_QUERIES = 120
 EXPECTED_QPF = 23455
 JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_parity.json"
 
-#: ``QPFShardPool`` worker modes under test, all at two workers.
-SHARD_MODES = ("thread", "process", "shm")
+#: ``QPFShardPool`` result labels (``shard_<name>``), at two workers.
+SHARD_MODES = ("thread",)
 
 
 def _thresholds() -> list[int]:
@@ -107,8 +106,7 @@ def _measure() -> dict:
     results = {"serial": _run_testbed(),
                "traced": _run_testbed(tracer=Tracer(capacity=8192))}
     for mode in SHARD_MODES:
-        results[f"shard_{mode}"] = _run_testbed(
-            qpf_workers=2, qpf_worker_mode=mode)
+        results[f"shard_{mode}"] = _run_testbed(qpf_workers=2)
     results["engine_serial"] = _run_engine(batched=False)
     results["engine_batched"] = _run_engine(batched=True)
     results["expected"] = {"qpf_uses": EXPECTED_QPF}

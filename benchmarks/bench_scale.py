@@ -3,8 +3,8 @@
 Not a paper figure: this pins the PR's memory-reuse machinery at
 100k–500k-row scales.  Four sections:
 
-* **modes** — full-table ``X < c`` probes through every execution mode
-  (serial / thread / process / shm shard pools), cold
+* **modes** — full-table ``X < c`` probes through both Θ oracles
+  (serial lone machine / two-worker thread pool), cold
   (``column_cache_bytes=0``) versus warm (default budget, primed and
   given one untimed steady-state pass).  Reports queries/sec, the
   warm-over-cold speedup and the column-cache hit ratio.
@@ -24,8 +24,9 @@ tiny run against the committed full-scale ``BENCH_scale.json`` with
 ``bench_diff.py --threshold 0`` plus wall-clock floors.
 
 Run standalone with ``python benchmarks/bench_scale.py --tiny`` for a
-seconds-scale smoke run (the warm >= 2x cold assertion is skipped at
-tiny scale, where fixed per-call overheads dominate).
+seconds-scale smoke run.  The warm-over-cold ratio is not asserted
+here: CI floors it against the committed baseline
+(``--floor modes.serial.warm_speedup=0.5``), the one place it is gated.
 """
 
 from __future__ import annotations
@@ -52,13 +53,13 @@ from bench_parity_probe import (
 DOMAIN = (1, 1_000_000)
 JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_scale.json"
 
-MODES = ("serial", "thread", "process", "shm")
+MODES = ("serial", "thread")
 
 
 def _mode_kwargs(mode: str) -> dict:
     if mode == "serial":
         return {}
-    return {"qpf_workers": 2, "qpf_worker_mode": mode}
+    return {"qpf_workers": 2}
 
 
 def _throughput(table, mode: str, warm: bool, thresholds) -> dict:
@@ -72,8 +73,7 @@ def _throughput(table, mode: str, warm: bool, thresholds) -> dict:
         uids = table.uids
         if warm:
             bed.prime_column_cache("X")
-        # One untimed pass: unseals predicates everywhere and lets
-        # process/shm workers (which own private caches) self-warm.
+        # One untimed pass: unseals the predicates on every machine.
         for trapdoor in trapdoors:
             bed.qpf.batch(trapdoor, bed.table, uids)
         before = bed.counter.snapshot()
@@ -239,7 +239,7 @@ def _measure(tiny: bool) -> dict:
     return results
 
 
-def _check(results: dict, full_scale: bool) -> list[str]:
+def _check(results: dict) -> list[str]:
     failures = []
     for label, stats in results["parity"].items():
         if stats["qpf_uses"] != EXPECTED_QPF:
@@ -254,11 +254,6 @@ def _check(results: dict, full_scale: bool) -> list[str]:
         failures.append("eviction: warm labels diverged from cold")
     if results["arena"]["pass2_allocations"]:
         failures.append("arena: second pass allocated fresh blocks")
-    if full_scale:
-        speedup = results["modes"]["serial"]["warm_speedup"]
-        if speedup < 2.0:
-            failures.append(
-                f"serial warm speedup {speedup} < 2.0 at full scale")
     return failures
 
 
@@ -303,7 +298,7 @@ def main(argv: list[str]) -> int:
     args = parse_bench_args(argv)
     results = _measure(tiny=args.tiny)
     _report(results, out=args.out)
-    failures = _check(results, full_scale=not args.tiny)
+    failures = _check(results)
     for failure in failures:
         print(f"FAIL: {failure}")
     if failures:

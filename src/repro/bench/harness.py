@@ -97,7 +97,6 @@ class Testbed:
                  cost_model: CostModel = DEFAULT_COST_MODEL,
                  seed: int | None = 0,
                  qpf_workers: int | None = None,
-                 qpf_worker_mode: str = "thread",
                  qpf_latency: CrossingLatency | None = None,
                  qpf_min_shard_tuples: int | None = None,
                  column_cache_bytes: int | None = None):
@@ -114,7 +113,7 @@ class Testbed:
                 pool_options["min_shard_tuples"] = qpf_min_shard_tuples
             trusted_machine = QPFShardPool(
                 self.owner.key, self.counter, num_workers=qpf_workers,
-                mode=qpf_worker_mode, latency=qpf_latency, **pool_options)
+                latency=qpf_latency, **pool_options)
         else:
             trusted_machine = TrustedMachine(self.owner.key, self.counter,
                                              latency=qpf_latency,
@@ -264,15 +263,13 @@ def build_testbed(table: PlainTable, indexed_attributes: list[str],
                   warm_up_queries: int = 0,
                   seed: int | None = 0,
                   qpf_workers: int | None = None,
-                  qpf_worker_mode: str = "thread",
                   qpf_latency: CrossingLatency | None = None,
                   qpf_min_shard_tuples: int | None = None,
                   column_cache_bytes: int | None = None) -> Testbed:
     """Convenience constructor used by the benchmark files."""
     bed = Testbed(table, indexed_attributes, max_partitions=max_partitions,
                   with_log_src_i=with_log_src_i, seed=seed,
-                  qpf_workers=qpf_workers, qpf_worker_mode=qpf_worker_mode,
-                  qpf_latency=qpf_latency,
+                  qpf_workers=qpf_workers, qpf_latency=qpf_latency,
                   qpf_min_shard_tuples=qpf_min_shard_tuples,
                   column_cache_bytes=column_cache_bytes)
     if warm_up_queries:

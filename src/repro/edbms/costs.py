@@ -130,14 +130,6 @@ class CostCounter:
         self._lock = threading.Lock()
         self._scopes = threading.local()
 
-    def __getstate__(self):
-        # Locks and thread-locals don't pickle; the tallies are the state.
-        return self.as_dict()
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self.__post_init__()
-
     def charge(self, **deltas: int) -> None:
         """Atomically add ``deltas`` to the named fields.
 

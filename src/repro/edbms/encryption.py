@@ -127,16 +127,6 @@ class EncryptedTable:
         """
         return self._ciphertexts[attribute], self._uids
 
-    def column_store(self, attribute: str) -> tuple[np.ndarray, np.ndarray]:
-        """``(uid->position lookup, ciphertext column)`` backing arrays.
-
-        Structural export for the shared-memory shard pool
-        (:class:`~repro.edbms.qpf.QPFShardPool` ``mode="shm"``), which
-        republishes both arrays to worker processes.  Callers must treat
-        the result as a frozen snapshot of the current :attr:`version`.
-        """
-        return self._position_lookup, self._ciphertexts[attribute]
-
     def storage_bytes(self) -> int:
         """Approximate size of the encrypted relation (ciphertext + uids)."""
         cells = sum(col.nbytes for col in self._ciphertexts.values())

@@ -86,8 +86,8 @@ class EncryptedDatabase:
 
     ``qpf_workers=None`` (default) runs the classic single trusted
     machine.  Any positive count swaps in a
-    :class:`~repro.edbms.qpf.QPFShardPool` of that many worker enclaves
-    (``qpf_worker_mode`` picks threads or processes): answers and
+    :class:`~repro.edbms.qpf.QPFShardPool` of that many in-process
+    worker enclaves: answers and
     ``qpf_uses`` are bit-identical to serial at any worker count, while
     the counter's ``parallel_wall_*`` twins record the critical path.
     ``qpf_latency`` optionally attaches a
@@ -98,7 +98,6 @@ class EncryptedDatabase:
     def __init__(self, seed: int | None = None,
                  cost_model: CostModel = DEFAULT_COST_MODEL,
                  qpf_workers: int | None = None,
-                 qpf_worker_mode: str = "thread",
                  qpf_latency: CrossingLatency | None = None,
                  qpf_min_shard_tuples: int | None = None,
                  column_cache_bytes: int | None = None):
@@ -114,7 +113,7 @@ class EncryptedDatabase:
                 pool_options["min_shard_tuples"] = qpf_min_shard_tuples
             self._trusted_machine = QPFShardPool(
                 key, self.counter, num_workers=qpf_workers,
-                mode=qpf_worker_mode, latency=qpf_latency, **pool_options)
+                latency=qpf_latency, **pool_options)
         else:
             self._trusted_machine = TrustedMachine(key, self.counter,
                                                    latency=qpf_latency,
@@ -539,11 +538,7 @@ class EncryptedDatabase:
     def column_cache_stats(self) -> dict:
         """Decrypted-column cache statistics of the trusted machine.
 
-        For a shard pool this sums over the in-process worker caches;
-        process/shm workers keep private caches whose hit/miss/eviction
-        tallies still flow back through the shared :class:`CostCounter`
-        (``column_cache_*`` fields), only their resident bytes are
-        invisible here.
+        For a shard pool this sums over the worker caches.
         """
         return self._trusted_machine.column_cache_stats()
 

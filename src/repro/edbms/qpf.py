@@ -23,8 +23,10 @@ Two kinds of batching exist and are metered differently:
   shipped in a single crossing.  Still one roundtrip; QPF uses equal the
   total tuple count, exactly as if each request had been sent alone.
 
-Above the single machine sits :class:`QPFShardPool` — N worker trusted
-machines (one enclave each) behind the same Θ interface.  A pooled
+Θ therefore has exactly two oracles: the lone machine, or a
+:class:`QPFShardPool` — N in-process worker trusted machines (one
+enclave each, one thread each) behind the same Θ interface; the worker
+count is the only thing a caller chooses.  A pooled
 payload is partitioned across the workers and evaluated concurrently;
 ``qpf_uses`` stays **exactly** what the serial machine would charge
 (sharding moves tuples between crossings, never duplicates or drops
@@ -40,8 +42,8 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from multiprocessing import shared_memory
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -277,7 +279,7 @@ class CrossingLatency:
     parallel speedups become unmeasurable; attaching a
     ``CrossingLatency`` to a :class:`TrustedMachine` makes every
     crossing *sleep* for its modelled duration instead.  Sleeps release
-    the GIL, so a thread-mode :class:`QPFShardPool` overlaps them — the
+    the GIL, so a :class:`QPFShardPool` overlaps them — the
     benchmark observes genuine wall-clock parallelism with unchanged
     accounting.
     """
@@ -563,200 +565,6 @@ def _evaluate_plain(predicate, values: np.ndarray) -> np.ndarray:
 # Sharded Θ: a pool of worker trusted machines                           #
 # --------------------------------------------------------------------- #
 
-_PROCESS_MACHINE: TrustedMachine | None = None
-
-
-def _process_shard_init(key: SecretKey, predicate_cache_size: int,
-                        latency: CrossingLatency | None,
-                        column_cache_bytes: int = COLUMN_CACHE_BYTES) -> None:
-    """Process-pool initializer: one private enclave per worker process.
-
-    Each worker enclave carries its own decrypted-column cache; its
-    hit/miss/eviction tallies travel back to the parent inside the
-    per-shard :class:`CostCounter` snapshots.
-    """
-    global _PROCESS_MACHINE
-    _PROCESS_MACHINE = TrustedMachine(
-        key, CostCounter(), predicate_cache_size, latency=latency,
-        column_cache_bytes=column_cache_bytes)
-
-
-def _process_shard_eval(requests: list[QPFRequest]
-                        ) -> tuple[list[np.ndarray], CostCounter]:
-    """Evaluate one shard in a worker process; ship labels + costs back."""
-    assert _PROCESS_MACHINE is not None
-    labels = _PROCESS_MACHINE.evaluate_many(requests)
-    spent = _PROCESS_MACHINE.counter.snapshot()
-    _PROCESS_MACHINE.counter.reset()
-    return labels, spent
-
-
-# -- shared-memory shard mode ------------------------------------------- #
-#
-# ``mode="shm"`` keeps the one-enclave-per-process model of
-# ``mode="process"`` but moves the bulk data out of the pickle stream:
-# the parent republishes each encrypted column (position lookup +
-# ciphertext words) into ``multiprocessing.shared_memory`` once per
-# table version, and each dispatch ships only trapdoors plus
-# (offset, length) slices into a shared uid/label payload block.
-# Workers map the blocks, evaluate in place, and return nothing but a
-# CostCounter snapshot — accounting parity with the serial machine is
-# inherited unchanged from ``TrustedMachine.evaluate_many``.
-
-class _ShmColumnMirror:
-    """Worker-side stand-in for one encrypted column of a table.
-
-    Implements the surface ``TrustedMachine._decrypt_cells`` touches
-    (``.name``, ``.version``, ``ciphertexts_for``, ``positions`` and
-    ``full_column``); the cell nonce is the row uid, as in the real
-    :class:`~.encryption.EncryptedTable`.  Carrying the exported table
-    version lets each worker's decrypted-column cache key warm columns
-    exactly like the parent: a republished (version-bumped) export gets
-    a new mirror, whose first decrypt misses and refills.
-    """
-
-    __slots__ = ("name", "version", "_lookup", "_cipher", "_blocks",
-                 "_uids")
-
-    def __init__(self, name, version, lookup, cipher, blocks):
-        self.name = name
-        self.version = version
-        self._lookup = lookup
-        self._cipher = cipher
-        self._blocks = blocks
-        self._uids = None
-
-    def positions(self, uids: np.ndarray) -> np.ndarray:
-        """Physical positions of the given uids (raises on unknown uid)."""
-        uids = np.asarray(uids, dtype=np.uint64)
-        if uids.size and int(uids.max()) >= self._lookup.size:
-            raise KeyError("unknown uid in shared-memory shard payload")
-        positions = self._lookup[uids]
-        if positions.size and int(positions.min()) < 0:
-            raise KeyError("unknown uid in shared-memory shard payload")
-        return positions
-
-    def ciphertexts_for(self, attribute: str, uids: np.ndarray
-                        ) -> tuple[np.ndarray, np.ndarray]:
-        uids = np.asarray(uids, dtype=np.uint64)
-        return self._cipher[self.positions(uids)], uids
-
-    def full_column(self, attribute: str) -> tuple[np.ndarray, np.ndarray]:
-        """``(ciphertext column, nonce uids)`` in position order.
-
-        The export ships only the ``uid -> position`` lookup, so the
-        position-aligned uid array (the cell nonces) is reconstructed
-        once by inverting it and memoised for the mirror's lifetime —
-        one version, one inversion.
-        """
-        if self._uids is None:
-            present = np.flatnonzero(self._lookup >= 0)
-            uids = np.empty(self._cipher.size, dtype=np.uint64)
-            uids[self._lookup[present]] = present.astype(np.uint64)
-            self._uids = uids
-        return self._cipher, self._uids
-
-    def close(self) -> None:
-        # Drop the array views first: SharedMemory refuses to unmap
-        # while buffer exports are alive.
-        self._lookup = None
-        self._cipher = None
-        self._uids = None
-        for block in self._blocks:
-            block.close()
-
-
-def _shm_copy_into(block: shared_memory.SharedMemory,
-                   array: np.ndarray) -> None:
-    """Copy ``array`` into a fresh segment (the view stays local here,
-    so the segment can be unmapped later without live buffer exports)."""
-    np.ndarray(array.shape, dtype=array.dtype, buffer=block.buf)[:] = array
-
-
-def _collect_shm_labels(descriptors: list[dict],
-                        labels_blk: shared_memory.SharedMemory,
-                        total: int) -> list[list[np.ndarray]]:
-    """Slice every request's labels back out of the shared block
-    (copied via ``astype``, so the block can be unlinked afterwards)."""
-    labels_all = np.ndarray((total,), dtype=np.uint8, buffer=labels_blk.buf)
-    return [[labels_all[start:stop].astype(bool)
-             for __, __spec, start, stop in descriptor["requests"]]
-            for descriptor in descriptors]
-
-
-def _shm_attach(name: str) -> shared_memory.SharedMemory:
-    """Attach to a parent-owned segment without adopting its lifetime."""
-    block = shared_memory.SharedMemory(name=name)
-    try:
-        # Python <= 3.12 registers attach-only segments with the
-        # resource tracker, which under *spawn* is a per-worker tracker
-        # that would destroy the parent's blocks when the worker exits.
-        # Under fork the tracker is shared with the parent, so the
-        # registration is an idempotent no-op that the parent's unlink
-        # balances — unregistering there would strip the parent's own
-        # entry instead.
-        import multiprocessing
-        from multiprocessing import resource_tracker
-        if multiprocessing.get_start_method(allow_none=True) != "fork":
-            resource_tracker.unregister(block._name, "shared_memory")
-    except Exception:
-        pass
-    return block
-
-
-_SHM_COLUMNS: dict[tuple[str, str], tuple[int, _ShmColumnMirror]] = {}
-
-
-def _shm_mirror(spec: tuple) -> _ShmColumnMirror:
-    """The worker's cached mirror for one exported column version."""
-    (table_name, attribute, version,
-     lookup_name, lookup_len, cipher_name, cipher_len) = spec
-    key = (table_name, attribute)
-    entry = _SHM_COLUMNS.get(key)
-    if entry is not None and entry[0] == version:
-        return entry[1]
-    if entry is not None:
-        entry[1].close()
-    lookup_blk = _shm_attach(lookup_name)
-    cipher_blk = _shm_attach(cipher_name)
-    lookup = np.ndarray((lookup_len,), dtype=np.int64, buffer=lookup_blk.buf)
-    cipher = np.ndarray((cipher_len,), dtype=np.uint64, buffer=cipher_blk.buf)
-    mirror = _ShmColumnMirror(table_name, version, lookup, cipher,
-                              (lookup_blk, cipher_blk))
-    _SHM_COLUMNS[key] = (version, mirror)
-    return mirror
-
-
-def _shm_eval_views(descriptor: dict, uids_buf, labels_buf) -> CostCounter:
-    """Evaluate one shm shard against mapped buffers (views stay local,
-    so they are released before the caller unmaps the segments)."""
-    assert _PROCESS_MACHINE is not None
-    length = descriptor["length"]
-    uids_all = np.ndarray((length,), dtype=np.uint64, buffer=uids_buf)
-    labels_all = np.ndarray((length,), dtype=np.uint8, buffer=labels_buf)
-    requests = [
-        QPFRequest(trapdoor, _shm_mirror(spec), uids_all[start:stop])
-        for trapdoor, spec, start, stop in descriptor["requests"]]
-    labels = _PROCESS_MACHINE.evaluate_many(requests)
-    for (__, __spec, start, stop), part in zip(descriptor["requests"],
-                                               labels):
-        labels_all[start:stop] = part
-    spent = _PROCESS_MACHINE.counter.snapshot()
-    _PROCESS_MACHINE.counter.reset()
-    return spent
-
-
-def _shm_shard_eval(descriptor: dict) -> CostCounter:
-    """Worker entry point for one shm shard: map, evaluate, unmap."""
-    uids_blk = _shm_attach(descriptor["uids"])
-    labels_blk = _shm_attach(descriptor["labels"])
-    try:
-        return _shm_eval_views(descriptor, uids_blk.buf, labels_blk.buf)
-    finally:
-        uids_blk.close()
-        labels_blk.close()
-
-
 class QPFShardPool:
     """N worker trusted machines answering one Θ payload in parallel.
 
@@ -778,43 +586,31 @@ class QPFShardPool:
       ``parallel_wall_roundtrips``) get the **max** over shards — the
       critical path an ideal N-wide deployment would wait on.
 
-    ``mode="thread"`` (default) keeps workers in-process; the numpy
-    decrypt kernels and any :class:`CrossingLatency` sleeps release the
-    GIL, so shards genuinely overlap.  ``mode="process"`` forks one
-    enclave per worker process for fully GIL-free evaluation; payloads
-    are pickled across, so it pays per-call shipping costs and is the
-    right trade only for large payloads.  ``mode="shm"`` is the
-    process mode with the pickling removed: encrypted columns are
-    republished once per table version into
-    ``multiprocessing.shared_memory`` and each dispatch ships only
-    trapdoors plus offsets into a shared uid/label payload block, so
-    steady-state dispatch cost is independent of tuple count.
+    Workers live in this process, one thread each; the numpy decrypt
+    kernels and any :class:`CrossingLatency` sleeps release the GIL, so
+    shards genuinely overlap.  A crossing that raises is still charged
+    (as on the lone machine): every shard is waited for and every
+    touched worker's costs are folded back before the first error
+    propagates.
 
     With ``num_workers=1`` every code path degenerates to the serial
     machine (same chunks, same crossings, same counters).
     """
 
     def __init__(self, key: SecretKey, counter: CostCounter | None = None,
-                 num_workers: int = 2, mode: str = "thread",
+                 num_workers: int = 2,
                  predicate_cache_size: int = PREDICATE_CACHE_SIZE,
                  latency: CrossingLatency | None = None,
                  min_shard_tuples: int = 64,
                  column_cache_bytes: int = COLUMN_CACHE_BYTES):
         if num_workers < 1:
             raise ValueError("num_workers must be positive")
-        if mode not in ("thread", "process", "shm"):
-            raise ValueError(f"unknown mode {mode!r}; "
-                             "expected 'thread', 'process' or 'shm'")
         if min_shard_tuples < 1:
             raise ValueError("min_shard_tuples must be positive")
         self.counter = counter if counter is not None else CostCounter()
         self.num_workers = num_workers
-        self.mode = mode
         self.min_shard_tuples = min_shard_tuples
         self._lock = threading.Lock()
-        self._key = key
-        self._predicate_cache_size = predicate_cache_size
-        self._latency = latency
         self._column_cache_bytes = column_cache_bytes
         self._workers = [
             TrustedMachine(key, CostCounter(), predicate_cache_size,
@@ -822,49 +618,21 @@ class QPFShardPool:
                            column_cache_bytes=column_cache_bytes)
             for _ in range(num_workers)
         ]
-        self._thread_executor: ThreadPoolExecutor | None = None
-        self._process_executor: ProcessPoolExecutor | None = None
-        # mode="shm": (table, attribute) -> (version, worker spec,
-        # owned SharedMemory blocks) for every column republished to
-        # the worker processes.
-        self._shm_exports: dict[tuple[str, str], tuple[int, tuple, tuple]] \
-            = {}
-
-    # -- executors (lazy, so an unused mode costs nothing) --------------- #
+        self._executor: ThreadPoolExecutor | None = None
 
     def _threads(self) -> ThreadPoolExecutor:
-        if self._thread_executor is None:
-            self._thread_executor = ThreadPoolExecutor(
+        # Lazy: a pool that only ever sees small payloads starts none.
+        if self._executor is None:
+            self._executor = ThreadPoolExecutor(
                 max_workers=self.num_workers,
                 thread_name_prefix="qpf-shard")
-        return self._thread_executor
-
-    def _processes(self) -> ProcessPoolExecutor:
-        if self._process_executor is None:
-            self._process_executor = ProcessPoolExecutor(
-                max_workers=self.num_workers,
-                initializer=_process_shard_init,
-                initargs=(self._key, self._predicate_cache_size,
-                          self._latency, self._column_cache_bytes))
-        return self._process_executor
+        return self._executor
 
     def close(self) -> None:
-        """Shut the worker executors down; release shm exports
-        (idempotent)."""
-        if self._thread_executor is not None:
-            self._thread_executor.shutdown(wait=True)
-            self._thread_executor = None
-        if self._process_executor is not None:
-            self._process_executor.shutdown(wait=True)
-            self._process_executor = None
-        for __, __spec, blocks in self._shm_exports.values():
-            for block in blocks:
-                block.close()
-                try:
-                    block.unlink()
-                except FileNotFoundError:
-                    pass
-        self._shm_exports.clear()
+        """Shut the worker threads down (idempotent)."""
+        if self._executor is not None:
+            self._executor.shutdown(wait=True)
+            self._executor = None
 
     # -- cost folding ----------------------------------------------------- #
 
@@ -887,16 +655,29 @@ class QPFShardPool:
         worker.counter.reset()
         return spent
 
+    @contextmanager
+    def _charging(self, workers: list[TrustedMachine]):
+        """Hold the pool; fold ``workers``' costs back on *every* exit.
+
+        A lone machine charges a raising crossing in its ``finally``;
+        draining here in a ``finally`` too keeps the pool's shared
+        counter (and the caller's ``measure()`` scope) equal to it,
+        instead of leaving the charge on the worker for whoever calls
+        next.
+        """
+        with self._lock:
+            try:
+                yield
+            finally:
+                self._absorb([self._drain_worker(w) for w in workers])
+
     # -- decrypted-column cache ------------------------------------------- #
 
     def prime_column(self, table, attribute: str) -> bool:
-        """Warm every *in-process* worker's decrypted-column cache.
+        """Warm every worker's decrypted-column cache.
 
-        Thread-mode shards (and the first worker, which also answers
-        small payloads in every mode) are filled directly; process/shm
-        worker enclaves are out of reach from here and warm themselves
-        on their first decrypt of the column.  Spends zero QPF; returns
-        whether at least one cache now holds the column.
+        Spends zero QPF; returns whether at least one cache now holds
+        the column.
         """
         primed = False
         for worker in self._workers:
@@ -904,13 +685,10 @@ class QPFShardPool:
         return primed
 
     def column_cache_stats(self) -> dict:
-        """Aggregate :meth:`ColumnCache.stats` over in-process workers.
+        """Aggregate :meth:`ColumnCache.stats` over the workers.
 
-        Tallies and residency are summed across the pool's thread-mode
-        machines; ``budget_bytes`` is per worker, not a pool total.
-        Process/shm worker enclaves only report their tallies through
-        the shared :class:`CostCounter` (``column_cache_*`` fields) —
-        their residency is not visible from the parent.
+        Tallies and residency are summed across the pool's machines;
+        ``budget_bytes`` is per worker, not a pool total.
         """
         totals: dict = {}
         for worker in self._workers:
@@ -919,88 +697,6 @@ class QPFShardPool:
         totals["budget_bytes"] = self._column_cache_bytes
         totals["workers"] = len(self._workers)
         return totals
-
-    # -- shared-memory column exports (mode="shm") ------------------------ #
-
-    def _export_column(self, table, attribute: str) -> tuple:
-        """Publish (or reuse) the shm export of one encrypted column.
-
-        One pair of segments per ``(table, attribute, version)``; a
-        version bump republishes and unlinks the stale pair (workers
-        still mapping it keep their view until they swap — unlink only
-        removes the name).
-        """
-        key = (table.name, attribute)
-        version = table.version
-        entry = self._shm_exports.get(key)
-        if entry is not None and entry[0] == version:
-            return entry[1]
-        if entry is not None:
-            for block in entry[2]:
-                block.close()
-                try:
-                    block.unlink()
-                except FileNotFoundError:
-                    pass
-        lookup, cipher = table.column_store(attribute)
-        lookup_blk = shared_memory.SharedMemory(
-            create=True, size=max(8, lookup.nbytes))
-        cipher_blk = shared_memory.SharedMemory(
-            create=True, size=max(8, cipher.nbytes))
-        _shm_copy_into(lookup_blk, lookup)
-        _shm_copy_into(cipher_blk, cipher)
-        spec = (table.name, attribute, version,
-                lookup_blk.name, int(lookup.size),
-                cipher_blk.name, int(cipher.size))
-        self._shm_exports[key] = (version, spec, (lookup_blk, cipher_blk))
-        return spec
-
-    def _run_shm_shards(self, work: list[list[QPFRequest]]
-                        ) -> list[list[np.ndarray]]:
-        """Dispatch shards through shared payload blocks; fold costs."""
-        total = sum(int(r.uids.size) for payload in work for r in payload)
-        uids_blk = shared_memory.SharedMemory(create=True,
-                                              size=max(8, total * 8))
-        labels_blk = shared_memory.SharedMemory(create=True,
-                                                size=max(1, total))
-        try:
-            descriptors = self._stage_shm_payload(work, uids_blk,
-                                                  labels_blk, total)
-            futures = [self._processes().submit(_shm_shard_eval, descriptor)
-                       for descriptor in descriptors]
-            spent = [future.result() for future in futures]
-            parts = _collect_shm_labels(descriptors, labels_blk, total)
-            self._absorb(spent)
-            return parts
-        finally:
-            uids_blk.close()
-            uids_blk.unlink()
-            labels_blk.close()
-            labels_blk.unlink()
-
-    def _stage_shm_payload(self, work, uids_blk, labels_blk,
-                           total: int) -> list[dict]:
-        """Write every shard's uids into the payload block and build the
-        per-shard worker descriptors (views stay local to this frame)."""
-        uids_all = np.ndarray((total,), dtype=np.uint64, buffer=uids_blk.buf)
-        descriptors = []
-        offset = 0
-        for payload in work:
-            specs = []
-            for request in payload:
-                count = int(request.uids.size)
-                uids_all[offset:offset + count] = request.uids
-                specs.append((request.trapdoor,
-                              self._export_column(
-                                  request.table,
-                                  request.trapdoor.attribute),
-                              offset, offset + count))
-                offset += count
-            descriptors.append({"uids": uids_blk.name,
-                                "labels": labels_blk.name,
-                                "length": total,
-                                "requests": specs})
-        return descriptors
 
     # -- Θ surface -------------------------------------------------------- #
 
@@ -1024,16 +720,13 @@ class QPFShardPool:
         uids = np.asarray(uids, dtype=np.uint64)
         chunk_count = max(1, min(self.num_workers,
                                  int(uids.size) // self.min_shard_tuples))
-        if uids.size == 0 or chunk_count == 1:
-            with self._lock:
-                labels = self._workers[0].evaluate_batch(trapdoor, table,
-                                                         uids)
-                self._absorb([self._drain_worker(self._workers[0])])
-            return labels
-        requests = [QPFRequest(trapdoor, table, chunk)
-                    for chunk in np.array_split(uids, chunk_count)]
-        shards = [[i] for i in range(len(requests))]
-        parts = self._dispatch(requests, shards)
+        if chunk_count == 1:
+            with self._charging(self._workers[:1]):
+                return self._workers[0].evaluate_batch(trapdoor, table,
+                                                       uids)
+        parts = self._dispatch([[QPFRequest(trapdoor, table, chunk)]
+                                for chunk in np.array_split(uids,
+                                                            chunk_count)])
         return np.concatenate([part[0] for part in parts])
 
     def evaluate_many(self, requests: Sequence[QPFRequest]
@@ -1047,16 +740,14 @@ class QPFShardPool:
         """
         requests = list(requests)
         total = sum(int(r.uids.size) for r in requests)
-        if total == 0 or self.num_workers == 1 \
-                or total < 2 * self.min_shard_tuples:
-            with self._lock:
-                labels = self._workers[0].evaluate_many(requests)
-                self._absorb([self._drain_worker(self._workers[0])])
-            return labels
-        shards = self._shard_requests(requests)
-        parts = self._dispatch(requests, shards)
+        if self.num_workers == 1 or total < 2 * self.min_shard_tuples:
+            with self._charging(self._workers[:1]):
+                return self._workers[0].evaluate_many(requests)
+        shards = [s for s in self._shard_requests(requests) if s]
+        parts = self._dispatch([[requests[i] for i in shard]
+                                for shard in shards])
         labels: list[np.ndarray | None] = [None] * len(requests)
-        for shard, part in zip([s for s in shards if s], parts):
+        for shard, part in zip(shards, parts):
             for position, result in zip(shard, part):
                 labels[position] = result
         return labels  # type: ignore[return-value]
@@ -1079,77 +770,42 @@ class QPFShardPool:
             loads[worker] += int(requests[position].uids.size)
         return [sorted(shard) for shard in shards]
 
-    def _dispatch(self, requests: list[QPFRequest],
-                  shards: list[list[int]]) -> list[list[np.ndarray]]:
-        """Run each non-empty shard on its worker; fold the costs back."""
-        work = [[requests[i] for i in shard] for shard in shards if shard]
+    def _dispatch(self, work: list[list[QPFRequest]]
+                  ) -> list[list[np.ndarray]]:
+        """Run payload ``i`` on worker ``i``; fold the costs back."""
+        workers = self._workers[:len(work)]
         tracer = self.counter.tracer
-        with self._lock:
-            if self.mode == "shm":
-                if tracer is None:
-                    return self._run_shm_shards(work)
-                with tracer.span(
-                        "qpf.dispatch", mode="shm", shards=len(work),
-                        tuples=int(sum(r.uids.size for r in requests))):
-                    return self._run_shm_shards(work)
-            if self.mode == "process":
-                if tracer is None:
-                    futures = [
-                        self._processes().submit(_process_shard_eval,
-                                                 payload)
-                        for payload in work
-                    ]
-                    outcomes = [future.result() for future in futures]
-                else:
-                    # Worker processes can't reach the tracer; one span
-                    # covers the whole fan-out from this side.
-                    with tracer.span(
-                            "qpf.dispatch", mode="process",
-                            shards=len(work),
-                            tuples=int(sum(r.uids.size for r in requests))):
-                        futures = [
-                            self._processes().submit(_process_shard_eval,
-                                                     payload)
-                            for payload in work
-                        ]
-                        outcomes = [future.result() for future in futures]
-                self._absorb([spent for _, spent in outcomes])
-                return [labels for labels, _ in outcomes]
+        # Capture the dispatching thread's span now: the worker threads
+        # have empty stacks, so the shard spans must be parented
+        # explicitly to land under the right query.
+        parent = tracer.current() if tracer is not None else None
+
+        def run_shard(shard_no: int) -> list[np.ndarray]:
+            payload = work[shard_no]
             if tracer is None:
-                run = [worker.evaluate_many
-                       for worker, _ in zip(self._workers, work)]
-            else:
-                # Capture the dispatching thread's span now: the worker
-                # threads have empty stacks, so the shard spans must be
-                # parented explicitly to land under the right query.
-                parent = tracer.current()
+                return workers[shard_no].evaluate_many(payload)
+            span = tracer.begin(
+                "qpf.shard", parent=parent, shard=shard_no,
+                requests=len(payload),
+                tuples=int(sum(r.uids.size for r in payload)))
+            try:
+                return workers[shard_no].evaluate_many(payload)
+            finally:
+                tracer.finish(span)
 
-                def _shard_runner(worker, shard_no):
-                    def run_shard(payload):
-                        span = tracer.begin(
-                            "qpf.shard", parent=parent, shard=shard_no,
-                            requests=len(payload),
-                            tuples=int(sum(r.uids.size for r in payload)))
-                        try:
-                            return worker.evaluate_many(payload)
-                        finally:
-                            tracer.finish(span)
-                    return run_shard
-
-                run = [_shard_runner(worker, shard_no)
-                       for shard_no, (worker, _)
-                       in enumerate(zip(self._workers, work))]
+        with self._charging(workers):
             # The first shard runs on the calling thread — one fewer
             # thread hop per dispatch; the others overlap it.
-            futures = [
-                self._threads().submit(fn, payload)
-                for fn, payload in zip(run[1:], work[1:])
-            ]
-            parts = [run[0](work[0])]
-            parts.extend(future.result() for future in futures)
-            self._absorb([self._drain_worker(worker)
-                          for worker, _ in zip(self._workers, work)])
-            return parts
+            futures = [self._threads().submit(run_shard, shard_no)
+                       for shard_no in range(1, len(work))]
+            try:
+                parts = [run_shard(0)]
+                parts.extend(future.result() for future in futures)
+            finally:
+                # A raising shard must not release the pool while its
+                # siblings are still on their worker machines.
+                wait(futures)
+        return parts
 
 
 class QueryProcessingFunction:

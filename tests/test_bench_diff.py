@@ -150,6 +150,24 @@ class TestExitCodes:
         result = self._run(tmp_path, {"records": 10}, {"records": 99})
         assert result.returncode == 0
 
+    def test_vanished_qpf_metric_is_fatal(self, tmp_path):
+        result = self._run(
+            tmp_path,
+            {"serial": {"qpf_uses": 100}, "shard_thread": {"qpf_uses": 100}},
+            {"serial": {"qpf_uses": 100}}, "--threshold", "0")
+        assert result.returncode == 1
+        assert "FAIL" in result.stdout
+        assert "shard_thread.qpf_uses" in result.stdout
+
+    def test_vanished_wall_or_info_metric_is_only_a_note(self, tmp_path):
+        result = self._run(
+            tmp_path,
+            {"qpf_uses": 100, "shm": {"queries_per_sec": 40, "records": 3}},
+            {"qpf_uses": 100})
+        assert result.returncode == 0, result.stdout
+        assert "note: wall metric shm.queries_per_sec" in result.stdout
+        assert "note: info metric shm.records" in result.stdout
+
     def test_no_shared_metrics_is_an_error(self, tmp_path):
         result = self._run(tmp_path, {"a": 1}, {"b": 2})
         assert result.returncode == 1

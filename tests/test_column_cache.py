@@ -183,12 +183,10 @@ class TestEvictionPressure:
 
 
 class TestShardPoolModes:
-    @pytest.mark.parametrize("mode", ["thread", "process", "shm"])
-    def test_pool_warm_matches_serial_cold(self, mode):
+    def test_pool_warm_matches_serial_cold(self):
         table = uniform_table("t", 300, ["X"], domain=(1, 10_000), seed=9)
         serial = Testbed(table, ["X"], seed=9, column_cache_bytes=0)
-        pooled = Testbed(table, ["X"], seed=9, qpf_workers=2,
-                         qpf_worker_mode=mode)
+        pooled = Testbed(table, ["X"], seed=9, qpf_workers=2)
         try:
             pooled.prime_column_cache("X")
             for constant in (2500, 5000, 7500):

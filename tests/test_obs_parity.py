@@ -11,6 +11,7 @@ import pytest
 
 import repro.obs.tracing as tracing
 from repro.bench import Testbed
+from repro.edbms.qpf import QPFRequest
 from repro.obs import Tracer
 from repro.workloads import distinct_comparison_thresholds, uniform_table
 
@@ -61,6 +62,19 @@ class TestDisabled:
         assert bed.counter.qpf_uses == EXPECTED_QPF
 
 
+#: A payload holding an unknown uid, in each shape Θ accepts.
+_UNKNOWN_UID_PAYLOADS = pytest.mark.parametrize("payload", [
+    lambda unknown: unknown,                        # scalar Θ
+    lambda unknown: np.asarray([unknown], dtype=np.uint64),
+    lambda unknown: np.asarray([0, unknown], dtype=np.uint64),
+], ids=["scalar", "one-tuple", "vector"])
+
+
+def _assert_workers_drained(pooled):
+    for worker in pooled._trusted_machine._workers:
+        assert not any(worker.counter.as_dict().values())
+
+
 class TestCrossingAccounting:
     """One ``charge`` per crossing must add up to the per-site totals."""
 
@@ -76,30 +90,104 @@ class TestCrossingAccounting:
         assert scoped.as_dict() == bed.counter.as_dict()
         assert scoped.qpf_uses == EXPECTED_QPF
 
-    @pytest.mark.parametrize("payload", [
-        lambda unknown: unknown,                        # scalar Θ
-        lambda unknown: np.asarray([unknown], dtype=np.uint64),
-        lambda unknown: np.asarray([0, unknown], dtype=np.uint64),
-    ], ids=["scalar", "one-tuple", "vector"])
-    def test_unknown_uid_still_charges_its_crossing(self, payload):
+    @staticmethod
+    def _warm_bed(workers=None):
+        """A 50-row bed (lone machine, or a pool that fans out from 8
+        tuples) with the column warm everywhere, plus its trapdoor."""
         table = uniform_table("t", 50, ["X"], domain=(1, 1000), seed=0)
-        bed = Testbed(table, ["X"], seed=7)
+        bed = Testbed(table, ["X"], seed=7, qpf_workers=workers,
+                      qpf_min_shard_tuples=4)
         trapdoor = bed.owner.comparison_trapdoor("X", "<", 500)
         bed.qpf.batch(trapdoor, bed.table, bed.table.uids)  # warm column
-        uids = payload(10_000)
-        tuples = int(np.size(uids))
+        return bed, trapdoor
+
+    @staticmethod
+    def _raising_call(bed, trapdoor, uids):
+        """The call's own ``measure()`` tally; it must raise KeyError."""
         with bed.counter.measure() as spent:
             with pytest.raises(KeyError, match="unknown uid 10000"):
                 if isinstance(uids, int):
                     bed.qpf(trapdoor, bed.table, uids)
                 else:
                     bed.qpf.batch(trapdoor, bed.table, uids)
-        assert {name: value for name, value in spent.as_dict().items()
-                if value} == {
+        return spent.as_dict()
+
+    @_UNKNOWN_UID_PAYLOADS
+    def test_unknown_uid_still_charges_its_crossing(self, payload):
+        bed, trapdoor = self._warm_bed()
+        uids = payload(10_000)
+        tuples = int(np.size(uids))
+        spent = self._raising_call(bed, trapdoor, uids)
+        assert {name: value for name, value in spent.items() if value} == {
             "qpf_uses": tuples, "tuples_retrieved": tuples,
             "qpf_roundtrips": 1, "parallel_wall_roundtrips": 1,
             "parallel_wall_qpf_uses": tuples,
             "predicate_cache_hits": 1, "column_cache_hits": 1}
+
+    @_UNKNOWN_UID_PAYLOADS
+    def test_pool_charges_a_raising_crossing_like_the_lone_machine(
+            self, payload):
+        lone, trapdoor = self._warm_bed()
+        pooled, pool_trapdoor = self._warm_bed(workers=2)
+        try:
+            uids = payload(10_000)
+            want = self._raising_call(lone, trapdoor, uids)
+            assert self._raising_call(pooled, pool_trapdoor, uids) == want
+            # The failed call's cost is not left for whoever calls next.
+            ten = pooled.table.uids[:10]
+            for bed, door in ((lone, trapdoor), (pooled, pool_trapdoor)):
+                with bed.counter.measure() as spent:
+                    bed.qpf.batch(door, bed.table, ten)
+                assert spent.qpf_uses == spent.tuples_retrieved == 10
+        finally:
+            pooled.close()
+
+    @pytest.mark.parametrize("good_tuples", [2, 19],
+                             ids=["one-worker", "fanned-out"])
+    def test_pool_batch_many_raise_matches_the_lone_machine(
+            self, good_tuples):
+        lone, trapdoor = self._warm_bed()
+        pooled, pool_trapdoor = self._warm_bed(workers=2)
+        try:
+            spent = []
+            for bed, door in ((lone, trapdoor), (pooled, pool_trapdoor)):
+                requests = [
+                    QPFRequest(door, bed.table, bed.table.uids[:good_tuples]),
+                    QPFRequest(door, bed.table,
+                               np.asarray([10_000], dtype=np.uint64))]
+                with bed.counter.measure() as tally:
+                    with pytest.raises(KeyError, match="unknown uid 10000"):
+                        bed.qpf.batch_many(requests)
+                spent.append(tally)
+            assert spent[1].qpf_uses == spent[0].qpf_uses == good_tuples + 1
+            _assert_workers_drained(pooled)
+        finally:
+            pooled.close()
+
+    @pytest.mark.parametrize("bad_position", [0, -1],
+                             ids=["first-chunk", "last-chunk"])
+    def test_fanned_out_raise_is_charged_and_drains_every_worker(
+            self, bad_position):
+        lone, trapdoor = self._warm_bed()
+        pooled, pool_trapdoor = self._warm_bed(workers=2)
+        try:
+            uids = pooled.table.uids[:20].copy()
+            uids[bad_position] = 10_000
+            want = self._raising_call(lone, trapdoor, uids)
+            got = self._raising_call(pooled, pool_trapdoor, uids)
+            assert got["qpf_uses"] == want["qpf_uses"] == 20
+            assert got["tuples_retrieved"] == 20
+            # Both 10-tuple chunks crossed, side by side.
+            assert got["qpf_roundtrips"] == 2
+            assert got["parallel_wall_qpf_uses"] == 10
+            assert got["parallel_wall_roundtrips"] == 1
+            _assert_workers_drained(pooled)
+            with pooled.counter.measure() as spent:
+                pooled.qpf.batch(pool_trapdoor, pooled.table,
+                                 pooled.table.uids[:10])
+            assert spent.qpf_uses == 10 and spent.qpf_roundtrips == 2
+        finally:
+            pooled.close()
 
 
 class TestEnabled:

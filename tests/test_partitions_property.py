@@ -86,7 +86,7 @@ def _apply(pop: PartialOrderPartitions, op: tuple, next_uid: int,
             for uid in pop[a % k].uids.copy():
                 if pop.delete(int(uid)) is not None:
                     seen["drops"] += 1
-    else:  # pickle round trip (checkpoints, process shards)
+    else:  # pickle round trip (checkpoints)
         pop = pickle.loads(pickle.dumps(pop))
         seen["pickles"] += 1
     pop._ensure_ordinals()

@@ -190,15 +190,6 @@ class TestCounterMeasure:
         assert tally.qpf_uses == 7 and tally.comparisons == 3
         assert counter.qpf_uses == 7
 
-    def test_counter_pickles_without_lock_state(self):
-        import pickle
-
-        counter = CostCounter(qpf_uses=5)
-        clone = pickle.loads(pickle.dumps(counter))
-        assert clone.qpf_uses == 5
-        clone.charge(qpf_uses=1)  # lock machinery was rebuilt
-        assert clone.qpf_uses == 6
-
 
 class TestPartitionRebuildLock:
     def test_concurrent_freeze_is_consistent(self):

@@ -27,10 +27,10 @@ BOUNDS = [
 ]
 
 
-def _bed(workers=None, mode="thread", n=900):
+def _bed(workers=None, n=900):
     table = uniform_table("t", n, ["X", "Y"], domain=DOMAIN, seed=11)
     return Testbed(table, ["X", "Y"], seed=11, qpf_workers=workers,
-                   qpf_worker_mode=mode, qpf_min_shard_tuples=4)
+                   qpf_min_shard_tuples=4)
 
 
 def _run_workload(bed):
@@ -58,35 +58,6 @@ class TestQpfUsesParity:
                 assert serial_uses == pool_uses
         finally:
             pooled.close()
-
-    def test_process_pool_smoke(self):
-        serial = _bed(n=300)
-        pooled = _bed(workers=2, mode="process", n=300)
-        try:
-            serial_trace = _run_workload(serial)
-            pooled_trace = _run_workload(pooled)
-        finally:
-            pooled.close()
-        for (serial_winners, serial_uses), (pool_winners, pool_uses) in zip(
-                serial_trace, pooled_trace):
-            assert np.array_equal(serial_winners, pool_winners)
-            assert serial_uses == pool_uses
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_shm_pool_matches_serial_exactly(self, workers):
-        # Shared-memory shards read the columns through republished
-        # ndarray views — same exactness bar as the thread pool.
-        serial = _bed(n=600)
-        pooled = _bed(workers=workers, mode="shm", n=600)
-        try:
-            serial_trace = _run_workload(serial)
-            pooled_trace = _run_workload(pooled)
-        finally:
-            pooled.close()
-        for (serial_winners, serial_uses), (pool_winners, pool_uses) in zip(
-                serial_trace, pooled_trace):
-            assert np.array_equal(serial_winners, pool_winners)
-            assert serial_uses == pool_uses
 
 
 class TestWallCounters:
