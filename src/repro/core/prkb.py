@@ -1128,53 +1128,71 @@ class PRKBIndex:
                 return narrowed
         return None
 
-    def insert(self, uid: int) -> int:
-        """Register a freshly inserted encrypted tuple with the index.
+    def insert_many(self, uids) -> list[int]:
+        """Register freshly inserted encrypted tuples with the index.
 
-        The tuple must already be present in the encrypted table (the QPF
-        needs its ciphertext).  Returns the chain index it was filed under.
-        If placement is ambiguous (BETWEEN boundaries only), the candidate
-        range is merged into one partition first — sound, but coarser.
+        The tuples must already be present in the encrypted table (the
+        QPF needs their ciphertexts).  Returns the chain index each was
+        filed under.  If a placement is ambiguous (BETWEEN boundaries
+        only), the candidate range is merged into one partition first —
+        sound, but coarser.  The whole batch is one index transaction:
+        one write-lock hold, one equivalence-cache clear and one journal
+        ``commit`` record, so a crash inside it rolls the index back to
+        the previous operation, never to part of this one.
         """
         with self.lock.write():
             # Two predicates equivalent on the old data may disagree on
-            # the new value, so cached equivalences cannot survive an
+            # a new value, so cached equivalences cannot survive an
             # insert.
             with self._stats_lock:
                 self._equiv_cache.clear()
-            if self.pop.num_partitions == 0:
-                self.pop = PartialOrderPartitions(
-                    np.asarray([uid], dtype=np.uint64))
-                if self._journal is not None:
-                    self._journal.chain_reinit([uid])
-                self.commit_journal()
-                return 0
-            located = self.locate_partition(uid)
-            if isinstance(located, tuple):
-                lo, hi = located
-                self.pop.merge_range(lo, hi)
-                del self._separators[lo:hi]
-                if self._journal is not None:
-                    self._journal.sep_del(lo, hi)
-                located = lo
-            self.pop.insert(uid, located)
+            located = [self._file(int(uid)) for uid in uids]
             self.commit_journal()
             return located
 
-    def delete(self, uid: int) -> None:
-        """Drop a tuple; retire a separator if its partition vanished."""
-        with self.lock.write():
-            dropped = self.pop.delete(uid)
-            if dropped is None or not self._separators:
-                self.commit_journal()
-                return
-            # Boundaries dropped-1 and dropped collapsed into one; either
-            # separator now describes the same cut, keep one of them.
-            retire = min(dropped, len(self._separators) - 1)
-            del self._separators[retire]
+    def insert(self, uid: int) -> int:
+        """:meth:`insert_many` of one tuple; returns its chain index."""
+        return self.insert_many([uid])[0]
+
+    def _file(self, uid: int) -> int:
+        """Place one tuple in the chain (caller holds the write lock)."""
+        if self.pop.num_partitions == 0:
+            self.pop = PartialOrderPartitions(
+                np.asarray([uid], dtype=np.uint64))
             if self._journal is not None:
-                self._journal.sep_del(retire, retire + 1)
+                self._journal.chain_reinit([uid])
+            return 0
+        located = self.locate_partition(uid)
+        if isinstance(located, tuple):
+            lo, hi = located
+            self.pop.merge_range(lo, hi)
+            del self._separators[lo:hi]
+            if self._journal is not None:
+                self._journal.sep_del(lo, hi)
+            located = lo
+        self.pop.insert(uid, located)
+        return located
+
+    def delete_many(self, uids) -> None:
+        """Drop tuples; retire a separator for each partition that
+        vanishes.  One index transaction, like :meth:`insert_many`."""
+        with self.lock.write():
+            for uid in uids:
+                dropped = self.pop.delete(int(uid))
+                if dropped is None or not self._separators:
+                    continue
+                # Boundaries dropped-1 and dropped collapsed into one;
+                # either separator now describes the same cut, keep one
+                # of them.
+                retire = min(dropped, len(self._separators) - 1)
+                del self._separators[retire]
+                if self._journal is not None:
+                    self._journal.sep_del(retire, retire + 1)
             self.commit_journal()
+
+    def delete(self, uid: int) -> None:
+        """:meth:`delete_many` of one tuple."""
+        self.delete_many([uid])
 
 
 def _p90(ordered: list[int]) -> int:

@@ -12,6 +12,11 @@ encrypted table and all PRKB indexes that cover it:
 
 The insertion *throughput* is independent of table size (Table 4): the
 work per row is the encryption plus O(β log k) QPF probes.
+
+Each SP-side operation is one durability epoch
+(:func:`~repro.edbms.durability.wal.commit_epoch`): the table record and
+one transaction per index are appended, every touched log is synced
+once — table log first — and only then does the call return.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..crypto.primitives import SecretKey, encrypt_words
+from ..edbms.durability.wal import commit_epoch
 from ..edbms.encryption import EncryptedTable, attribute_key
 from .prkb import PRKBIndex
 
@@ -86,16 +92,15 @@ class TableUpdater:
         counter = next(iter(self.indexes.values())).qpf.counter \
             if self.indexes else None
         before = counter.qpf_uses if counter else 0
-        self.table.insert_rows(uids, ciphertexts)
-        if self.journal is not None:
-            self.journal.rows_insert(np.asarray(uids, dtype=np.uint64),
-                                     ciphertexts)
-        for index in self.indexes.values():
-            for uid in np.asarray(uids, dtype=np.uint64):
-                index.insert(int(uid))
+        uids = np.asarray(uids, dtype=np.uint64)
+        with commit_epoch():
+            self.table.insert_rows(uids, ciphertexts)
+            if self.journal is not None:
+                self.journal.rows_insert(uids, ciphertexts)
+            for index in self.indexes.values():
+                index.insert_many(uids)
         after = counter.qpf_uses if counter else 0
-        return InsertReceipt(uids=np.asarray(uids, dtype=np.uint64),
-                             qpf_uses=after - before)
+        return InsertReceipt(uids=uids, qpf_uses=after - before)
 
     def insert_plain(self, key: SecretKey,
                      rows: dict[str, np.ndarray]) -> InsertReceipt:
@@ -109,20 +114,25 @@ class TableUpdater:
         # Validate before journaling: a committed rows_del record naming
         # an unknown uid would be replayed at recovery against a table
         # that never performed the delete, failing recovery permanently.
+        # A repeated uid fails on its second removal from an index, after
+        # the record is logged and before the table drops the rows.
+        if np.unique(uids).size != uids.size:
+            raise ValueError("duplicate uids in delete")
         self.table.positions(uids)
-        if self.journal is not None:
-            self.journal.rows_delete(uids)
-        for index in self.indexes.values():
-            for uid in uids:
-                index.delete(int(uid))
-        self.table.delete_rows(uids)
+        with commit_epoch():
+            if self.journal is not None:
+                self.journal.rows_delete(uids)
+            for index in self.indexes.values():
+                index.delete_many(uids)
+            self.table.delete_rows(uids)
 
     def update_plain(self, key: SecretKey, uid: int,
                      new_row: dict[str, int]) -> InsertReceipt:
         """UPDATE = DELETE old row + INSERT new row (Sec. 7 opening)."""
-        self.delete(np.asarray([uid], dtype=np.uint64))
         rows = {
             attr: np.asarray([new_row[attr]], dtype=np.int64)
             for attr in self.table.attribute_names
         }
-        return self.insert_plain(key, rows)
+        with commit_epoch():
+            self.delete(np.asarray([uid], dtype=np.uint64))
+            return self.insert_plain(key, rows)

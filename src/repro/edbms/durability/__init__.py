@@ -7,7 +7,8 @@ durable:
 
 * :mod:`~repro.edbms.durability.wal` — an append-only, CRC32-checksummed,
   length-prefixed write-ahead log of refinement deltas with configurable
-  fsync policies (always / every-N / off).
+  fsync policies (always / every-N / off), counted per operation:
+  ``commit_epoch`` makes one insert/delete/update one fsync per log.
 * :mod:`~repro.edbms.durability.journal` — the listeners that translate
   live :class:`~repro.core.partitions.PartialOrderPartitions` /
   :class:`~repro.core.prkb.PRKBIndex` mutations into WAL records, with
@@ -33,6 +34,7 @@ from .wal import (
     WALError,
     WALReadResult,
     WALWriter,
+    commit_epoch,
     read_wal,
 )
 from .journal import IndexJournal, TableJournal
@@ -49,6 +51,7 @@ __all__ = [
     "WALCorruptionError",
     "WALReadResult",
     "WALWriter",
+    "commit_epoch",
     "read_wal",
     "IndexJournal",
     "TableJournal",

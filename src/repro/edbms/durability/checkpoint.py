@@ -1,8 +1,10 @@
 """Atomic, generation-numbered checkpoints for tables and PRKB indexes.
 
 A checkpoint is a pair of files: a generation-numbered ``.npz`` holding
-the bulk arrays and a fixed-name ``.json`` holding the structural
-metadata.  The commit point is the *metadata rename*: the json is
+the bulk arrays (ciphertext columns stored, uid arrays deflated at
+level 1 — see :func:`repro.edbms.persistence._atomic_savez`) and a
+fixed-name ``.json`` holding the structural metadata on one line.  The
+commit point is the *metadata rename*: the json is
 written last (atomically, via :func:`repro.edbms.persistence.
 atomic_write_bytes`) and names both the data file it belongs to
 (``data_file``) and the WAL generation that continues it
@@ -115,7 +117,7 @@ def write_index_checkpoint(directory, stem: str, index,
         "rng_state": _jsonable(index.rng_state()),
     }
     atomic_write_text(directory / f"{stem}.json",
-                      json.dumps(meta, indent=2), faults=faults,
+                      json.dumps(meta), faults=faults,
                       crash_point="checkpoint.meta")
     return meta
 
@@ -187,7 +189,7 @@ def write_table_checkpoint(directory, stem: str, table,
         "wal_generation": int(generation),
     }
     atomic_write_text(directory / f"{stem}.json",
-                      json.dumps(meta, indent=2), faults=faults,
+                      json.dumps(meta), faults=faults,
                       crash_point="checkpoint.meta")
     return meta
 

@@ -3,19 +3,27 @@
 :class:`IndexJournal` implements the chain-listener protocol of
 :class:`~repro.core.partitions.PartialOrderPartitions` plus the explicit
 separator-edit hooks of :class:`~repro.core.prkb.PRKBIndex`.  Operations
-are appended to the WAL *as they happen*; a query transaction is closed
-by :meth:`IndexJournal.commit`, which appends a ``commit`` record
-carrying the sampling RNG state.  Recovery replays only complete
-committed transactions, so a crash mid-query rolls the index back to the
-previous query boundary — and the restored RNG state means the replayed
-index draws *exactly* the samples the live one would have, which is what
-makes post-recovery QPF usage bit-identical to an uncrashed run.
+are appended to the WAL *as they happen*; a transaction — one query's
+refinement, or one insert/delete batch of any size — is closed by
+:meth:`IndexJournal.commit`, which appends a ``commit`` record carrying
+the sampling RNG state.  Recovery replays only complete committed
+transactions, so a crash mid-operation rolls the index back to the
+previous operation boundary — and the restored RNG state means the
+replayed index draws *exactly* the samples the live one would have,
+which is what makes post-recovery QPF usage bit-identical to an
+uncrashed run.
 
 :class:`TableJournal` is simpler: each row-insert/delete batch is one
 self-contained record (no transaction framing; every fully-written
 record is committed).  Table records are logged *before* the dependent
 index transactions commit, so recovery can always repair index orphans
 toward the durable table state.
+
+Neither journal decides when its log reaches the disk.  Both call
+:meth:`~.wal.WALWriter.mark_commit`; outside a
+:func:`~.wal.commit_epoch` that is one operation on that writer (a
+SELECT), inside one (``TableUpdater``'s insert / delete / update) the
+epoch settles every writer it touched once, on exit, table log first.
 
 Index operation vocabulary (JSON payloads)::
 

@@ -239,10 +239,10 @@ class RecoveryManager:
             for index in indexes.values():
                 tracked = set(int(u) for u in index.pop.tracked_uids())
                 before = counter.qpf_uses
-                for uid in sorted(tracked - table_uids):
-                    index.delete(uid)
-                    stats.orphans_dropped += 1
-                for uid in sorted(table_uids - tracked):
-                    index.insert(uid)
-                    stats.orphans_reindexed += 1
+                dropped = sorted(tracked - table_uids)
+                index.delete_many(dropped)
+                stats.orphans_dropped += len(dropped)
+                reindexed = sorted(table_uids - tracked)
+                index.insert_many(reindexed)
+                stats.orphans_reindexed += len(reindexed)
                 stats.repair_qpf_uses += counter.qpf_uses - before

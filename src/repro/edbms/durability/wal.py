@@ -20,6 +20,12 @@ The reader tolerates a torn tail: a final record whose frame header,
 payload bytes or CRC32 are incomplete/incorrect terminates the scan and
 is reported as ``torn_bytes`` rather than an error — exactly what a
 crash mid-``write`` leaves behind.
+
+The unit of durability is the *operation*, not the record: a commit
+made outside any :func:`commit_epoch` (a SELECT's refinement) is one
+operation on its writer; every commit made inside an epoch (an insert,
+delete or update batch, whatever number of rows and logs it touches)
+belongs to the one operation the epoch stands for.
 """
 
 from __future__ import annotations
@@ -28,7 +34,9 @@ import base64
 import json
 import os
 import struct
+import threading
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -38,7 +46,7 @@ from .faults import FaultInjector, SimulatedCrash
 
 __all__ = [
     "FsyncPolicy", "WALError", "WALCorruptionError", "WALWriter",
-    "WALReadResult", "read_wal", "encode_op", "decode_op",
+    "WALReadResult", "read_wal", "commit_epoch", "encode_op", "decode_op",
     "pack_uids", "unpack_uids",
 ]
 
@@ -66,10 +74,11 @@ class WALCorruptionError(WALError):
 
 @dataclass(frozen=True)
 class FsyncPolicy:
-    """When the WAL writer calls ``fsync`` relative to commits.
+    """When a WAL writer calls ``fsync`` relative to committed operations.
 
-    ``"always"`` syncs on every transaction commit (full durability),
-    ``"every"`` syncs once per ``interval`` commits (group commit:
+    ``"always"`` syncs every log an operation touched before the
+    operation is acknowledged (full durability), ``"every"`` syncs a log
+    once per ``interval`` operations that touched it (group commit:
     bounded loss window, amortized sync cost), ``"off"`` never syncs
     (the OS flushes eventually; a power loss may drop the whole tail,
     a mere process crash typically drops nothing).
@@ -103,12 +112,57 @@ class FsyncPolicy:
                 else self.mode)
 
     def due(self, pending_commits: int) -> bool:
-        """Whether ``pending_commits`` unsynced commits warrant an fsync."""
+        """Whether ``pending_commits`` unsynced operations warrant an fsync."""
         if self.mode == "always":
             return pending_commits >= 1
         if self.mode == "every":
             return pending_commits >= self.interval
         return False
+
+
+class _Epoch(threading.local):
+    """The calling thread's open commit epoch: the writers it committed
+    on, in first-commit order (``None`` outside any epoch)."""
+
+    writers: "list[WALWriter] | None" = None
+
+
+_epoch = _Epoch()
+
+
+@contextmanager
+def commit_epoch():
+    """Make the enclosed engine operation one unit of durability.
+
+    Inside the epoch :meth:`WALWriter.mark_commit` only notes its writer;
+    on exit every noted writer counts *one* committed operation and is
+    synced if its policy says so, in the order the writers first
+    committed — the table log before the index logs that depend on it.
+    Only then does control return to the caller, i.e. is the write
+    acknowledged.  Reentrant: a nested epoch belongs to the outermost
+    one.  The epoch is the calling thread's alone, so a commit another
+    thread makes on one of the same writers meanwhile is that thread's
+    own operation and is synced before *it* returns.
+
+    An epoch left by an ordinary exception still settles what it
+    committed (memory already holds those changes, so the log must not
+    fall behind it) and re-raises; one left by
+    :class:`~.faults.SimulatedCrash` syncs nothing, as a dead process
+    would not.
+    """
+    if _epoch.writers is not None:
+        yield
+        return
+    touched = _epoch.writers = []
+    try:
+        yield
+    except SimulatedCrash:
+        touched.clear()
+        raise
+    finally:
+        _epoch.writers = None
+        for writer in touched:
+            writer._operation_committed()
 
 
 class WALWriter:
@@ -133,6 +187,11 @@ class WALWriter:
         self._file = None
         self._pending_commits = 0
         self._synced = 0
+        # Commits normally arrive under the owning index's write lock,
+        # but an epoch settles its writers after releasing it; the mutex
+        # keeps "count the operation, test the policy, fsync, zero the
+        # count" atomic against a sibling thread's commit.
+        self._commit_lock = threading.Lock()
         self._open_fresh()
 
     def _open_fresh(self) -> None:
@@ -182,10 +241,20 @@ class WALWriter:
                                     on_power_loss=self._truncate_to_synced)
 
     def mark_commit(self) -> None:
-        """Note one transaction commit; fsync if the policy says so."""
-        self._pending_commits += 1
-        if self.policy.due(self._pending_commits):
-            self.sync()
+        """Note a commit record: inside a :func:`commit_epoch` it joins
+        that epoch's operation, outside it is an operation of its own."""
+        touched = _epoch.writers
+        if touched is None:
+            self._operation_committed()
+        elif self not in touched:
+            touched.append(self)
+
+    def _operation_committed(self) -> None:
+        """Count one committed operation; fsync if the policy says so."""
+        with self._commit_lock:
+            self._pending_commits += 1
+            if self.policy.due(self._pending_commits):
+                self.sync()
 
     def sync(self) -> None:
         """Force everything appended so far to stable storage."""

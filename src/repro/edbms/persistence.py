@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,8 @@ __all__ = ["save_table", "load_table", "save_index", "load_index",
            "serialize_separators", "materialize_separators"]
 
 _FORMAT_VERSION = 2
+#: Tables save each ciphertext column as the array ``col:<attribute>``.
+_CIPHERTEXT_PREFIX = "col:"
 
 
 def _paths(path) -> tuple[Path, Path]:
@@ -100,14 +103,32 @@ def atomic_write_text(path, text: str, faults=None,
 
 def _atomic_savez(path, faults=None, crash_point: str = "atomic",
                   **arrays) -> None:
-    """Atomic ``np.savez_compressed`` (write temp, fsync, rename)."""
+    """Atomic ``.npz`` write (write temp, fsync, rename).
+
+    The archive is what ``np.savez`` produces — one ``<name>.npy`` member
+    per array, read back by ``np.load`` — except that each member is
+    written as what it is: ciphertext columns are PRF output, which
+    deflate cannot shrink, and are stored; everything else (uids, chain
+    members, offsets) is deflated at level 1, which on such arrays gives
+    level 6's ratio to within a few percent at a tenth of its time.
+    """
     path = Path(path)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent,
                                     prefix=f".{path.name}.", suffix=".tmp")
     tmp = Path(tmp_name)
     try:
         with os.fdopen(fd, "wb") as handle:
-            np.savez_compressed(handle, **arrays)
+            with zipfile.ZipFile(handle, "w", zipfile.ZIP_DEFLATED,
+                                 compresslevel=1) as archive:
+                for name, array in arrays.items():
+                    member = f"{name}.npy"
+                    if name.startswith(_CIPHERTEXT_PREFIX):
+                        # A bare ZipInfo is a ZIP_STORED member.
+                        member = zipfile.ZipInfo(member)
+                    with archive.open(member, "w",
+                                      force_zip64=True) as out:
+                        np.lib.format.write_array(out, np.asanyarray(array),
+                                                  allow_pickle=False)
             handle.flush()
             os.fsync(handle.fileno())
         if faults is not None:

@@ -1,10 +1,19 @@
 """Tests for encrypted-table and PRKB persistence."""
 
+import json
+import zipfile
+
 import numpy as np
 import pytest
 
 from repro.bench import Testbed
 from repro.core import BetweenProcessor, SingleDimensionProcessor
+from repro.edbms.durability.checkpoint import (
+    read_index_checkpoint,
+    read_table_checkpoint,
+    write_index_checkpoint,
+    write_table_checkpoint,
+)
 from repro.edbms.persistence import (
     load_index,
     load_table,
@@ -132,3 +141,74 @@ class TestIndexPersistence:
         save_table(bed.table, tmp_path / "t")
         with pytest.raises(ValueError):
             load_index(tmp_path / "t", bed.table, bed.qpf)
+
+
+def _as_parent_wrote(directory):
+    """Rewrite every artefact the way the previous format did:
+    ``np.savez_compressed`` archives and indented metadata."""
+    for archive in directory.glob("*.npz"):
+        with np.load(archive) as data:
+            arrays = {name: data[name] for name in data.files}
+        np.savez_compressed(archive, **arrays)
+    for meta in directory.glob("*.json"):
+        meta.write_text(json.dumps(json.loads(meta.read_text()), indent=2))
+
+
+class TestArchiveFormat:
+    """Checkpoints write what they have: ciphertext stored, uid arrays
+    deflated at level 1, in an archive every ``np.load`` reader opens."""
+
+    @pytest.mark.parametrize("writer", ["current", "parent"])
+    def test_every_reader_gets_the_arrays_back(self, tmp_path, writer):
+        bed = make_bed(seed=11)
+        index = bed.prkb["X"]
+        save_table(bed.table, tmp_path / "t")
+        save_index(index, tmp_path / "ix")
+        write_table_checkpoint(tmp_path, "ck", bed.table, generation=3)
+        write_index_checkpoint(tmp_path, "ck.X", index, generation=3)
+        if writer == "parent":
+            _as_parent_wrote(tmp_path)
+
+        members = np.concatenate([p.uids for p in index.pop])
+        offsets = np.cumsum([0] + index.pop.sizes())
+        for table in (load_table(tmp_path / "t"),
+                      read_table_checkpoint(tmp_path, "ck")[1]):
+            assert table.uids.dtype == np.uint64
+            assert np.array_equal(table.uids, bed.table.uids)
+            for attr in bed.table.attribute_names:
+                want, __ = bed.table.ciphertexts_for(attr, bed.table.uids)
+                got, __ = table.ciphertexts_for(attr, table.uids)
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+        meta, got_members, got_offsets = read_index_checkpoint(tmp_path,
+                                                               "ck.X")
+        assert meta["wal_generation"] == 3
+        assert np.array_equal(got_members, members)
+        assert np.array_equal(got_offsets, offsets)
+        restored = load_index(tmp_path / "ix", bed.table, bed.qpf)
+        assert [p.uids.tolist() for p in restored.pop] \
+            == [p.uids.tolist() for p in index.pop]
+        assert str(restored.rng_state()) == str(index.rng_state())
+
+    def test_ciphertext_is_stored_and_uids_deflated(self, tmp_path):
+        bed = make_bed(seed=12)
+        write_table_checkpoint(tmp_path, "ck", bed.table, generation=1)
+        with zipfile.ZipFile(tmp_path / "ck.1.npz") as archive:
+            kinds = {info.filename: info.compress_type
+                     for info in archive.infolist()}
+        assert kinds == {"uids.npy": zipfile.ZIP_DEFLATED,
+                         "col:X.npy": zipfile.ZIP_STORED,
+                         "col:Y.npy": zipfile.ZIP_STORED}
+
+    def test_size_stays_within_2_percent_of_deflate_6(self, tmp_path):
+        table = uniform_table("t", 50_000, ["X"], domain=(1, 1_000_000),
+                              seed=13)
+        bed = Testbed(table, ["X"], seed=13)
+        bed.warm_up("X", 150, seed=13)  # a permuted, many-partition chain
+        write_table_checkpoint(tmp_path, "ck", bed.table, generation=1)
+        write_index_checkpoint(tmp_path, "ck.X", bed.prkb["X"],
+                               generation=1)
+        current = sum(f.stat().st_size for f in tmp_path.glob("*.npz"))
+        _as_parent_wrote(tmp_path)
+        parent = sum(f.stat().st_size for f in tmp_path.glob("*.npz"))
+        assert current <= 1.02 * parent

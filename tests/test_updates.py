@@ -100,6 +100,23 @@ class TestDelete:
         assert bed.prkb["X"].num_partitions < k_before
 
 
+    def test_repeated_uid_rejected_before_anything_moves(self):
+        """Regression: ``delete([5, 5])`` used to drop uid 5 from every
+        index, then fail before the table dropped the row — the PRKB
+        answer lost a row the table scan still returned."""
+        bed = make_bed(seed=10)
+        updater = TableUpdater(bed.table, bed.prkb)
+        with pytest.raises(ValueError, match="duplicate"):
+            updater.delete(np.asarray([5, 5], dtype=np.uint64))
+        assert bed.table.num_rows == 200
+        trapdoor = bed.owner.comparison_trapdoor("X", ">=", 0)
+        indexed = SingleDimensionProcessor(bed.prkb["X"]).select(trapdoor)
+        scanned = bed.table.uids[
+            bed.qpf.batch(trapdoor, bed.table, bed.table.uids)]
+        assert np.array_equal(np.sort(indexed), np.sort(scanned))
+        assert indexed.size == 200
+
+
 class TestUpdateStatement:
     def test_update_is_delete_plus_insert(self):
         bed = make_bed(seed=8)
