@@ -1,7 +1,7 @@
-"""Scale benchmark for the decrypted-column cache and scratch arena.
+"""Scale benchmark for the decrypted-column cache.
 
-Not a paper figure: this pins the PR's memory-reuse machinery at
-100k–500k-row scales.  Four sections:
+Not a paper figure: this pins the decrypted-column cache at
+100k–500k-row scales.  Three sections:
 
 * **modes** — full-table ``X < c`` probes through both Θ oracles
   (serial lone machine / two-worker thread pool), cold
@@ -13,12 +13,10 @@ Not a paper figure: this pins the PR's memory-reuse machinery at
 * **eviction** — three attributes round-robined through a budget that
   holds only 1.5 columns; resident bytes must respect the budget while
   answers stay exact.
-* **arena** — two identical PRKB(MD) query passes; the second pass must
-  be served from pooled scratch blocks (zero fresh arena allocations).
 
 The 23455-QPF parity probe (see ``bench_parity_probe.py``) is
-re-verified inline, cold and warm, in every mode: the cache and arena
-must never change QPF accounting.  Parity keys are scale-independent —
+re-verified inline, cold and warm, in every mode: the cache must never
+change QPF accounting.  Parity keys are scale-independent —
 ``--tiny`` shrinks only the throughput workloads — so CI can diff a
 tiny run against the committed full-scale ``BENCH_scale.json`` with
 ``bench_diff.py --threshold 0`` plus wall-clock floors.
@@ -39,7 +37,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.bench import Testbed
-from repro.core.arena import ARENA
 from repro.workloads import distinct_comparison_thresholds, uniform_table
 
 from _common import emit, emit_note, parse_bench_args, write_bench_json
@@ -155,42 +152,6 @@ def _eviction_section(rows: int) -> dict:
         exact.close()
 
 
-def _arena_section(rows: int, num_queries: int) -> dict:
-    """Two identical PRKB(MD) passes; pass 2 must reuse pooled scratch."""
-    table = uniform_table("t", rows, ["X", "Y"], domain=DOMAIN, seed=5)
-    bed = Testbed(table, ["X", "Y"], seed=7)
-    try:
-        rng = np.random.default_rng(11)
-        boxes = []
-        for __ in range(num_queries):
-            lows = rng.integers(DOMAIN[0], DOMAIN[1] // 2, size=2)
-            widths = rng.integers(1_000, DOMAIN[1] // 2, size=2)
-            boxes.append({"X": (int(lows[0]), int(lows[0] + widths[0])),
-                          "Y": (int(lows[1]), int(lows[1] + widths[1]))})
-
-        def one_pass():
-            before = ARENA.stats()
-            for bounds in boxes:
-                bed.run_md(bounds, update=False)
-            after = ARENA.stats()
-            return {key: after[key] - before[key]
-                    for key in ("takes", "reuses", "allocations", "drops")}
-
-        bed.run_md(boxes[0], update=True)  # settle the index once
-        first = one_pass()
-        second = one_pass()
-        return {
-            "pass1_takes": first["takes"],
-            "pass1_allocations": first["allocations"],
-            "pass2_takes": second["takes"],
-            "pass2_allocations": second["allocations"],
-            "pass2_reuses": second["reuses"],
-            "resident_bytes": ARENA.stats()["resident_bytes"],
-        }
-    finally:
-        bed.close()
-
-
 def _parity_section() -> dict:
     """The 23455-QPF probe, every mode, cold and warm caches."""
     thresholds = [int(t) for t in distinct_comparison_thresholds(
@@ -230,8 +191,6 @@ def _measure(tiny: bool) -> dict:
         "scaling": _scaling_section(20_000 if tiny else 500_000,
                                     thresholds),
         "eviction": _eviction_section(2_000 if tiny else 20_000),
-        "arena": _arena_section(800 if tiny else 4_000,
-                                6 if tiny else 10),
         "parity": _parity_section(),
     }
     results["peak_rss_kb"] = int(
@@ -252,8 +211,6 @@ def _check(results: dict) -> list[str]:
         failures.append("eviction: budget was exceeded mid-workload")
     if eviction["label_mismatches"]:
         failures.append("eviction: warm labels diverged from cold")
-    if results["arena"]["pass2_allocations"]:
-        failures.append("arena: second pass allocated fresh blocks")
     return failures
 
 
@@ -281,12 +238,6 @@ def _report(results: dict, out=None) -> None:
               f"{eviction['budget_bytes']}B budget, "
               f"{eviction['evictions']} evictions, "
               f"{eviction['label_mismatches']} mismatches")
-    arena = results["arena"]
-    emit_note("scale",
-              f"arena: pass1 {arena['pass1_allocations']} allocations / "
-              f"{arena['pass1_takes']} takes; pass2 "
-              f"{arena['pass2_allocations']} allocations / "
-              f"{arena['pass2_takes']} takes")
     parity = ", ".join(
         f"{label}={stats['qpf_uses']}"
         for label, stats in results["parity"].items() if label != "expected")

@@ -18,50 +18,15 @@ __all__ = [
 ]
 
 
-def format_cache_stats(source) -> str:
-    """Cache summary from a ``CostCounter`` *or* a ``MetricsRegistry``.
-
-    The registry form is the canonical one: it reads the
-    ``repro_predicate_cache_*`` and ``repro_equivalence_cache_*``
-    series that :meth:`EncryptedDatabase.enable_observability`
-    registers, and reports both caches.  Passing a raw ``CostCounter``
-    is retained as a compatibility shim for pre-registry callers (the
-    ad-hoc counter read) and renders exactly the legacy one-liner —
-    prefer handing the registry in new code.
-    """
-    gauge = getattr(source, "gauge", None)
-    if gauge is None:  # legacy CostCounter shim
-        hits = int(source.predicate_cache_hits)
-        misses = int(source.predicate_cache_misses)
-        total = hits + misses
-        if total == 0:
-            return "predicate cache: unused"
-        return (f"predicate cache: {hits}/{total} hits "
-                f"({100.0 * hits / total:.1f}%), {misses} unseals")
-
-    def read(name):
-        family = source.get(name)
-        return 0 if family is None else int(family.value())
-
-    lines = []
-    p_hits = read("repro_predicate_cache_hits")
-    p_misses = read("repro_predicate_cache_misses")
-    total = p_hits + p_misses
+def format_cache_stats(counter) -> str:
+    """One-line predicate-cache summary from a ``CostCounter``."""
+    hits = int(counter.predicate_cache_hits)
+    misses = int(counter.predicate_cache_misses)
+    total = hits + misses
     if total == 0:
-        lines.append("predicate cache: unused")
-    else:
-        lines.append(f"predicate cache: {p_hits}/{total} hits "
-                     f"({100.0 * p_hits / total:.1f}%), "
-                     f"{p_misses} unseals")
-    e_hits = read("repro_equivalence_cache_hits")
-    e_misses = read("repro_equivalence_cache_misses")
-    total = e_hits + e_misses
-    if total == 0:
-        lines.append("equivalence cache: unused")
-    else:
-        lines.append(f"equivalence cache: {e_hits}/{total} hits "
-                     f"({100.0 * e_hits / total:.1f}%)")
-    return "\n".join(lines)
+        return "predicate cache: unused"
+    return (f"predicate cache: {hits}/{total} hits "
+            f"({100.0 * hits / total:.1f}%), {misses} unseals")
 
 
 def format_count(value: float) -> str:

@@ -381,12 +381,6 @@ def _cmd_stats(args) -> int:
           f"evictions={counter.column_cache_evictions}  "
           f"resident={cache['resident_bytes']:,}B "
           f"of {cache['budget_bytes']:,}B budget")
-    from .core.arena import ARENA
-    arena = ARENA.stats()
-    print(f"buffer arena: {arena['reuses']}/{arena['takes']} reused "
-          f"(ratio {arena['reuse_ratio']:.2f})  "
-          f"allocations={arena['allocations']}  "
-          f"resident={arena['resident_bytes']:,}B")
     print("(use --format prom for the /metrics exposition, "
           "--format json for machine-readable output)")
     return 0

@@ -6,7 +6,6 @@ single comparison predicates (Sec. 5), multi-dimensional range queries
 future-work extensions (MIN/MAX/TOP-k and skyline pruning, Sec. 9).
 """
 
-from .arena import BufferArena, ArenaScope, ARENA
 from .partitions import Partition, PartialOrderPartitions
 from .prkb import PRKBIndex, SelectionResult, QFilterOutcome, QScanOutcome
 from .single import SingleDimensionProcessor, QueryCost
@@ -18,9 +17,6 @@ from .skyline import SkylineResolver
 from .bootstrap import PrimingReport, generate_thresholds, prime_index
 
 __all__ = [
-    "BufferArena",
-    "ArenaScope",
-    "ARENA",
     "Partition",
     "PartialOrderPartitions",
     "PRKBIndex",

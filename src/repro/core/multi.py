@@ -42,7 +42,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..crypto.trapdoor import EncryptedPredicate
-from .arena import ARENA
 from .partitions import Partition
 from .prkb import PRKBIndex
 from .single import SingleDimensionProcessor
@@ -218,26 +217,16 @@ class MultiDimensionProcessor:
         """Process the query with the Sec. 6.2 grid algorithm — PRKB(MD)."""
         if not query:
             return _EMPTY
-        # One arena scope per query: every status vector, candidate
-        # mask and concat buffer below is scratch that dies here, so
-        # steady-state grid queries reuse the same blocks instead of
-        # hitting the allocator per window.  Everything *returned*
-        # (free winners, survivors) is a fresh array — gathers, sorts
-        # and np.unique all copy — so no arena memory ever escapes.
-        with ARENA.scope() as scratch:
-            contexts = self._snapshot(query, scratch)
-            status_of = {
-                position: self._dimension_status(ctxs)
-                for position, ctxs in contexts.items()
-            }
-            free_winners = self._central_region(query, contexts, status_of,
-                                                scratch)
-            candidates = self._collect_candidates(query, contexts,
-                                                  status_of, scratch)
-            survivors = self._test_candidates(contexts, candidates,
-                                              status_of, scratch)
-            if update and self.update_policy == "complete-partition":
-                self._refine(contexts)
+        contexts = self._snapshot(query)
+        status_of = {
+            position: self._dimension_status(ctxs)
+            for position, ctxs in contexts.items()
+        }
+        free_winners = self._central_region(query, contexts, status_of)
+        candidates = self._collect_candidates(query, contexts, status_of)
+        survivors = self._test_candidates(contexts, candidates, status_of)
+        if update and self.update_policy == "complete-partition":
+            self._refine(contexts)
         self._qpf.counter.charge(
             comparisons=int(free_winners.size + survivors.size))
         for index in self.indexes.values():
@@ -248,26 +237,25 @@ class MultiDimensionProcessor:
 
     # -- phase 1: QFilter snapshots and per-partition classification ----- #
 
-    def _snapshot(self, query: list[DimensionRange],
-                  scratch) -> dict[int, list[_PredicateContext]]:
+    def _snapshot(self, query: list[DimensionRange]
+                  ) -> dict[int, list[_PredicateContext]]:
         """Run QFilter for all 2d predicates; classify every partition."""
         contexts: dict[int, list[_PredicateContext]] = {}
         for position, dimension in enumerate(query):
             index = self._index_for(dimension.attribute)
             contexts[position] = [
-                self._classify(index, trapdoor, scratch)
+                self._classify(index, trapdoor)
                 for trapdoor in dimension.trapdoors()
             ]
         return contexts
 
     @staticmethod
-    def _classify(index: PRKBIndex, trapdoor: EncryptedPredicate,
-                  scratch) -> _PredicateContext:
+    def _classify(index: PRKBIndex,
+                  trapdoor: EncryptedPredicate) -> _PredicateContext:
         """One QFilter pass turned into a per-partition status vector."""
         filtered = index.qfilter(trapdoor)
         k = index.pop.num_partitions
-        status = scratch.take(k, np.int8)
-        status.fill(_NS)
+        status = np.full(k, _NS, dtype=np.int8)
         ns = list(filtered.ns_indices)
         if len(ns) <= 1:
             return _PredicateContext(
@@ -310,16 +298,13 @@ class MultiDimensionProcessor:
 
     def _central_region(self, query: list[DimensionRange],
                         contexts: dict[int, list[_PredicateContext]],
-                        status_of: dict[int, np.ndarray],
-                        scratch) -> np.ndarray:
+                        status_of: dict[int, np.ndarray]) -> np.ndarray:
         """Tuples inside IN partitions of *every* dimension: free winners.
 
         IN partitions form at most two contiguous runs along the chain
         (a prefix and/or a suffix of the NS band), so each dimension's
         union comes out of the prefix-sum buffer as whole-run slices
-        instead of one concatenation per partition.  Concatenation
-        lands in arena scratch; ``np.sort`` then copies, so the
-        returned winners own fresh memory.
+        instead of one concatenation per partition.
         """
         current: np.ndarray | None = None
         for position in range(len(query)):
@@ -329,10 +314,8 @@ class MultiDimensionProcessor:
                 for start, stop in _mask_runs(status_of[position] == _IN)
             ]
             if in_chunks:
-                fused = scratch.take(
-                    sum(int(chunk.size) for chunk in in_chunks), np.uint64)
-                np.concatenate(in_chunks, out=fused)
-                dim_in = np.sort(fused)
+                dim_in = np.concatenate(in_chunks)
+                dim_in.sort()
             else:
                 dim_in = _EMPTY
             if current is None:
@@ -346,8 +329,7 @@ class MultiDimensionProcessor:
 
     def _collect_candidates(self, query: list[DimensionRange],
                             contexts: dict[int, list[_PredicateContext]],
-                            status_of: dict[int, np.ndarray],
-                            scratch) -> np.ndarray:
+                            status_of: dict[int, np.ndarray]) -> np.ndarray:
         """Tuples in some NS partition and in no OUT partition.
 
         Also files each candidate into the per-predicate NS groups used by
@@ -365,22 +347,15 @@ class MultiDimensionProcessor:
                 index.pop.range_uids(start, stop - 1)
                 for start, stop in _mask_runs(status_of[position] == _NS)
             )
-        if ns_chunks:
-            fused = scratch.take(
-                sum(int(chunk.size) for chunk in ns_chunks), np.uint64)
-            np.concatenate(ns_chunks, out=fused)
-            ns_union = np.unique(fused)
-        else:
-            ns_union = _EMPTY
+        ns_union = (np.unique(np.concatenate(ns_chunks))
+                    if ns_chunks else _EMPTY)
         self._qpf.counter.charge(
             comparisons=int(ns_union.size) * len(query))
-        keep = scratch.take(ns_union.size, np.bool_)
-        keep.fill(True)
+        keep = np.ones(ns_union.size, dtype=bool)
         ordinals_of: dict[int, np.ndarray] = {}
         for position in range(len(query)):
             index = contexts[position][0].index
-            ordinals = index.pop.ordinals_of_uids(
-                ns_union, out=scratch.take(ns_union.size, np.int64))
+            ordinals = index.pop.ordinals_of_uids(ns_union)
             ordinals_of[position] = ordinals
             keep &= status_of[position][ordinals] != _OUT
         candidates = ns_union[keep]
@@ -401,11 +376,9 @@ class MultiDimensionProcessor:
 
     def _test_candidates(self, contexts: dict[int, list[_PredicateContext]],
                          candidates: np.ndarray,
-                         status_of: dict[int, np.ndarray],
-                         scratch) -> np.ndarray:
+                         status_of: dict[int, np.ndarray]) -> np.ndarray:
         """Test candidates against their unsure predicates only."""
-        alive = scratch.take(candidates.size, np.bool_)
-        alive.fill(True)
+        alive = np.ones(candidates.size, dtype=bool)
         for position in self._dimension_order(contexts, status_of):
             for ctx in contexts[position]:
                 if not alive.any():

@@ -287,15 +287,11 @@ class PartialOrderPartitions:
                 table[partition.slot] = position
             self._slot_ordinals = table
 
-    def ordinals_of_uids(self, uids: np.ndarray,
-                         out: np.ndarray | None = None) -> np.ndarray:
+    def ordinals_of_uids(self, uids: np.ndarray) -> np.ndarray:
         """Chain positions of many uids as one int64 array.
 
         Two numpy gathers (uid→slot, slot→ordinal); no per-uid Python.
         Raises ``KeyError`` if any uid is not tracked by the chain.
-        ``out`` (int64, length ``uids.size``) receives the result when
-        given — the grid engine passes arena scratch here so classifying
-        a candidate window allocates only the slot intermediate.
         """
         self._ensure_ordinals()
         uids = np.asarray(uids, dtype=np.uint64).ravel()
@@ -306,8 +302,6 @@ class PartialOrderPartitions:
         slots = self._slot_of_uid[uids]
         if int(slots.min()) < 0:
             raise KeyError("untracked uid in ordinals_of_uids")
-        if out is not None:
-            return np.take(self._slot_ordinals, slots, out=out)
         return self._slot_ordinals[slots]
 
     def sizes(self) -> list[int]:

@@ -166,8 +166,8 @@ def prf_words(key: SecretKey, nonces: np.ndarray) -> np.ndarray:
     return x
 
 
-def prf_words_into(key: SecretKey, nonces: np.ndarray, out: np.ndarray,
-                   scratch: np.ndarray | None = None) -> np.ndarray:
+def prf_words_into(key: SecretKey, nonces: np.ndarray,
+                   out: np.ndarray) -> np.ndarray:
     """:func:`prf_words` written into a caller-provided buffer.
 
     The whole-column keystream path: expanding a 100k-cell column
@@ -175,15 +175,15 @@ def prf_words_into(key: SecretKey, nonces: np.ndarray, out: np.ndarray,
     stage, which is exactly the churn the decrypted-column cache's cold
     fills want to avoid.  This variant runs the same splitmix64
     pipeline with ``out=`` ufunc calls — ``out`` receives the
-    keystream, ``scratch`` (same shape/dtype, allocated when omitted)
-    holds the shift temporaries — and is bit-identical to
-    :func:`prf_words` for every size, including below the scalar
-    cutoff (the scalar and vector mixers agree by construction).
+    keystream, one same-shaped temporary holds the shifts — and is
+    bit-identical to :func:`prf_words` for every size, including below
+    the scalar cutoff (the scalar and vector mixers agree by
+    construction).
     """
     nonces = np.asarray(nonces, dtype=np.uint64)
     if out.shape != nonces.shape or out.dtype != np.uint64:
         raise ValueError("out must be a uint64 array shaped like nonces")
-    tmp = scratch if scratch is not None else np.empty_like(out)
+    tmp = np.empty_like(out)
     with np.errstate(over="ignore"):
         np.add(nonces, np.uint64(_word_seed(key)), out=out)
         np.right_shift(out, np.uint64(30), out=tmp)
@@ -243,18 +243,17 @@ def decrypt_words(key: SecretKey, ciphertexts: np.ndarray,
 
 
 def decrypt_words_into(key: SecretKey, ciphertexts: np.ndarray,
-                       nonces: np.ndarray, out: np.ndarray,
-                       scratch: np.ndarray | None = None) -> np.ndarray:
+                       nonces: np.ndarray, out: np.ndarray) -> np.ndarray:
     """:func:`decrypt_words` into a caller-provided buffer.
 
     Generates the keystream in place via :func:`prf_words_into`, then
-    XORs the ciphertexts on top — zero intermediates beyond the
-    optional ``scratch``.  Bit-identical to :func:`decrypt_words`;
+    XORs the ciphertexts on top — no intermediate beyond the one
+    shift temporary.  Bit-identical to :func:`decrypt_words`;
     this is the bulk path the trusted machine's decrypted-column cache
     uses for whole-column cold fills.
     """
     ciphertexts = np.asarray(ciphertexts, dtype=np.uint64)
-    prf_words_into(key, nonces, out, scratch)
+    prf_words_into(key, nonces, out)
     np.bitwise_xor(out, ciphertexts, out=out)
     return out
 

@@ -42,6 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..persistence import fsync_dir
 from .faults import FaultInjector, SimulatedCrash
 
 __all__ = [
@@ -200,7 +201,7 @@ class WALWriter:
                                       self.generation))
         self._file.flush()
         os.fsync(self._file.fileno())
-        _fsync_dir(self.path.parent)
+        fsync_dir(self.path.parent)
         self._synced = self._file.tell()
         self._pending_commits = 0
 
@@ -365,20 +366,6 @@ def read_wal(path, strict: bool = False) -> WALReadResult:
         offset = end
     result.torn_bytes = len(blob) - offset
     return result
-
-
-def _fsync_dir(path: Path) -> None:
-    """Best-effort directory fsync (durable rename on POSIX)."""
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:  # pragma: no cover - exotic filesystems
-        return
-    try:
-        os.fsync(fd)
-    except OSError:  # pragma: no cover
-        pass
-    finally:
-        os.close(fd)
 
 
 # --------------------------------------------------------------------- #

@@ -173,8 +173,7 @@ class EncryptedDatabase:
         self.counter.tracer = self.tracer
         self.counter.metrics = self.metrics
         self._register_metrics(self.metrics)
-        if self.outcomes is not None:
-            self.outcomes.bind_metrics(self.metrics)
+        self._bind_outcome_metrics()
         return self.tracer, self.metrics
 
     def disable_observability(self) -> None:
@@ -185,6 +184,16 @@ class EncryptedDatabase:
         # restores ``None`` without touching other databases' counters.
         self.counter.__dict__.pop("tracer", None)
         self.counter.__dict__.pop("metrics", None)
+        self._bind_outcome_metrics()
+
+    def _bind_outcome_metrics(self) -> None:
+        """Point the outcome store and ledger at the current registry
+        (``None`` after :meth:`disable_observability` unbinds both), so
+        the ``enable_*`` call order never decides what is metered."""
+        if self.outcomes is not None:
+            self.outcomes.bind_metrics(self.metrics)
+        if self._ledger is not None:
+            self._ledger.bind_metrics(self.metrics)
 
     def _register_metrics(self, registry: MetricsRegistry) -> None:
         """Mirror the live counter into callback gauges + derived series."""
@@ -220,16 +229,6 @@ class EncryptedDatabase:
             "repro_qpf_column_cache_budget_bytes",
             "configured decrypted-column cache byte budget",
             callback=lambda: machine.column_cache_stats()["budget_bytes"])
-
-        from ..core.arena import ARENA
-        registry.gauge(
-            "repro_arena_resident_bytes",
-            "idle scratch bytes pooled in the process-wide BufferArena",
-            callback=lambda: ARENA.resident_bytes)
-        registry.gauge(
-            "repro_arena_reuse_ratio",
-            "BufferArena takes served from the pool / total takes",
-            callback=lambda: ARENA.stats()["reuse_ratio"])
 
         def _equiv(field_name):
             return sum(getattr(index, field_name)
@@ -312,11 +311,11 @@ class EncryptedDatabase:
         if path is not None:
             self._ledger = PlanOutcomeLedger(
                 path, fsync=fsync, rotate_bytes=rotate_bytes,
-                max_segments=max_segments, metrics=self.metrics)
+                max_segments=max_segments)
         if clock is not None:
             self._outcome_clock = clock
         if self.metrics is not None:
-            self.outcomes.bind_metrics(self.metrics)
+            self._bind_outcome_metrics()
         return self.outcomes
 
     def disable_outcomes(self) -> None:

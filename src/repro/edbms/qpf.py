@@ -75,20 +75,6 @@ PREDICATE_CACHE_SIZE = 128
 #: disables the cache entirely (every decrypt pays keystream work).
 COLUMN_CACHE_BYTES = 64 * 1024 * 1024
 
-# The scratch-buffer arena is imported lazily: ``repro.core`` imports
-# this module (PRKB is built on the QPF), so a top-level import back
-# into ``repro.core.arena`` would be circular.
-_ARENA = None
-
-
-def _arena():
-    global _ARENA
-    if _ARENA is None:
-        from ..core.arena import ARENA
-        _ARENA = ARENA
-    return _ARENA
-
-
 class ColumnCache:
     """LRU cache of *decrypted* columns inside the trusted machine.
 
@@ -395,11 +381,10 @@ class TrustedMachine:
         """Whole-column decrypt into the cache (``None`` if not cachable).
 
         Uses the bulk in-place keystream path
-        (:func:`~repro.crypto.primitives.decrypt_words_into`) with arena
-        scratch for the shift temporaries; only the retained plaintext
-        column is freshly allocated.  Admission is checked *before*
-        decrypting, so an over-budget column costs nothing here and
-        simply stays on the per-request path.
+        (:func:`~repro.crypto.primitives.decrypt_words_into`), writing
+        straight into the column that is retained.  Admission is checked
+        *before* decrypting, so an over-budget column costs nothing here
+        and simply stays on the per-request path.
         """
         full = getattr(table, "full_column", None)
         if full is None:
@@ -408,10 +393,8 @@ class TrustedMachine:
         if not self._column_cache.admits(ciphertexts.nbytes):
             return None
         plain = np.empty(ciphertexts.size, dtype=np.uint64)
-        with _arena().scope() as scratch:
-            decrypt_words_into(self._subkey(table.name, attribute),
-                               ciphertexts, nonces, plain,
-                               scratch.take(plain.size, np.uint64))
+        decrypt_words_into(self._subkey(table.name, attribute),
+                           ciphertexts, nonces, plain)
         column = plain.view(np.int64)
         _bump(deltas, "column_cache_evictions", self._column_cache.put(
             table.name, attribute, version, column))
@@ -515,27 +498,24 @@ class TrustedMachine:
                 else:
                     predicates.append(None)
                     results.append(empty)
-            with _arena().scope() as scratch:
-                for (__, attribute), positions in groups.items():
-                    if len(positions) == 1:
-                        request = requests[positions[0]]
-                        values = self._decrypt_cells(request.table, attribute,
-                                                     request.uids, deltas)
-                        results[positions[0]] = _evaluate_plain(
-                            predicates[positions[0]], values)
-                        continue
-                    parts = [requests[p].uids for p in positions]
-                    fused = scratch.take(sum(int(p.size) for p in parts),
-                                         np.uint64)
-                    np.concatenate(parts, out=fused)
-                    values = self._decrypt_cells(requests[positions[0]].table,
-                                                 attribute, fused, deltas)
-                    offset = 0
-                    for position, part in zip(positions, parts):
-                        stop = offset + int(part.size)
-                        results[position] = _evaluate_plain(
-                            predicates[position], values[offset:stop])
-                        offset = stop
+            for (__, attribute), positions in groups.items():
+                if len(positions) == 1:
+                    request = requests[positions[0]]
+                    values = self._decrypt_cells(request.table, attribute,
+                                                 request.uids, deltas)
+                    results[positions[0]] = _evaluate_plain(
+                        predicates[positions[0]], values)
+                    continue
+                parts = [requests[p].uids for p in positions]
+                values = self._decrypt_cells(requests[positions[0]].table,
+                                             attribute,
+                                             np.concatenate(parts), deltas)
+                offset = 0
+                for position, part in zip(positions, parts):
+                    stop = offset + int(part.size)
+                    results[position] = _evaluate_plain(
+                        predicates[position], values[offset:stop])
+                    offset = stop
             return results  # type: ignore[return-value]
         finally:
             self.counter.charge(**deltas)

@@ -132,14 +132,12 @@ class PlanOutcomeLedger:
     ``fsync`` takes the WAL's policy grammar (``"always"``, ``"off"``,
     ``"every:N"`` or an int); ``rotate_bytes`` bounds the active
     segment and ``max_segments`` bounds total retained history.
-    ``metrics`` (a :class:`~repro.obs.metrics.MetricsRegistry`) is
-    optional — when given, the ledger publishes
-    ``repro_outcome_ledger_records_total`` / ``_bytes_total`` /
-    ``_fsyncs_total`` / ``_segments``.  Thread-safe.
+    :meth:`bind_metrics` publishes the ``repro_outcome_ledger_*``
+    series on a registry.  Thread-safe.
     """
 
     def __init__(self, path, *, fsync="off", rotate_bytes: int = 4 << 20,
-                 max_segments: int = 8, metrics=None):
+                 max_segments: int = 8):
         # Lazy import keeps repro.obs a leaf package at import time;
         # only *using* a ledger reaches into the durability layer.
         from ..edbms.durability.wal import FsyncPolicy
@@ -156,7 +154,7 @@ class PlanOutcomeLedger:
         self.records_written = 0
         self.bytes_written = 0
         self.fsyncs = 0
-        self._metrics = metrics
+        self._metrics = None
         self._pending = 0
         self._lock = threading.Lock()
         self._closed = False
@@ -166,17 +164,30 @@ class PlanOutcomeLedger:
         self._segment = max(existing) if existing else 1
         self._file = open(os.path.join(
             self.path, _segment_name(self._segment)), "ab")
-        if metrics is not None:
-            metrics.counter("repro_outcome_ledger_records_total",
-                            "knowledge atoms appended to the ledger")
-            metrics.counter("repro_outcome_ledger_bytes_total",
-                            "bytes appended to the ledger")
-            metrics.counter("repro_outcome_ledger_fsyncs_total",
-                            "fsync calls issued by the ledger")
-            ledger = self
-            metrics.gauge("repro_outcome_ledger_segments",
-                          "ledger segment files currently on disk",
-                          callback=lambda: len(ledger.segments()))
+
+    def bind_metrics(self, registry) -> None:
+        """Publish ``repro_outcome_ledger_records_total`` /
+        ``_bytes_total`` / ``_fsyncs_total`` / ``_segments`` on
+        ``registry`` (a :class:`~repro.obs.metrics.MetricsRegistry`).
+
+        Pre-registers every family so a scrape shows them (at zero)
+        before the first append.  ``None`` unbinds: later appends feed
+        no registry.
+        """
+        with self._lock:
+            self._metrics = registry
+        if registry is None:
+            return
+        registry.counter("repro_outcome_ledger_records_total",
+                         "knowledge atoms appended to the ledger")
+        registry.counter("repro_outcome_ledger_bytes_total",
+                         "bytes appended to the ledger")
+        registry.counter("repro_outcome_ledger_fsyncs_total",
+                         "fsync calls issued by the ledger")
+        ledger = self
+        registry.gauge("repro_outcome_ledger_segments",
+                       "ledger segment files currently on disk",
+                       callback=lambda: len(ledger.segments()))
 
     # -- writing ----------------------------------------------------------- #
 
@@ -199,10 +210,10 @@ class PlanOutcomeLedger:
                 self._sync_locked()
             if self._file.tell() >= self.rotate_bytes:
                 self._rotate_locked()
-        if self._metrics is not None:
-            self._metrics.counter(
-                "repro_outcome_ledger_records_total").inc()
-            self._metrics.counter(
+            metrics = self._metrics
+        if metrics is not None:
+            metrics.counter("repro_outcome_ledger_records_total").inc()
+            metrics.counter(
                 "repro_outcome_ledger_bytes_total").inc(len(frame))
 
     def _sync_locked(self) -> None:

@@ -5,8 +5,7 @@ Pinned invariants:
 * the in-place bulk keystream/decrypt variants
   (:func:`~repro.crypto.primitives.prf_words_into` /
   :func:`~repro.crypto.primitives.decrypt_words_into`) are bit-identical
-  to their allocating counterparts for every payload size, scratch or no
-  scratch; and
+  to their allocating counterparts for every payload size; and
 * a warm :class:`~repro.edbms.qpf.TrustedMachine` (column cache on, any
   byte budget — including one too small to hold a single column) gives
   bit-identical ``evaluate_batch`` / ``evaluate_many`` answers to a cold
@@ -33,16 +32,13 @@ _WORDS = st.integers(min_value=0, max_value=2**64 - 1)
 
 
 class TestBulkKeystream:
-    @given(st.lists(_WORDS, max_size=300), st.integers(0, 2**32),
-           st.booleans())
+    @given(st.lists(_WORDS, max_size=300), st.integers(0, 2**32))
     @settings(max_examples=60, deadline=None)
-    def test_prf_words_into_matches_prf_words(self, nonces, seed,
-                                              with_scratch):
+    def test_prf_words_into_matches_prf_words(self, nonces, seed):
         key = generate_key(seed)
         nonces = np.asarray(nonces, dtype=np.uint64)
         out = np.empty_like(nonces)
-        scratch = np.empty_like(nonces) if with_scratch else None
-        prf_words_into(key, nonces, out, scratch)
+        prf_words_into(key, nonces, out)
         assert np.array_equal(out, prf_words(key, nonces))
 
     @given(st.lists(st.tuples(_WORDS, _WORDS), max_size=200),

@@ -206,3 +206,80 @@ class TestMdErrors:
         bed = make_bed(seed=21)
         processor = MultiDimensionProcessor({"X": bed.prkb["X"]})
         assert processor.select([]).size == 0
+
+
+class TestTwoDatabasesOneProcess:
+    """Two databases, one thread each, grid statements at the same time:
+    nothing the grid allocates is shared between them."""
+
+    ROWS = 2_000
+    DOMAIN = (1, 10_000)
+
+    def _database(self, seed):
+        from repro.edbms.engine import EncryptedDatabase
+
+        rng = np.random.default_rng(seed)
+        columns = {name: rng.integers(self.DOMAIN[0], self.DOMAIN[1] + 1,
+                                      self.ROWS) for name in "XY"}
+        db = EncryptedDatabase(seed=seed)
+        db.create_table("t", {name: self.DOMAIN for name in "XY"}, columns)
+        db.enable_prkb("t", ["X", "Y"])
+        return db, columns
+
+    def _boxes(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        lows = rng.integers(self.DOMAIN[0], self.DOMAIN[1] // 2, (25, 2))
+        widths = rng.integers(200, self.DOMAIN[1] // 2, (25, 2))
+        return [(int(xl), int(xl + xw), int(yl), int(yl + yw))
+                for (xl, yl), (xw, yw) in zip(lows, widths)]
+
+    def _run(self, db, boxes, barrier=None):
+        if barrier is not None:
+            barrier.wait(timeout=30)
+        return [db.query(f"SELECT * FROM t WHERE X > {xl} AND X < {xh} "
+                         f"AND Y > {yl} AND Y < {yh}", strategy="md").uids
+                for xl, xh, yl, yh in boxes]
+
+    def test_concurrent_grids_match_numpy_and_their_serial_qpf(self):
+        import sys
+        import threading
+
+        seeds = (1, 2)
+        serial_qpf = {}
+        for seed in seeds:
+            db, __ = self._database(seed)
+            self._run(db, self._boxes(seed))
+            serial_qpf[seed] = db.counter.qpf_uses
+            db.close()
+
+        beds = {seed: self._database(seed) for seed in seeds}
+        winners = {}
+        barrier = threading.Barrier(len(seeds))
+
+        def work(seed):
+            winners[seed] = self._run(beds[seed][0], self._boxes(seed),
+                                      barrier)
+
+        threads = [threading.Thread(target=work, args=(seed,))
+                   for seed in seeds]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+
+        for seed in seeds:
+            db, columns = beds[seed]
+            uids = np.arange(self.ROWS, dtype=np.uint64)
+            for got, (xl, xh, yl, yh) in zip(winners[seed],
+                                             self._boxes(seed)):
+                mask = ((columns["X"] > xl) & (columns["X"] < xh)
+                        & (columns["Y"] > yl) & (columns["Y"] < yh))
+                assert np.array_equal(np.sort(got), uids[mask])
+            assert db.counter.qpf_uses == serial_qpf[seed] > 0
+            db.close()

@@ -74,6 +74,11 @@ class TestMetricsRoute:
             assert name in body, name
         assert "repro_query_latency_seconds_bucket" in body
 
+    def test_no_arena_series(self, served):
+        __, endpoint, __ = served
+        assert "repro_arena" not in endpoint.handle("/metrics")[2]
+        assert "repro_arena" not in endpoint.handle("/metrics.json")[2]
+
     def test_counter_gauge_reflects_live_value(self, served):
         db, endpoint, __ = served
         body = endpoint.handle("/metrics")[2]

@@ -13,7 +13,7 @@ import operator
 from functools import partial
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.edbms.engine import EncryptedDatabase
 from repro.edbms.sql import BetweenCondition, parse_select
@@ -98,6 +98,9 @@ def _check(db, columns, uids, sql: str, strategy: str, kinds: tuple) -> None:
 @settings(max_examples=12, deadline=None)
 def test_every_operator_returns_strictly_increasing_uint64(
         seed, doomed, c, d, x_band, y_band):
+    # ``_database`` already ran ``X < 500``; that constant would be a
+    # cache hit on the first check below.
+    assume(c != 500)
     db, columns, uids = _database(seed, doomed)
     check = partial(_check, db, columns, uids)
     grid = (f"SELECT * FROM t WHERE X > {x_band[0]} AND X < {x_band[1] + 1} "

@@ -202,6 +202,64 @@ class TestEngineWiring:
         assert replayed.report()["error_p90"] == \
             live.report()["error_p90"]
 
+    @staticmethod
+    def _metered_db():
+        db = EncryptedDatabase(seed=0)
+        rng = np.random.default_rng(3)
+        db.create_table("t", {"X": (1, 1_000)},
+                        {"X": rng.integers(1, 1_001, 200)})
+        db.enable_prkb("t", ["X"])
+        return db
+
+    @staticmethod
+    def _three_queries(db):
+        for c in (100, 500, 900):
+            db.query(f"SELECT * FROM t WHERE X < {c}")
+
+    @pytest.mark.parametrize("outcomes_first", [True, False])
+    def test_ledger_is_metered_in_either_enable_order(self, tmp_path,
+                                                      outcomes_first):
+        from repro.obs import render_prometheus
+
+        db = self._metered_db()
+        if outcomes_first:
+            db.enable_outcomes(tmp_path / "ledger", fsync="always")
+            __, registry = db.enable_observability()
+        else:
+            __, registry = db.enable_observability()
+            db.enable_outcomes(tmp_path / "ledger", fsync="always")
+        self._three_queries(db)
+        text = render_prometheus(registry)
+        assert "repro_outcome_ledger_records_total 3" in text
+        assert "repro_outcome_ledger_fsyncs_total 3" in text
+        assert "repro_outcome_ledger_segments 1" in text
+        assert registry.get("repro_outcome_ledger_bytes_total").value() \
+            == db.ledger.bytes_written
+        assert registry.get("repro_outcome_atoms_total") \
+                       .value(tenant="local") == 3
+        db.close()
+
+    def test_disable_unbinds_and_reenable_feeds_the_fresh_registry(
+            self, tmp_path):
+        from repro.obs import MetricsRegistry
+
+        db = self._metered_db()
+        db.enable_outcomes(tmp_path / "ledger")
+        __, first = db.enable_observability()
+        self._three_queries(db)
+        db.disable_observability()
+        self._three_queries(db)  # metered by nobody
+        fresh = MetricsRegistry()
+        db.enable_observability(registry=fresh)
+        self._three_queries(db)
+        for registry in (first, fresh):  # the orphan stopped at 3
+            assert registry.get(
+                "repro_outcome_ledger_records_total").value() == 3
+            assert registry.get("repro_outcome_atoms_total") \
+                           .value(tenant="local") == 3
+        assert db.ledger.records_written == 9
+        db.close()
+
 
 class TestAtomHelpers:
     def test_symmetric_error_is_direction_free(self):

@@ -60,6 +60,13 @@ class TestExports:
                      "OrderReconstructionAttack"):
             assert name in repro.__all__
 
+    def test_core_exports_no_scratch_pool(self):
+        core = importlib.import_module("repro.core")
+        assert not [name for name in core.__all__
+                    if "arena" in name.lower()]
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.core.arena")
+
 
 class TestDocstrings:
     @pytest.mark.parametrize("module_name", MODULES)
