@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = ["TDAG", "TDAGNode"]
 
 
@@ -85,6 +87,34 @@ class TDAG:
                     if straddle_start + width <= self.capacity:
                         ids.append((level, straddle_start))
         return ids
+
+    def node_ids_covering_points(self, points: np.ndarray
+                                 ) -> tuple[np.ndarray, np.ndarray,
+                                            np.ndarray]:
+        """:meth:`node_ids_covering_point` for all ``points`` at once.
+
+        Returns ``(owner, level, start)`` int64 arrays: node ``i`` covers
+        ``points[owner[i]]``.  Owners ascend, and each point's nodes come
+        in the scalar method's order (level by level, aligned before
+        straddling); an out-of-domain point raises the same
+        ``ValueError``.
+        """
+        points = np.asarray(points, dtype=np.int64).ravel()
+        outside = (points < 0) | (points >= self.capacity)
+        if outside.any():
+            self._check_point(int(points[np.argmax(outside)]))
+        # One column per candidate node of a point: level 0 aligned, then
+        # (aligned, straddling) for each higher level.  An aligned node
+        # is a straddling one shifted by half = 0, so one formula serves
+        # (column 0 is even too, but half a level-0 width is 0).
+        level = np.repeat(np.arange(self.height + 1, dtype=np.int64), 2)[1:]
+        width = np.int64(1) << level
+        half = np.where(np.arange(level.size) % 2 == 0, width >> 1, 0)
+        shifted = points[:, None] - half
+        start = (shifted >> level << level) + half
+        owner, column = np.nonzero((shifted >= 0)
+                                   & (start + width <= self.capacity))
+        return owner, level[column], start[owner, column]
 
     def nodes_covering_point(self, point: int) -> list[TDAGNode]:
         """All TDAG nodes containing ``point`` — where its entry is filed.

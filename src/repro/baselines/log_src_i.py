@@ -44,6 +44,10 @@ __all__ = ["LogSRCiIndex"]
 #: Initial spacing between consecutive positions (gap for inserts).
 POSITION_GAP = 8
 
+#: SSE keyword of TDAG node ``(level, start)`` in level ``b"ds1"`` /
+#: ``b"ds2"`` — the bytes ``query_inclusive`` derives from the cover.
+_KEYWORD = b"node:tdag:%d:%d|%s"
+
 
 class LogSRCiIndex:
     """Logarithmic-SRC-i over one integer attribute."""
@@ -93,48 +97,59 @@ class LogSRCiIndex:
         if uids.size != values.size:
             raise ValueError("uids and values must align")
         order = np.lexsort((uids, values))
-        self._entries = [
-            [int(values[i]), int(uids[i]), (rank + 1) * POSITION_GAP]
-            for rank, i in enumerate(order)
-        ]
-        ds2_items: list[tuple[bytes, tuple[int, int, int]]] = []
-        ds2_owner: list[int] = []
-        for value, uid, position in self._entries:
-            record = (uid, value, 0)
-            for level, start in self._tdag2.node_ids_covering_point(
-                    position):
-                ds2_items.append(
-                    (b"node:tdag:%d:%d|ds2" % (level, start), record))
-                ds2_owner.append(uid)
-            span = self._value_span.setdefault(value, [position, position])
-            span[0] = min(span[0], position)
-            span[1] = max(span[1], position)
-            self._value_positions.setdefault(value, []).append(position)
-        ds2_serials = self._ds2.add_bulk(ds2_items)
-        for (keyword, __), owner, serial in zip(ds2_items, ds2_owner,
-                                                ds2_serials):
-            self._ds2_refs.setdefault(owner, []).append(
-                (keyword, int(serial)))
-        ds1_items: list[tuple[bytes, tuple[int, int, int]]] = []
-        ds1_owner: list[int] = []
-        for value, span in self._value_span.items():
-            record = (value, span[0], span[1])
-            for level, start in self._tdag1.node_ids_covering_point(
-                    self._point(value)):
-                ds1_items.append(
-                    (b"node:tdag:%d:%d|ds1" % (level, start), record))
-                ds1_owner.append(value)
-        ds1_serials = self._ds1.add_bulk(ds1_items)
-        for (keyword, __), owner, serial in zip(ds1_items, ds1_owner,
-                                                ds1_serials):
-            self._ds1_refs.setdefault(owner, []).append(
-                (keyword, int(serial)))
+        uids, values = uids[order], values[order]
+        # Values are sorted, so each distinct value's duplicates (and
+        # their positions) are one contiguous run.
+        distinct, first, counts = np.unique(values, return_index=True,
+                                            return_counts=True)
+        lo, hi = self.domain
+        outside = distinct[(distinct < lo) | (distinct > hi)]
+        if outside.size:
+            self._point(int(outside[0]))  # raises the domain error
+        stop = first + counts
+        positions = np.arange(1, uids.size + 1, dtype=np.int64) * POSITION_GAP
+        position_list = positions.tolist()
+        self._entries = [list(entry) for entry in zip(
+            values.tolist(), uids.tolist(), position_list)]
+        for value, begin, end in zip(distinct.tolist(), first.tolist(),
+                                     stop.tolist()):
+            run = position_list[begin:end]
+            self._value_positions[value] = run
+            self._value_span[value] = [run[0], run[-1]]
+        self._file_bulk(
+            self._ds2, self._tdag2, b"ds2", positions, uids.tolist(),
+            np.stack([uids, values.view(np.uint64),
+                      np.zeros(uids.size, dtype=np.uint64)], axis=1),
+            self._ds2_refs)
+        self._file_bulk(
+            self._ds1, self._tdag1, b"ds1", distinct - lo, distinct.tolist(),
+            np.stack([distinct, positions[first], positions[stop - 1]],
+                     axis=1).view(np.uint64),
+            self._ds1_refs)
+
+    def _file_bulk(self, sse: SSEIndex, tdag: TDAG, tag: bytes,
+                   points: np.ndarray, owners: list[int], words: np.ndarray,
+                   refs: dict[int, list[tuple[bytes, int]]]) -> None:
+        """File record ``words[i]`` under every ``tdag`` node covering
+        ``points[i]``, in the order one ``_file_ds*`` call per point
+        would, and note the handles under ``owners[i]``."""
+        owner, level, start = tdag.node_ids_covering_points(points)
+        nodes, group = np.unique(level * tdag.capacity + start,
+                                 return_inverse=True)
+        keywords = [_KEYWORD % (*divmod(node, tdag.capacity), tag)
+                    for node in nodes.tolist()]
+        serials = sse.add_grouped(keywords, group, words[owner])
+        filed = list(zip([keywords[index] for index in group.tolist()],
+                         serials.tolist()))
+        bounds = np.searchsorted(owner, np.arange(len(owners) + 1)).tolist()
+        for who, begin, end in zip(owners, bounds, bounds[1:]):
+            refs.setdefault(who, []).extend(filed[begin:end])
 
     def _file_ds1(self, value: int, pos_lo: int, pos_hi: int) -> None:
         refs = self._ds1_refs.setdefault(value, [])
         for level, start in self._tdag1.node_ids_covering_point(
                 self._point(value)):
-            keyword = b"node:tdag:%d:%d|ds1" % (level, start)
+            keyword = _KEYWORD % (level, start, b"ds1")
             refs.append((keyword,
                          self._ds1.add(keyword, (value, pos_lo, pos_hi))))
 
@@ -145,7 +160,7 @@ class LogSRCiIndex:
     def _file_ds2(self, uid: int, value: int, position: int) -> None:
         refs = self._ds2_refs.setdefault(uid, [])
         for level, start in self._tdag2.node_ids_covering_point(position):
-            keyword = b"node:tdag:%d:%d|ds2" % (level, start)
+            keyword = _KEYWORD % (level, start, b"ds2")
             refs.append((keyword, self._ds2.add(keyword, (uid, value, 0))))
 
     def _unfile_ds2(self, uid: int, position: int) -> None:

@@ -47,6 +47,7 @@ class SSEIndex:
         # deletion is O(1) without decrypting the posting list.
         self._postings: dict[bytes, dict[int, np.ndarray]] = {}
         self._record_serial = 0
+        self._record_key = self._key.subkey("records")
         # Keyed BLAKE2b is a bona fide MAC and much faster than HMAC-SHA256
         # for the hundreds of thousands of token derivations bulk index
         # construction performs.
@@ -59,75 +60,88 @@ class SSEIndex:
         return hashlib.blake2b(keyword, key=self._token_key,
                                digest_size=TOKEN_BYTES).digest()
 
-    def _encrypt_record(self, words: tuple[int, int, int]) -> np.ndarray:
-        serial = self._record_serial
-        self._record_serial += 1
-        nonces = np.arange(3, dtype=np.uint64) + np.uint64(serial * 3)
-        plain = np.asarray([w & _WORD_MASK for w in words],
-                           dtype=np.uint64)
-        stream = prf_words(self._key.subkey("records"), nonces)
-        record = np.empty(4, dtype=np.uint64)
-        record[0] = np.uint64(serial)
-        record[1:] = plain ^ stream
-        return record
+    def _keystream(self, serials: np.ndarray) -> np.ndarray:
+        """``(count, 3)`` keystream words of the records with these
+        (uint64) serials: record ``s`` owns nonces ``3s .. 3s + 2``."""
+        nonces = serials[:, None] * np.uint64(3) \
+            + np.arange(3, dtype=np.uint64)
+        return prf_words(self._record_key, nonces)
 
-    def _decrypt_record(self, record: np.ndarray) -> tuple[int, int, int]:
-        serial = int(record[0])
-        nonces = np.arange(3, dtype=np.uint64) + np.uint64(serial * 3)
-        stream = prf_words(self._key.subkey("records"), nonces)
-        plain = record[1:] ^ stream
-        return tuple(int(w) for w in plain)
+    def _seal(self, words: np.ndarray) -> np.ndarray:
+        """Encrypt ``(count, 3)`` uint64 words under the next ``count``
+        serials; returns the ``(count, 4)`` records, serial in word 0."""
+        count = len(words)
+        records = np.empty((count, 4), dtype=np.uint64)
+        records[:, 0] = np.arange(self._record_serial,
+                                  self._record_serial + count,
+                                  dtype=np.uint64)
+        self._record_serial += count
+        records[:, 1:] = words ^ self._keystream(records[:, 0])
+        return records
+
+    def _unseal(self, records: list[np.ndarray]) -> np.ndarray:
+        """Plain ``(count, 3)`` words of a block of retrieved records —
+        one stacked array, one keystream expansion."""
+        block = np.asarray(records, dtype=np.uint64).reshape(-1, 4)
+        return block[:, 1:] ^ self._keystream(block[:, 0])
 
     # -- index maintenance ---------------------------------------------------- #
 
     def add(self, keyword: bytes, words: tuple[int, int, int]) -> int:
         """File one record under a keyword; returns its serial handle."""
-        token = self.token(keyword)
-        record = self._encrypt_record(words)
+        record = self._seal(_pack_words([words]))[0]
         serial = int(record[0])
-        self._postings.setdefault(token, {})[serial] = record
-        self.counter.index_updates += 1
+        self._postings.setdefault(self.token(keyword), {})[serial] = record
+        self.counter.charge(index_updates=1)
         return serial
+
+    def add_grouped(self, keywords: list[bytes], group: np.ndarray,
+                    words: np.ndarray) -> np.ndarray:
+        """File record ``i`` (``words[i]``, three uint64 words) under
+        ``keywords[group[i]]``; returns the serials, aligned with
+        ``words``.
+
+        Same serials, ciphertexts and postings as one :meth:`add` per
+        record in order, but the block shares one keystream expansion
+        and each distinct keyword costs one token derivation and one
+        dictionary update, however many records it receives.
+        """
+        group = np.asarray(group, dtype=np.intp)
+        count = group.size
+        if count == 0:
+            return np.zeros(0, dtype=np.uint64)
+        records = self._seal(np.asarray(words, dtype=np.uint64)
+                             .reshape(count, 3))
+        serials = records[:, 0].copy()
+        # Runs of equal keyword after a stable sort keep serial order, so
+        # each posting list fills in the order per-record adds would.
+        order = np.argsort(group, kind="stable")
+        grouped = group[order]
+        starts = np.flatnonzero(np.diff(grouped, prepend=-1))
+        handles = serials[order].tolist()
+        rows = list(records[order])
+        for index, start, stop in zip(grouped[starts].tolist(),
+                                      starts.tolist(),
+                                      [*starts[1:].tolist(), count]):
+            self._postings.setdefault(
+                self.token(keywords[index]), {}
+            ).update(zip(handles[start:stop], rows[start:stop]))
+        self.counter.charge(index_updates=count)
+        return serials
 
     def add_bulk(self, items: list[tuple[bytes, tuple[int, int, int]]]
                  ) -> np.ndarray:
-        """File many records at once — vectorised encryption.
+        """File many ``(keyword, words)`` items at once.
 
-        Semantically identical to calling :meth:`add` per item, but the
-        whole batch shares one keystream expansion and token derivations
-        are memoised, which is what makes bulk index construction at
-        benchmark scale practical.  Returns the serials, aligned with
-        ``items``.
+        Semantically identical to calling :meth:`add` per item; a thin
+        adapter over :meth:`add_grouped`.  Returns the serials, aligned
+        with ``items``.
         """
-        if not items:
-            return np.zeros(0, dtype=np.uint64)
-        count = len(items)
-        base_serial = self._record_serial
-        self._record_serial += count
-        serials = np.arange(base_serial, base_serial + count,
-                            dtype=np.uint64)
-        nonces = (np.repeat(serials * np.uint64(3), 3)
-                  + np.tile(np.arange(3, dtype=np.uint64), count))
-        stream = prf_words(self._key.subkey("records"), nonces)
-        plain = np.asarray(
-            [(a & _WORD_MASK, b & _WORD_MASK, c & _WORD_MASK)
-             for __, (a, b, c) in items],
-            dtype=np.uint64,
-        ).reshape(count, 3)
-        encrypted = plain ^ stream.reshape(count, 3)
-        records = np.empty((count, 4), dtype=np.uint64)
-        records[:, 0] = serials
-        records[:, 1:] = encrypted
-        token_cache: dict[bytes, bytes] = {}
-        for row, (keyword, __) in enumerate(items):
-            token = token_cache.get(keyword)
-            if token is None:
-                token = self.token(keyword)
-                token_cache[keyword] = token
-            self._postings.setdefault(token, {})[int(serials[row])] = \
-                records[row]
-        self.counter.index_updates += count
-        return serials
+        index_of: dict[bytes, int] = {}
+        group = [index_of.setdefault(keyword, len(index_of))
+                 for keyword, __ in items]
+        return self.add_grouped(list(index_of), group,
+                                _pack_words([words for __, words in items]))
 
     def remove_serial(self, keyword: bytes, serial: int) -> bool:
         """Remove one record by its serial handle — O(1), no decryption."""
@@ -138,7 +152,7 @@ class SSEIndex:
         del postings[serial]
         if not postings:
             del self._postings[token]
-        self.counter.index_updates += 1
+        self.counter.charge(index_updates=1)
         return True
 
     def remove(self, keyword: bytes, first_word: int) -> int:
@@ -153,24 +167,22 @@ class SSEIndex:
         if not postings:
             return 0
         target = first_word & _WORD_MASK
-        doomed = [
-            serial for serial, record in postings.items()
-            if self._decrypt_record(record)[0] == target
-        ]
+        first_words = self._unseal(list(postings.values()))[:, 0].tolist()
+        doomed = [serial for serial, word in zip(postings, first_words)
+                  if word == target]
         for serial in doomed:
             del postings[serial]
         if not postings:
             del self._postings[token]
-        self.counter.index_updates += len(doomed)
+        self.counter.charge(index_updates=len(doomed))
         return len(doomed)
 
     # -- server-side search ----------------------------------------------------- #
 
     def search(self, token: bytes) -> list[np.ndarray]:
         """Encrypted postings for a token — one SSE lookup."""
-        self.counter.sse_lookups += 1
         postings = self._postings.get(token, {})
-        self.counter.tuples_retrieved += len(postings)
+        self.counter.charge(sse_lookups=1, tuples_retrieved=len(postings))
         return list(postings.values())
 
     # -- trusted-machine decryption ----------------------------------------------- #
@@ -178,8 +190,8 @@ class SSEIndex:
     def open_records(self, records: list[np.ndarray]
                      ) -> list[tuple[int, int, int]]:
         """Decrypt retrieved records (TM side); QPF-like cost per record."""
-        self.counter.qpf_uses += len(records)
-        return [self._decrypt_record(record) for record in records]
+        self.counter.charge(qpf_uses=len(records))
+        return [tuple(row) for row in self._unseal(records).tolist()]
 
     def reveal_records(self, records: list[np.ndarray]
                        ) -> list[tuple[int, int, int]]:
@@ -192,8 +204,8 @@ class SSEIndex:
         positives); use :meth:`open_records` when the decode is a
         trusted-machine confirmation step.
         """
-        self.counter.comparisons += len(records)
-        return [self._decrypt_record(record) for record in records]
+        self.counter.charge(comparisons=len(records))
+        return [tuple(row) for row in self._unseal(records).tolist()]
 
     # -- accounting ------------------------------------------------------------------ #
 
@@ -206,6 +218,13 @@ class SSEIndex:
         """Index footprint: dictionary keys plus encrypted postings."""
         return (len(self._postings) * TOKEN_BYTES
                 + self.num_records * POSTING_BYTES)
+
+
+def _pack_words(triples: list[tuple[int, int, int]]) -> np.ndarray:
+    """``(count, 3)`` uint64 words of signed-or-unsigned int triples."""
+    return np.asarray([(a & _WORD_MASK, b & _WORD_MASK, c & _WORD_MASK)
+                       for a, b, c in triples],
+                      dtype=np.uint64).reshape(len(triples), 3)
 
 
 def pack_signed(value: int) -> int:

@@ -268,17 +268,21 @@ class HybridMaterializer:
 
     @contextmanager
     def tally(self, scheme: str):
-        """Attribute the QPF spent inside the block to ``scheme``."""
-        before = self.counter.qpf_uses
-        try:
-            yield
-        finally:
-            delta = self.counter.qpf_uses - before
-            with self._tally_lock:
-                self._scheme_qpf[scheme] = \
-                    self._scheme_qpf.get(scheme, 0) + int(delta)
-                self._scheme_steps[scheme] = \
-                    self._scheme_steps.get(scheme, 0) + 1
+        """Attribute the QPF spent inside the block to ``scheme``.
+
+        Reads the calling thread's own :meth:`CostCounter.measure`
+        scope, so sessions running hybrid steps side by side never bill
+        each other's QPF.
+        """
+        with self.counter.measure() as spent:
+            try:
+                yield
+            finally:
+                with self._tally_lock:
+                    self._scheme_qpf[scheme] = \
+                        self._scheme_qpf.get(scheme, 0) + spent.qpf_uses
+                    self._scheme_steps[scheme] = \
+                        self._scheme_steps.get(scheme, 0) + 1
 
     def scheme_stats(self) -> dict[str, dict[str, int]]:
         with self._tally_lock:

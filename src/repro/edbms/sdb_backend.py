@@ -40,7 +40,7 @@ from ..crypto.trapdoor import (
 )
 from .costs import CostCounter
 from .qpf import PREDICATE_CACHE_SIZE, PredicateLRU, QPFRequest, \
-    _evaluate_plain
+    _bump, _evaluate_plain
 
 __all__ = ["SecretSharedTable", "MPCQueryProcessingFunction",
            "share_table", "share_rows"]
@@ -70,10 +70,8 @@ class SecretSharedTable:
         for attr, col in self._sp_shares.items():
             if len(col) != len(self._uids):
                 raise ValueError(f"column {attr!r} misaligned with uids")
-        self._position_of = {
-            int(uid): pos for pos, uid in enumerate(self._uids)
-        }
-        self._next_uid = int(self._uids.max()) + 1 if len(self._uids) else 0
+        self._reindex()
+        self._next_uid = self._position_lookup.size
 
     @property
     def num_rows(self) -> int:
@@ -87,16 +85,31 @@ class SecretSharedTable:
         view.flags.writeable = False
         return view
 
+    def _reindex(self) -> None:
+        """Rebuild the dense uid -> row-position lookup (-1 = absent):
+        uids are allocator-dense, so one gather replaces a per-uid dict
+        walk, as in :class:`~repro.edbms.encryption.EncryptedTable`."""
+        capacity = int(self._uids.max()) + 1 if len(self._uids) else 0
+        self._position_lookup = np.full(capacity, -1, dtype=np.int64)
+        self._position_lookup[self._uids] = np.arange(len(self._uids),
+                                                      dtype=np.int64)
+
+    def _known(self, uids: np.ndarray) -> np.ndarray:
+        """Mask of the (uint64) uids currently stored."""
+        known = uids < self._position_lookup.size
+        known[known] = self._position_lookup[uids[known]] >= 0
+        return known
+
     def positions(self, uids: np.ndarray) -> np.ndarray:
         """Physical positions of the given uids."""
-        try:
-            return np.fromiter(
-                (self._position_of[int(u)] for u in np.asarray(uids).ravel()),
-                dtype=np.int64,
-                count=int(np.asarray(uids).size),
-            )
-        except KeyError as exc:
-            raise KeyError(f"unknown uid {exc.args[0]}") from None
+        uids = np.asarray(uids, dtype=np.uint64).ravel()
+        if uids.size == 0:
+            return np.zeros(0, dtype=np.int64)
+        if int(uids.max()) < self._position_lookup.size:
+            pos = self._position_lookup[uids]
+            if int(pos.min()) >= 0:
+                return pos
+        raise KeyError(f"unknown uid {int(uids[~self._known(uids)][0])}")
 
     def shares_for(self, attribute: str, uids: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray]:
@@ -121,36 +134,32 @@ class SecretSharedTable:
     def insert_rows(self, uids: np.ndarray,
                     sp_shares: dict[str, np.ndarray]) -> None:
         """Append already-shared rows (uids from :meth:`allocate_uids`)."""
-        uids = np.asarray(uids, dtype=np.uint64)
-        for uid in uids:
-            if int(uid) in self._position_of:
-                raise ValueError(f"uid {int(uid)} already present")
-        base = len(self._uids)
-        self._uids = np.concatenate([self._uids, uids])
+        uids = np.asarray(uids, dtype=np.uint64).ravel()
+        present = uids[self._known(uids)]
+        if present.size:
+            raise ValueError(f"uid {int(present[0])} already present")
+        columns = {}
         for attr in self.attribute_names:
             col = np.asarray(sp_shares[attr], dtype=np.uint64)
             if len(col) != len(uids):
                 raise ValueError(f"column {attr!r} misaligned")
-            self._sp_shares[attr] = np.concatenate(
-                [self._sp_shares[attr], col])
-        for offset, uid in enumerate(uids):
-            self._position_of[int(uid)] = base + offset
+            columns[attr] = np.concatenate([self._sp_shares[attr], col])
+        self._uids = np.concatenate([self._uids, uids])
+        self._sp_shares = columns
+        self._reindex()
 
     def delete_rows(self, uids: np.ndarray) -> None:
         """Remove rows by uid."""
-        doomed = {int(u) for u in np.asarray(uids).ravel()}
-        missing = doomed - set(self._position_of)
-        if missing:
-            raise KeyError(f"unknown uids: {sorted(missing)[:5]}")
-        keep = np.fromiter(
-            (int(u) not in doomed for u in self._uids),
-            dtype=bool, count=len(self._uids))
+        doomed = np.unique(np.asarray(uids, dtype=np.uint64))
+        missing = doomed[~self._known(doomed)]
+        if missing.size:
+            raise KeyError(f"unknown uids: {missing[:5].tolist()}")
+        keep = np.ones(len(self._uids), dtype=bool)
+        keep[self._position_lookup[doomed]] = False
         self._uids = self._uids[keep]
         for attr in self.attribute_names:
             self._sp_shares[attr] = self._sp_shares[attr][keep]
-        self._position_of = {
-            int(uid): pos for pos, uid in enumerate(self._uids)
-        }
+        self._reindex()
 
 
 def share_rows(key: SecretKey, table: SecretSharedTable,
@@ -210,29 +219,35 @@ class MPCQueryProcessingFunction:
         self.counter = counter if counter is not None else CostCounter()
         self._predicate_cache = PredicateLRU(predicate_cache_size)
 
-    def _plain_predicate(self, trapdoor: EncryptedPredicate):
+    def _exchange(self, tuples: int) -> dict:
+        """Open the tally of one SP↔DO exchange carrying ``tuples``.
+
+        Same convention as ``TrustedMachine._cross``: helpers add to the
+        returned dict and the caller charges it once, in a ``finally``,
+        so a raising exchange is still billed and every charge reaches
+        the calling thread's :meth:`CostCounter.measure` scopes.
+        """
+        return {"qpf_uses": tuples, "tuples_retrieved": tuples,
+                "mpc_messages": 2 * tuples, "qpf_roundtrips": 1,
+                "parallel_wall_roundtrips": 1,
+                "parallel_wall_qpf_uses": tuples}
+
+    def _plain_predicate(self, trapdoor: EncryptedPredicate, deltas: dict):
         cached = self._predicate_cache.get(trapdoor.serial)
         if cached is None:
-            self.counter.predicate_cache_misses += 1
+            _bump(deltas, "predicate_cache_misses")
             cached = unseal_predicate(self._key, trapdoor)
             self._predicate_cache.put(trapdoor.serial, cached)
         else:
-            self.counter.predicate_cache_hits += 1
+            _bump(deltas, "predicate_cache_hits")
         return cached
 
     def _recover_values(self, table: SecretSharedTable, attribute: str,
                         uids: np.ndarray) -> np.ndarray:
         """DO-side share recombination for the probed cells."""
         sp_shares, nonces = table.shares_for(attribute, uids)
-        shift = table.domain_shift[attribute]
-        values = np.empty(uids.size, dtype=np.int64)
-        for i, (share, nonce) in enumerate(zip(sp_shares.tolist(),
-                                               nonces.tolist())):
-            r = self._scheme._random_exponent(nonce)
-            mask = pow(self._scheme.base, r, self._scheme.modulus)
-            inverse = pow(mask, -1, self._scheme.modulus)
-            values[i] = (share * inverse) % self._scheme.modulus - shift
-        return values
+        values = self._scheme.reconstruct_many(sp_shares, nonces)
+        return values.view(np.int64) - table.domain_shift[attribute]
 
     def __call__(self, trapdoor: EncryptedPredicate,
                  table: SecretSharedTable, uid: int) -> bool:
@@ -246,20 +261,19 @@ class MPCQueryProcessingFunction:
 
         One call is one SP↔DO exchange, metered as one ``qpf_roundtrips``
         tick — the same convention as the trusted-hardware backend, so
-        roundtrip figures are comparable across backends.
+        roundtrip figures are comparable across backends.  Empty
+        payloads are never shipped (and charge nothing).
         """
         uids = np.asarray(uids, dtype=np.uint64)
-        self.counter.qpf_uses += int(uids.size)
-        self.counter.tuples_retrieved += int(uids.size)
-        self.counter.mpc_messages += 2 * int(uids.size)
         if uids.size == 0:
             return np.zeros(0, dtype=bool)
-        self.counter.qpf_roundtrips += 1
-        self.counter.parallel_wall_roundtrips += 1
-        self.counter.parallel_wall_qpf_uses += int(uids.size)
-        predicate = self._plain_predicate(trapdoor)
-        values = self._recover_values(table, trapdoor.attribute, uids)
-        return _evaluate_plain(predicate, values)
+        deltas = self._exchange(int(uids.size))
+        try:
+            predicate = self._plain_predicate(trapdoor, deltas)
+            values = self._recover_values(table, trapdoor.attribute, uids)
+            return _evaluate_plain(predicate, values)
+        finally:
+            self.counter.charge(**deltas)
 
     def batch_many(self, requests: Sequence[QPFRequest]) -> list[np.ndarray]:
         """Θ over a coalesced multi-request payload — one SP↔DO exchange.
@@ -269,21 +283,19 @@ class MPCQueryProcessingFunction:
         number of exchanges (``qpf_roundtrips``) shrinks to one.
         """
         total = sum(int(r.uids.size) for r in requests)
-        self.counter.qpf_uses += total
-        self.counter.tuples_retrieved += total
-        self.counter.mpc_messages += 2 * total
         if total == 0:
             return [np.zeros(0, dtype=bool) for _ in requests]
-        self.counter.qpf_roundtrips += 1
-        self.counter.parallel_wall_roundtrips += 1
-        self.counter.parallel_wall_qpf_uses += total
-        results = []
-        for request in requests:
-            if request.uids.size == 0:
-                results.append(np.zeros(0, dtype=bool))
-                continue
-            predicate = self._plain_predicate(request.trapdoor)
-            values = self._recover_values(
-                request.table, request.trapdoor.attribute, request.uids)
-            results.append(_evaluate_plain(predicate, values))
-        return results
+        deltas = self._exchange(total)
+        try:
+            results = []
+            for request in requests:
+                if request.uids.size == 0:
+                    results.append(np.zeros(0, dtype=bool))
+                    continue
+                predicate = self._plain_predicate(request.trapdoor, deltas)
+                values = self._recover_values(
+                    request.table, request.trapdoor.attribute, request.uids)
+                results.append(_evaluate_plain(predicate, values))
+            return results
+        finally:
+            self.counter.charge(**deltas)

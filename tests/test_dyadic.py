@@ -1,5 +1,6 @@
 """Unit and property tests for the TDAG single-range-cover structure."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -100,3 +101,32 @@ class TestTDAG:
                            min(high, cover.end) + 1):
             assert cover in tdag.nodes_covering_point(point), \
                 (capacity, low, high, cover, point)
+
+    @given(capacity=st.integers(min_value=1, max_value=5000),
+           data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_bulk_enumeration_matches_scalar(self, capacity, data):
+        """``node_ids_covering_points`` is the scalar method, point by
+        point and in its order — including both ends of the domain,
+        where straddling nodes run out."""
+        tdag = TDAG(capacity)
+        drawn = data.draw(st.lists(
+            st.integers(min_value=0, max_value=tdag.capacity - 1),
+            max_size=20))
+        points = [0, tdag.capacity - 1, tdag.capacity // 2] + drawn
+        owner, level, start = tdag.node_ids_covering_points(
+            np.asarray(points))
+        got = list(zip(owner.tolist(), level.tolist(), start.tolist()))
+        assert got == [(i, *node) for i, point in enumerate(points)
+                       for node in tdag.node_ids_covering_point(point)]
+
+    def test_bulk_enumeration_edges(self):
+        tdag = TDAG(16)
+        for part in tdag.node_ids_covering_points(np.zeros(0, np.int64)):
+            assert part.size == 0 and part.dtype == np.int64
+        for bad in (-1, 16):
+            with pytest.raises(ValueError) as scalar:
+                tdag.node_ids_covering_point(bad)
+            with pytest.raises(ValueError) as bulk:
+                tdag.node_ids_covering_points(np.asarray([3, bad, 99]))
+            assert str(bulk.value) == str(scalar.value)

@@ -240,6 +240,95 @@ class TestTenantBudgets:
         assert tight.planner.hybrid.ledger.spent("t") == 0.0
         manager.close()
 
+    def test_served_hybrid_statement_reports_its_qpf(self):
+        """MPC- and SRC-routed statements charge through ``charge()``,
+        so the thread-local ``measure()`` scope every served query runs
+        under sees them (they used to answer ``qpf_uses == 0``)."""
+        from repro.serve import QueryServer
+
+        database = _make_db()
+        database.enable_hybrid(budget=0.0)
+        store = database.enable_outcomes()
+        server = QueryServer(database, workers=2)
+        try:
+            mpc_sql = "SELECT * FROM t WHERE X < 5000"
+            before = database.counter.qpf_uses
+            served = server.query("acme", mpc_sql)
+            assert server.session("acme").planner.strategy_counts \
+                .get(MPC_KIND) == 1
+            assert np.array_equal(np.sort(served.uids),
+                                  _expected(database, mpc_sql))
+            assert served.qpf_uses == N_ROWS  # cold chain: a full scan
+            assert served.qpf_uses == database.counter.qpf_uses - before
+            # ... and so does the outcome atom the served query wrote.
+            assert [entry["actual_qpf"] for entry in
+                    store.report()["fingerprints"].values()] == [N_ROWS]
+            before = database.counter.qpf_uses
+            forced = server.query("acme", WORKLOAD[2], strategy="src")
+            assert forced.qpf_uses == database.counter.qpf_uses - before > 0
+        finally:
+            server.close()
+
+    def test_concurrent_tenants_are_billed_their_own_qpf(self):
+        """Two tenants run MPC and SRC steps at once (plain comparisons
+        share the statement gate): per-scheme tallies still sum to the
+        shared counter, and each answer carries exactly its own QPF —
+        no sibling's charges, none lost."""
+        import sys
+        import threading
+
+        from repro.serve import SessionManager
+
+        database = _make_db()
+        database.enable_hybrid()
+        manager = SessionManager(database)
+        sessions = [manager.session("a", budget=0.0),
+                    manager.session("b", budget=0.0)]
+        streams = [
+            [(f"SELECT * FROM t WHERE X < {1000 + 450 * i}", "auto")
+             for i in range(12)],
+            [(f"SELECT * FROM t WHERE Y > {9500 - 700 * i}",
+              "src" if i % 2 else "auto") for i in range(12)],
+        ]
+        barrier = threading.Barrier(2)
+        answers: list[list] = [[], []]
+        errors = []
+
+        def run(who):
+            try:
+                barrier.wait(timeout=30)
+                for sql, strategy in streams[who]:
+                    answers[who].append(
+                        sessions[who].query(sql, strategy=strategy))
+            except BaseException as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        before = database.counter.qpf_uses
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(who,))
+                       for who in (0, 1)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+            manager.close()
+        assert not errors
+        spent = database.counter.qpf_uses - before
+        stats = database.scheme_stats()
+        assert stats["mpc"]["qpf_uses"] > 0 and stats["src"]["qpf_uses"] > 0
+        assert sum(entry["qpf_uses"] for entry in stats.values()) == spent
+        assert sum(answer.qpf_uses for stream in answers
+                   for answer in stream) == spent
+        for who in (0, 1):
+            for (sql, __), answer in zip(streams[who], answers[who]):
+                assert np.array_equal(np.sort(answer.uids),
+                                      _expected(database, sql))
+
     def test_tenant_budget_requires_hybrid(self):
         from repro.serve import SessionManager
 

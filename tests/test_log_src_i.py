@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.baselines import LogSRCiIndex
-from repro.baselines.log_src_i import multi_dimensional_query
+from repro.baselines import TDAG, LogSRCiIndex
+from repro.baselines.log_src_i import POSITION_GAP, multi_dimensional_query
 from repro.crypto import generate_key
 from repro.edbms import CostCounter
 
@@ -117,6 +117,94 @@ class TestUpdates:
         index, __, __ = make_index(range(10), domain=(0, 10))
         with pytest.raises(ValueError):
             index.insert(uid=100, value=11)
+
+
+def state_of(index, counter):
+    """Everything construction and maintenance leave behind."""
+    def postings(sse):
+        return {token: {serial: record.tolist()
+                        for serial, record in filed.items()}
+                for token, filed in sse._postings.items()}
+
+    return {"ds1": postings(index._ds1), "ds2": postings(index._ds2),
+            "ds1_refs": index._ds1_refs, "ds2_refs": index._ds2_refs,
+            "spans": index._value_span,
+            "positions": index._value_positions,
+            "entries": index._entries, "counter": counter.as_dict(),
+            "storage_bytes": index.storage_bytes()}
+
+
+def filed_per_item(bulk, values, domain, seed):
+    """The reference construction: an empty index filled with one
+    ``_file_ds2`` per tuple and one ``_file_ds1`` per distinct value."""
+    index, counter, __ = make_index([], domain=domain, seed=seed)
+    index._tdag2 = TDAG(bulk._tdag2.capacity)
+    values = np.asarray(values, dtype=np.int64)
+    uids = np.arange(values.size)
+    for rank, row in enumerate(np.lexsort((uids, values)).tolist()):
+        value, position = int(values[row]), (rank + 1) * POSITION_GAP
+        index._entries.append([value, row, position])
+        index._file_ds2(row, value, position)
+        index._value_positions.setdefault(value, []).append(position)
+    for value, positions in index._value_positions.items():
+        index._value_span[value] = [positions[0], positions[-1]]
+        index._file_ds1(value, positions[0], positions[-1])
+    return index, counter
+
+
+def assert_refs_intact(index):
+    """Every kept handle names a live posting, and nothing else is
+    stored: the O(1) removals of later updates depend on it."""
+    for sse, refs in ((index._ds1, index._ds1_refs),
+                      (index._ds2, index._ds2_refs)):
+        handles = [handle for filed in refs.values() for handle in filed]
+        assert len(handles) == sse.num_records
+        for keyword, serial in handles:
+            assert serial in sse._postings[sse.token(keyword)]
+
+
+class TestBulkLoad:
+    def test_bulk_build_equals_per_item_filing(self):
+        rng = np.random.default_rng(3)
+        domain = (-300, 300)
+        values = rng.integers(-300, 301, 120).tolist()
+        values[:10] = values[10:20]  # duplicate runs
+        bulk, bulk_counter, __ = make_index(values, domain=domain, seed=3)
+        item, item_counter = filed_per_item(bulk, values, domain, seed=3)
+        assert state_of(bulk, bulk_counter) == state_of(item, item_counter)
+        for index in (bulk, item):
+            index.insert(uid=500, value=values[0])
+            index.insert(uid=501, value=299)
+            index.delete(uid=4, value=values[4])
+        assert state_of(bulk, bulk_counter) == state_of(item, item_counter)
+        for low, high in ((-300, 300), (-20, 40), (299, 300)):
+            assert np.array_equal(bulk.query_inclusive(low, high),
+                                  item.query_inclusive(low, high))
+
+    def test_out_of_domain_value_rejected_at_build(self):
+        with pytest.raises(ValueError, match=r"value 12 outside domain"):
+            make_index([3, 12, 40], domain=(0, 10))
+
+    def test_refs_survive_insert_rebuild_delete(self):
+        rng = np.random.default_rng(8)
+        values = rng.integers(0, 1001, 60)
+        index, __, lookup = make_index(values)
+        assert_refs_intact(index)
+        rebuilt = index._ds2
+        for i in range(12):  # same slot every time: the gap runs out
+            index.insert(uid=100 + i, value=int(values[7]))
+            lookup[100 + i] = int(values[7])
+        assert index._ds2 is not rebuilt, "gap exhaustion must rebuild"
+        assert_refs_intact(index)
+        for uid in (7, 103, 0, 59):
+            index.delete(uid=uid, value=lookup.pop(uid))
+        assert_refs_intact(index)
+        column = np.asarray(list(lookup.values()))
+        uids = np.asarray(list(lookup), dtype=np.uint64)
+        for low, high in ((0, 1000), (int(values[7]), int(values[7])),
+                          (200, 450), (990, 1000)):
+            want = np.sort(uids[(column >= low) & (column <= high)])
+            assert np.array_equal(index.query_inclusive(low, high), want)
 
 
 class TestMultiDimensional:

@@ -11,6 +11,7 @@ import pytest
 
 from repro.core import PRKBIndex, SingleDimensionProcessor
 from repro.crypto import ComparisonPredicate, generate_key
+from repro.crypto.secret_sharing import _SCALAR_SHARE_CUTOFF
 from repro.edbms import (
     AttributeSpec,
     CostCounter,
@@ -64,6 +65,44 @@ class TestSecretSharedTable:
         __, plain, shared, __, __ = setup
         assert shared.storage_bytes() >= 16 * plain.num_rows
 
+    def test_error_messages(self, setup):
+        """The dense lookup reports what the per-uid dict walk did."""
+        __, plain, shared, __, __ = setup
+        shared.delete_rows(np.asarray([5], dtype=np.uint64))
+        with pytest.raises(KeyError, match=r"^'unknown uid 5'$"):
+            shared.positions(np.asarray([3, 5, 10**6], dtype=np.uint64))
+        with pytest.raises(KeyError, match=r"^'unknown uid 1000000'$"):
+            shared.positions(np.asarray([10**6, 5], dtype=np.uint64))
+        with pytest.raises(ValueError, match=r"^uid 7 already present$"):
+            shared.insert_rows(
+                np.asarray([5, 7, 8], dtype=np.uint64),
+                {"X": np.asarray([1, 2, 3], dtype=np.uint64)})
+        with pytest.raises(
+                KeyError, match=r"^'unknown uids: \[5, 900, 901\]'$"):
+            shared.delete_rows(np.asarray([901, 2, 5, 900], dtype=np.uint64))
+        with pytest.raises(ValueError, match="misaligned"):
+            shared.insert_rows(shared.allocate_uids(2),
+                               {"X": np.asarray([1], dtype=np.uint64)})
+        assert shared.num_rows == plain.num_rows - 1  # nothing half-done
+        assert np.array_equal(shared.positions(shared.uids),
+                              np.arange(shared.num_rows))
+        assert shared.positions(np.zeros(0, dtype=np.uint64)).size == 0
+
+    def test_insert_delete_keep_positions_dense(self, setup):
+        owner, plain, shared, qpf, __ = setup
+        from repro.edbms.sdb_backend import share_rows
+        shared.delete_rows(plain.uids[10:20])
+        fresh = shared.allocate_uids(3)
+        rows = {"X": np.asarray([-7, 0, 7], dtype=np.int64)}
+        shared.insert_rows(fresh, share_rows(owner.key, shared, rows, fresh))
+        assert np.array_equal(shared.positions(shared.uids),
+                              np.arange(shared.num_rows))
+        labels = qpf.batch(owner.comparison_trapdoor("X", "<", 0), shared,
+                           shared.uids)
+        want = np.concatenate([np.delete(plain.columns["X"], range(10, 20)),
+                               rows["X"]]) < 0
+        assert np.array_equal(labels, want)
+
 
 class TestMpcQpf:
     def test_matches_plaintext(self, setup):
@@ -87,6 +126,59 @@ class TestMpcQpf:
         qpf.batch(trapdoor, shared, plain.uids)
         assert counter.qpf_uses == plain.num_rows
         assert counter.mpc_messages == 2 * plain.num_rows
+
+    @pytest.mark.parametrize("size", (1, 2, _SCALAR_SHARE_CUTOFF,
+                                      _SCALAR_SHARE_CUTOFF + 1, 150))
+    def test_agrees_with_trusted_machine(self, setup, size):
+        """Same trapdoors, same tuples, both oracles: equal labels and
+        equal ``qpf_uses``, on the scalar and the vector share kernel."""
+        owner, plain, shared, qpf, counter = setup
+        encrypted = owner.encrypt_table(plain, keep_plain=False)
+        machine = TrustedMachine(owner.key, CostCounter())
+        uids = plain.uids[:size]
+        for trapdoor in (owner.comparison_trapdoor("X", "<", 17),
+                         owner.comparison_trapdoor("X", ">=", -250),
+                         owner.between_trapdoor("X", -100, 100)):
+            counter.reset()
+            machine.counter.reset()
+            with counter.measure() as spent:
+                labels = qpf.batch(trapdoor, shared, uids)
+            assert np.array_equal(
+                labels, machine.evaluate_batch(trapdoor, encrypted, uids))
+            assert spent.qpf_uses == counter.qpf_uses \
+                == machine.counter.qpf_uses == size
+            assert counter.qpf_roundtrips == machine.counter.qpf_roundtrips
+            assert counter.mpc_messages == 2 * size
+
+    def test_batch_many_accounting(self, setup):
+        from repro.edbms.batching import QPFRequest
+        owner, plain, shared, qpf, counter = setup
+        low = owner.comparison_trapdoor("X", "<", 0)
+        high = owner.comparison_trapdoor("X", ">", 100)
+        requests = [QPFRequest(low, shared, plain.uids[:40]),
+                    QPFRequest(high, shared, plain.uids[:0]),
+                    QPFRequest(high, shared, plain.uids[40:43])]
+        counter.reset()
+        with counter.measure() as spent:
+            results = qpf.batch_many(requests)
+        assert [r.size for r in results] == [40, 0, 3]
+        assert np.array_equal(results[0], plain.columns["X"][:40] < 0)
+        assert np.array_equal(results[2], plain.columns["X"][40:43] > 100)
+        assert spent.as_dict() == counter.as_dict()
+        assert (counter.qpf_uses, counter.qpf_roundtrips,
+                counter.mpc_messages) == (43, 1, 86)
+        assert counter.predicate_cache_misses == 2
+
+    def test_unknown_uid_is_charged_before_raising(self, setup):
+        """As the trusted machine does: the exchange happened."""
+        owner, plain, shared, qpf, counter = setup
+        trapdoor = owner.comparison_trapdoor("X", "<", 0)
+        counter.reset()
+        with counter.measure() as spent, pytest.raises(KeyError):
+            qpf.batch(trapdoor, shared,
+                      np.asarray([1, 10**6], dtype=np.uint64))
+        assert spent.qpf_uses == counter.qpf_uses == 2
+        assert counter.mpc_messages == 4 and counter.qpf_roundtrips == 1
 
     def test_mpc_simulated_time_exceeds_tm(self, setup):
         """Same QPF count, higher simulated time — SDB's trade-off."""

@@ -1,8 +1,12 @@
 """Unit tests for the SSE substrate."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines import SSEIndex
+from repro.baselines.sse import pack_signed, unpack_signed
 from repro.crypto import generate_key
 from repro.edbms import CostCounter
 
@@ -88,3 +92,73 @@ class TestSSE:
         index.add(b"kw", words)
         opened = index.open_records(index.search(index.token(b"kw")))
         assert opened == [words]
+
+
+def postings_of(index):
+    """``_postings`` with the ciphertext arrays made comparable."""
+    return {token: {serial: record.tolist()
+                    for serial, record in postings.items()}
+            for token, postings in index._postings.items()}
+
+
+signed_word = st.integers(min_value=-2**63, max_value=2**63 - 1)
+item = st.tuples(st.sampled_from([b"a", b"b", b"c", b"node:7"]),
+                 st.tuples(signed_word, signed_word, signed_word))
+
+
+class TestBlockKernels:
+    @given(first=st.lists(item, max_size=12), second=st.lists(item,
+                                                              max_size=12))
+    @settings(max_examples=60, deadline=None)
+    def test_bulk_and_grouped_equal_per_item_add(self, first, second):
+        """Same key, three ways of filing, one index state: tokens,
+        serials, ciphertext words, counters and storage."""
+        one, one_counter = make_index(4)
+        bulk, bulk_counter = make_index(4)
+        grouped, grouped_counter = make_index(4)
+        for batch in (first, second):  # the second lands on a used index
+            serials = [one.add(keyword, words) for keyword, words in batch]
+            assert bulk.add_bulk(batch).tolist() == serials
+            keywords = sorted({keyword for keyword, __ in batch})
+            words = np.asarray(
+                [[pack_signed(w) for w in words] for __, words in batch],
+                dtype=np.uint64).reshape(len(batch), 3)
+            assert grouped.add_grouped(
+                keywords, [keywords.index(keyword) for keyword, __ in batch],
+                words).tolist() == serials
+        assert postings_of(bulk) == postings_of(one)
+        assert postings_of(grouped) == postings_of(one)
+        for index, counter in ((bulk, bulk_counter),
+                               (grouped, grouped_counter)):
+            assert counter.as_dict() == one_counter.as_dict()
+            assert index.storage_bytes() == one.storage_bytes()
+            # Posting lists fill in serial order, as per-item adds do.
+            for token, postings in one._postings.items():
+                assert list(index._postings[token]) == list(postings)
+
+    def test_block_open_equals_per_record_decrypt(self):
+        index, counter = make_index(5)
+        rng = np.random.default_rng(5)
+        triples = [tuple(int(w) for w in row) for row in
+                   rng.integers(-2**63, 2**63, (40, 3), dtype=np.int64)]
+        triples[0] = (-1, -2**63, 2**63 - 1)
+        index.add_bulk([(b"kw", words) for words in triples])
+        records = index.search(index.token(b"kw"))
+        counter.reset()
+        block = index.open_records(records)
+        assert counter.qpf_uses == len(records)
+        # One record at a time takes the scalar keystream path.
+        assert block == [index.open_records([record])[0]
+                         for record in records]
+        assert block == index.reveal_records(records)
+        assert [tuple(unpack_signed(w) for w in words)
+                for words in block] == triples
+        assert index.open_records([]) == []
+
+    def test_remove_finds_negative_first_words(self):
+        index, __ = make_index()
+        index.add_bulk([(b"kw", (-5, 1, 0)), (b"kw", (7, 2, 0)),
+                        (b"kw", (-5, 3, 0))])
+        assert index.remove(b"kw", -5) == 2
+        assert index.open_records(index.search(index.token(b"kw"))) \
+            == [(7, 2, 0)]
