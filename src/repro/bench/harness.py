@@ -30,9 +30,8 @@ from ..edbms.costs import CostCounter, CostModel, DEFAULT_COST_MODEL
 from ..edbms.owner import DataOwner
 from ..edbms.qpf import (
     CrossingLatency,
-    QPFShardPool,
     QueryProcessingFunction,
-    TrustedMachine,
+    build_trusted_machine,
 )
 from ..edbms.schema import PlainTable
 from ..workloads.queries import distinct_comparison_thresholds
@@ -104,22 +103,10 @@ class Testbed:
         self.owner = DataOwner(key=generate_key(seed))
         self.counter = CostCounter()
         self.cost_model = cost_model
-        cache_options = {}
-        if column_cache_bytes is not None:
-            cache_options["column_cache_bytes"] = column_cache_bytes
-        if qpf_workers is not None:
-            pool_options = dict(cache_options)
-            if qpf_min_shard_tuples is not None:
-                pool_options["min_shard_tuples"] = qpf_min_shard_tuples
-            trusted_machine = QPFShardPool(
-                self.owner.key, self.counter, num_workers=qpf_workers,
-                latency=qpf_latency, **pool_options)
-        else:
-            trusted_machine = TrustedMachine(self.owner.key, self.counter,
-                                             latency=qpf_latency,
-                                             **cache_options)
-        self._trusted_machine = trusted_machine
-        self.qpf = QueryProcessingFunction(trusted_machine)
+        self._trusted_machine = build_trusted_machine(
+            self.owner.key, self.counter, qpf_workers, qpf_latency,
+            qpf_min_shard_tuples, column_cache_bytes)
+        self.qpf = QueryProcessingFunction(self._trusted_machine)
         self.table = self.owner.encrypt_table(table)
         self.prkb: dict[str, PRKBIndex] = {}
         for position, attribute in enumerate(indexed_attributes):

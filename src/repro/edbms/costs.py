@@ -263,30 +263,6 @@ class CostModel:
         """Simulated elapsed time in milliseconds (paper plots use ms)."""
         return self.simulated_seconds(counter) * 1e3
 
-    def critical_path_seconds(self, counter: CostCounter) -> float:
-        """Simulated elapsed time along the parallel critical path.
-
-        Identical to :meth:`simulated_seconds` except that the QPF and
-        roundtrip terms are priced from the *wall* counters
-        (``parallel_wall_qpf_uses`` / ``parallel_wall_roundtrips``) — the
-        longest single-shard chain — instead of the serial totals.  The
-        SP-side terms (comparisons, SSE lookups, ...) are not sharded and
-        keep their serial prices.  Equal to :meth:`simulated_seconds`
-        whenever no shard pool is in play.
-        """
-        return (
-            counter.parallel_wall_qpf_uses * self.qpf_cost
-            + counter.sse_lookups * self.sse_lookup_cost
-            + counter.tuples_retrieved * self.tuple_retrieval_cost
-            + counter.comparisons * self.comparison_cost
-            + counter.index_updates * self.index_update_cost
-            + counter.mpc_messages * self.mpc_message_cost
-            + counter.parallel_wall_roundtrips * self.roundtrip_cost
-            + counter.wal_records * self.wal_record_cost
-            + counter.wal_fsyncs * self.fsync_cost
-            + counter.checkpoints_written * self.checkpoint_cost
-        )
-
 
 DEFAULT_COST_MODEL = CostModel()
 

@@ -38,7 +38,8 @@ from .wal import (
     read_wal,
 )
 from .journal import IndexJournal, TableJournal
-from .checkpoint import CheckpointError, atomic_write_bytes, fsync_dir
+from ..persistence import atomic_write_bytes, fsync_dir
+from .checkpoint import CheckpointError
 from .recovery import RecoveryManager, RecoveryStats
 from .manager import DurabilityManager
 

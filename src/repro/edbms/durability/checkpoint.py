@@ -34,21 +34,18 @@ import numpy as np
 from ..persistence import (
     _atomic_savez,
     atomic_write_text,
-    fsync_dir,
-    materialize_separators,
-    serialize_separators,
-    _jsonable,
+    index_state,
+    load_arrays,
+    restore_table,
+    table_state,
 )
 
 __all__ = [
-    "CheckpointError", "atomic_write_bytes", "fsync_dir",
+    "CheckpointError",
     "write_index_checkpoint", "read_index_checkpoint",
     "write_table_checkpoint", "read_table_checkpoint",
     "drop_stale_generations",
 ]
-
-# Re-exported for the package namespace; persistence owns the helpers.
-from ..persistence import atomic_write_bytes  # noqa: E402,F401
 
 _CHECKPOINT_FORMAT = 1
 
@@ -80,146 +77,76 @@ def drop_stale_generations(directory: Path, stem: str,
 
 
 # --------------------------------------------------------------------- #
-# PRKB index checkpoints                                                 #
+# the checkpoint layout: <stem>.<generation>.npz, then <stem>.json       #
 # --------------------------------------------------------------------- #
 
-def write_index_checkpoint(directory, stem: str, index,
-                           generation: int, faults=None) -> dict:
-    """Checkpoint one PRKB index as generation ``generation``.
-
-    Writes ``<stem>.<generation>.npz`` (chain members + offsets) then
-    commits ``<stem>.json`` atomically.  The metadata includes the full
-    separator list, the sampling-RNG state and ``wal_generation ==
+def _generation_fields(stem: str, generation: int) -> dict:
+    """What a checkpoint's metadata adds to the serialized state: its
+    generation, the data file it belongs to, and ``wal_generation ==
     generation`` — the WAL segment that continues this checkpoint must
-    carry the same generation in its header.
-    """
+    carry the same generation in its header."""
+    return {"generation": int(generation),
+            "data_file": _data_name(stem, generation),
+            "wal_generation": int(generation)}
+
+
+def _commit(directory, stem: str, faults, meta: dict, arrays: dict) -> dict:
+    """Write the data file, then the metadata rename that commits it."""
     directory = Path(directory)
-    chain = [partition.uids for partition in index.pop]
-    offsets = np.cumsum([0] + [len(c) for c in chain]).astype(np.int64)
-    members = (np.concatenate(chain) if chain
-               else np.zeros(0, dtype=np.uint64))
-    data_file = _data_name(stem, generation)
-    _atomic_savez(directory / data_file, faults=faults,
-                  crash_point="checkpoint.data",
-                  members=members, offsets=offsets)
-    meta = {
-        "format": _CHECKPOINT_FORMAT,
-        "kind": "prkb-index-checkpoint",
-        "table": index.table.name,
-        "attribute": index.attribute,
-        "generation": int(generation),
-        "data_file": data_file,
-        "wal_generation": int(generation),
-        "max_partitions": index.max_partitions,
-        "early_stop": index.early_stop,
-        "cap_policy": index.cap_policy,
-        "separators": serialize_separators(index._separators),
-        "rng_state": _jsonable(index.rng_state()),
-    }
+    _atomic_savez(directory / meta["data_file"], faults=faults,
+                  crash_point="checkpoint.data", **arrays)
     atomic_write_text(directory / f"{stem}.json",
                       json.dumps(meta), faults=faults,
                       crash_point="checkpoint.meta")
     return meta
+
+
+def _read(directory, stem: str, kind: str, what: str) -> tuple[dict, dict]:
+    """``(metadata, arrays)`` of the committed checkpoint of ``stem``."""
+    meta_path = Path(directory) / f"{stem}.json"
+    try:
+        meta = json.loads(meta_path.read_text())
+    except FileNotFoundError:
+        raise CheckpointError(f"missing checkpoint {meta_path}") from None
+    if meta.get("kind") != kind:
+        raise CheckpointError(f"{meta_path} is not {what}")
+    data_path = meta_path.with_name(meta["data_file"])
+    try:
+        return meta, load_arrays(data_path)
+    except FileNotFoundError:
+        raise CheckpointError(
+            f"{meta_path} references missing data file {data_path}"
+        ) from None
+
+
+def write_index_checkpoint(directory, stem: str, index,
+                           generation: int, faults=None) -> dict:
+    """Checkpoint one PRKB index (chain members + offsets, separators,
+    sampling-RNG state) as generation ``generation``."""
+    return _commit(directory, stem, faults, *index_state(
+        index, _CHECKPOINT_FORMAT, "prkb-index-checkpoint",
+        **_generation_fields(stem, generation)))
 
 
 def read_index_checkpoint(directory, stem: str
                           ) -> tuple[dict, np.ndarray, np.ndarray]:
-    """Load (metadata, chain members, offsets) for one index checkpoint."""
-    directory = Path(directory)
-    meta_path = directory / f"{stem}.json"
-    try:
-        meta = json.loads(meta_path.read_text())
-    except FileNotFoundError:
-        raise CheckpointError(f"missing checkpoint {meta_path}") from None
-    if meta.get("kind") != "prkb-index-checkpoint":
-        raise CheckpointError(f"{meta_path} is not an index checkpoint")
-    data_path = directory / meta["data_file"]
-    try:
-        with np.load(data_path) as data:
-            members = data["members"].astype(np.uint64)
-            offsets = data["offsets"].astype(np.int64)
-    except FileNotFoundError:
-        raise CheckpointError(
-            f"{meta_path} references missing data file {data_path}"
-        ) from None
-    return meta, members, offsets
+    """Load (metadata, chain members, offsets) for one index checkpoint;
+    :func:`repro.edbms.persistence.restore_index` materializes them."""
+    meta, arrays = _read(directory, stem, "prkb-index-checkpoint",
+                         "an index checkpoint")
+    return meta, arrays["members"], arrays["offsets"]
 
-
-def restore_index(meta: dict, members: np.ndarray, offsets: np.ndarray,
-                  table, qpf):
-    """Materialize a :class:`~repro.core.prkb.PRKBIndex` from checkpoint
-    parts (chain, separators, RNG state) — no QPF calls."""
-    from ...core.partitions import PartialOrderPartitions
-    from ...core.prkb import PRKBIndex
-
-    index = PRKBIndex(table, qpf, meta["attribute"],
-                      max_partitions=meta["max_partitions"],
-                      early_stop=meta["early_stop"],
-                      cap_policy=meta.get("cap_policy", "freeze"),
-                      seed=None)
-    index.pop = PartialOrderPartitions.from_segments(members, offsets)
-    index._separators = materialize_separators(meta["separators"])
-    if meta.get("rng_state") is not None:
-        index.set_rng_state(meta["rng_state"])
-    return index
-
-
-# --------------------------------------------------------------------- #
-# encrypted table checkpoints                                            #
-# --------------------------------------------------------------------- #
 
 def write_table_checkpoint(directory, stem: str, table,
                            generation: int, faults=None) -> dict:
     """Checkpoint one encrypted table as generation ``generation``."""
-    directory = Path(directory)
-    arrays = {"uids": np.asarray(table.uids)}
-    for attr in table.attribute_names:
-        ciphertexts, __ = table.ciphertexts_for(attr, table.uids)
-        arrays[f"col:{attr}"] = ciphertexts
-    data_file = _data_name(stem, generation)
-    _atomic_savez(directory / data_file, faults=faults,
-                  crash_point="checkpoint.data", **arrays)
-    meta = {
-        "format": _CHECKPOINT_FORMAT,
-        "kind": "encrypted-table-checkpoint",
-        "name": table.name,
-        "attribute_names": list(table.attribute_names),
-        "generation": int(generation),
-        "data_file": data_file,
-        "wal_generation": int(generation),
-    }
-    atomic_write_text(directory / f"{stem}.json",
-                      json.dumps(meta), faults=faults,
-                      crash_point="checkpoint.meta")
-    return meta
+    return _commit(directory, stem, faults, *table_state(
+        table, _CHECKPOINT_FORMAT, "encrypted-table-checkpoint",
+        **_generation_fields(stem, generation)))
 
 
 def read_table_checkpoint(directory, stem: str):
     """Load (metadata, EncryptedTable) for one table checkpoint."""
-    from ..encryption import EncryptedTable
-
-    directory = Path(directory)
-    meta_path = directory / f"{stem}.json"
-    try:
-        meta = json.loads(meta_path.read_text())
-    except FileNotFoundError:
-        raise CheckpointError(f"missing checkpoint {meta_path}") from None
-    if meta.get("kind") != "encrypted-table-checkpoint":
-        raise CheckpointError(f"{meta_path} is not a table checkpoint")
-    data_path = directory / meta["data_file"]
-    try:
-        with np.load(data_path) as data:
-            uids = data["uids"].astype(np.uint64)
-            ciphertexts = {attr: data[f"col:{attr}"].astype(np.uint64)
-                           for attr in meta["attribute_names"]}
-    except FileNotFoundError:
-        raise CheckpointError(
-            f"{meta_path} references missing data file {data_path}"
-        ) from None
-    table = EncryptedTable(
-        name=meta["name"],
-        attribute_names=tuple(meta["attribute_names"]),
-        uids=uids,
-        ciphertexts=ciphertexts,
-    )
-    return meta, table
+    meta, arrays = _read(directory, stem, "encrypted-table-checkpoint",
+                         "a table checkpoint")
+    return meta, restore_table(meta, arrays)

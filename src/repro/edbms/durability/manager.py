@@ -25,6 +25,12 @@ import re
 from pathlib import Path
 
 from ..costs import CostCounter
+from ..persistence import atomic_write_text
+from .checkpoint import (
+    drop_stale_generations,
+    write_index_checkpoint,
+    write_table_checkpoint,
+)
 from .faults import FaultInjector
 from .journal import IndexJournal, TableJournal
 from .wal import FsyncPolicy, WALWriter
@@ -90,8 +96,6 @@ class DurabilityManager:
         return json.loads(self.manifest_path.read_text())
 
     def _write_manifest(self, manifest: dict) -> None:
-        from ..persistence import atomic_write_text
-
         self._ensure_layout()
         atomic_write_text(self.manifest_path,
                           json.dumps(manifest, indent=2))
@@ -135,10 +139,6 @@ class DurabilityManager:
     def table_journal(self, name: str) -> TableJournal | None:
         return self._table_journals.get(name)
 
-    def index_journal(self, table_name: str,
-                      attribute: str) -> IndexJournal | None:
-        return self._index_journals.get((table_name, attribute))
-
     # -- checkpoints -------------------------------------------------------- #
 
     def _next_generation(self, key: str, directory: Path, stem: str) -> int:
@@ -179,19 +179,14 @@ class DurabilityManager:
 
     def checkpoint_table(self, table) -> None:
         """Write a fresh table checkpoint and truncate its WAL."""
-        from .checkpoint import drop_stale_generations, write_table_checkpoint
-
         tracer = None if self.counter is None else self.counter.tracer
         if tracer is not None:
             with tracer.span("checkpoint.table", table=table.name):
-                self._checkpoint_table(table, drop_stale_generations,
-                                       write_table_checkpoint)
+                self._checkpoint_table(table)
         else:
-            self._checkpoint_table(table, drop_stale_generations,
-                                   write_table_checkpoint)
+            self._checkpoint_table(table)
 
-    def _checkpoint_table(self, table, drop_stale_generations,
-                          write_table_checkpoint) -> None:
+    def _checkpoint_table(self, table) -> None:
         generation = self._next_generation(f"table:{table.name}",
                                            self.tables_dir, table.name)
         write_table_checkpoint(self.tables_dir, table.name, table,
@@ -213,20 +208,15 @@ class DurabilityManager:
     def checkpoint_index(self, index) -> None:
         """Write a fresh index checkpoint, truncate its WAL, attach its
         journal (creating one on first call)."""
-        from .checkpoint import drop_stale_generations, write_index_checkpoint
-
         tracer = None if self.counter is None else self.counter.tracer
         if tracer is not None:
             with tracer.span("checkpoint.index", table=index.table.name,
                              attribute=index.attribute):
-                self._checkpoint_index(index, drop_stale_generations,
-                                       write_index_checkpoint)
+                self._checkpoint_index(index)
         else:
-            self._checkpoint_index(index, drop_stale_generations,
-                                   write_index_checkpoint)
+            self._checkpoint_index(index)
 
-    def _checkpoint_index(self, index, drop_stale_generations,
-                          write_index_checkpoint) -> None:
+    def _checkpoint_index(self, index) -> None:
         stem = self.index_stem(index.table.name, index.attribute)
         generation = self._next_generation(f"index:{stem}",
                                            self.indexes_dir, stem)

@@ -42,7 +42,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from ...core.partitions import PartialOrderPartitions
-from ..persistence import materialize_separators
+from ..persistence import materialize_separators, restore_index
+from .checkpoint import read_index_checkpoint, read_table_checkpoint
 from .wal import decode_op, read_wal, unpack_uids
 
 __all__ = ["RecoveryStats", "RecoveryManager",
@@ -175,8 +176,6 @@ class RecoveryManager:
     # -- tables --------------------------------------------------------- #
 
     def _recover_table(self, name: str, stats: RecoveryStats) -> None:
-        from .checkpoint import read_table_checkpoint
-
         meta, table = read_table_checkpoint(self.manager.tables_dir, name)
         wal = read_wal(self.manager.table_wal_path(name), strict=True)
         if wal.generation == meta["wal_generation"]:
@@ -193,8 +192,6 @@ class RecoveryManager:
 
     def _recover_index(self, table_name: str, attribute: str,
                        stats: RecoveryStats) -> None:
-        from .checkpoint import read_index_checkpoint, restore_index
-
         stem = self.manager.index_stem(table_name, attribute)
         meta, members, offsets = read_index_checkpoint(
             self.manager.indexes_dir, stem)

@@ -44,9 +44,8 @@ from .costs import CostCounter, CostModel, DEFAULT_COST_MODEL
 from .owner import DataOwner
 from .qpf import (
     CrossingLatency,
-    QPFShardPool,
     QueryProcessingFunction,
-    TrustedMachine,
+    build_trusted_machine,
 )
 from .schema import AttributeSpec, PlainTable, Schema
 from .server import ObservabilityEndpoint, ServiceProvider
@@ -104,20 +103,9 @@ class EncryptedDatabase:
         key = generate_key(seed)
         self.owner = DataOwner(key=key)
         self.counter = CostCounter()
-        cache_options = {}
-        if column_cache_bytes is not None:
-            cache_options["column_cache_bytes"] = column_cache_bytes
-        if qpf_workers is not None:
-            pool_options = dict(cache_options)
-            if qpf_min_shard_tuples is not None:
-                pool_options["min_shard_tuples"] = qpf_min_shard_tuples
-            self._trusted_machine = QPFShardPool(
-                key, self.counter, num_workers=qpf_workers,
-                latency=qpf_latency, **pool_options)
-        else:
-            self._trusted_machine = TrustedMachine(key, self.counter,
-                                                   latency=qpf_latency,
-                                                   **cache_options)
+        self._trusted_machine = build_trusted_machine(
+            key, self.counter, qpf_workers, qpf_latency,
+            qpf_min_shard_tuples, column_cache_bytes)
         self.qpf = QueryProcessingFunction(self._trusted_machine)
         self.server = ServiceProvider(self.qpf)
         self.cost_model = cost_model

@@ -34,6 +34,8 @@ from ..crypto.trapdoor import EncryptedPredicate
 from .encryption import EncryptedTable
 
 __all__ = ["save_table", "load_table", "save_index", "load_index",
+           "table_state", "restore_table", "index_state", "restore_index",
+           "load_arrays",
            "atomic_write_bytes", "atomic_write_text", "fsync_dir",
            "serialize_separators", "materialize_separators"]
 
@@ -65,13 +67,12 @@ def fsync_dir(path) -> None:
         os.close(fd)
 
 
-def atomic_write_bytes(path, data: bytes, faults=None,
-                       crash_point: str = "atomic") -> None:
-    """Write ``data`` to ``path`` atomically (temp file + ``os.replace``).
+def _atomic_replace(path, write, faults, crash_point: str) -> None:
+    """Run ``write(handle)`` on a temp file, fsync it, rename it over
+    ``path`` and fsync the directory.
 
     The temp file lives in the destination directory (same filesystem,
-    so the rename is atomic) and is fsynced before the rename; the
-    directory is fsynced after.  ``faults`` is an optional test-harness
+    so the rename is atomic).  ``faults`` is an optional test-harness
     hook (duck-typed ``maybe_crash(point)``) visited at
     ``"<crash_point>.before_rename"`` / ``"<crash_point>.after_rename"``.
     """
@@ -81,7 +82,7 @@ def atomic_write_bytes(path, data: bytes, faults=None,
     tmp = Path(tmp_name)
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+            write(handle)
             handle.flush()
             os.fsync(handle.fileno())
         if faults is not None:
@@ -92,6 +93,13 @@ def atomic_write_bytes(path, data: bytes, faults=None,
     finally:
         tmp.unlink(missing_ok=True)
     fsync_dir(path.parent)
+
+
+def atomic_write_bytes(path, data: bytes, faults=None,
+                       crash_point: str = "atomic") -> None:
+    """Write ``data`` to ``path`` atomically (see :func:`_atomic_replace`)."""
+    _atomic_replace(path, lambda handle: handle.write(data), faults,
+                    crash_point)
 
 
 def atomic_write_text(path, text: str, faults=None,
@@ -103,7 +111,7 @@ def atomic_write_text(path, text: str, faults=None,
 
 def _atomic_savez(path, faults=None, crash_point: str = "atomic",
                   **arrays) -> None:
-    """Atomic ``.npz`` write (write temp, fsync, rename).
+    """Atomic ``.npz`` write.
 
     The archive is what ``np.savez`` produces — one ``<name>.npy`` member
     per array, read back by ``np.load`` — except that each member is
@@ -112,33 +120,19 @@ def _atomic_savez(path, faults=None, crash_point: str = "atomic",
     members, offsets) is deflated at level 1, which on such arrays gives
     level 6's ratio to within a few percent at a tenth of its time.
     """
-    path = Path(path)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent,
-                                    prefix=f".{path.name}.", suffix=".tmp")
-    tmp = Path(tmp_name)
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            with zipfile.ZipFile(handle, "w", zipfile.ZIP_DEFLATED,
-                                 compresslevel=1) as archive:
-                for name, array in arrays.items():
-                    member = f"{name}.npy"
-                    if name.startswith(_CIPHERTEXT_PREFIX):
-                        # A bare ZipInfo is a ZIP_STORED member.
-                        member = zipfile.ZipInfo(member)
-                    with archive.open(member, "w",
-                                      force_zip64=True) as out:
-                        np.lib.format.write_array(out, np.asanyarray(array),
-                                                  allow_pickle=False)
-            handle.flush()
-            os.fsync(handle.fileno())
-        if faults is not None:
-            faults.maybe_crash(f"{crash_point}.before_rename")
-        os.replace(tmp, path)
-        if faults is not None:
-            faults.maybe_crash(f"{crash_point}.after_rename")
-    finally:
-        tmp.unlink(missing_ok=True)
-    fsync_dir(path.parent)
+    def write(handle) -> None:
+        with zipfile.ZipFile(handle, "w", zipfile.ZIP_DEFLATED,
+                             compresslevel=1) as archive:
+            for name, array in arrays.items():
+                member = f"{name}.npy"
+                if name.startswith(_CIPHERTEXT_PREFIX):
+                    # A bare ZipInfo is a ZIP_STORED member.
+                    member = zipfile.ZipInfo(member)
+                with archive.open(member, "w", force_zip64=True) as out:
+                    np.lib.format.write_array(out, np.asanyarray(array),
+                                              allow_pickle=False)
+
+    _atomic_replace(path, write, faults, crash_point)
 
 
 # --------------------------------------------------------------------- #
@@ -193,70 +187,130 @@ def materialize_separators(records: list[dict]) -> list:
 
 
 # --------------------------------------------------------------------- #
-# encrypted tables                                                       #
+# (table, chain) state <-> metadata + arrays                             #
 # --------------------------------------------------------------------- #
+#
+# One builder and one restorer per artefact serve both on-disk layouts:
+# the classic ``save_*`` pair below and the generation-numbered
+# checkpoints of :mod:`repro.edbms.durability.checkpoint`, which differ
+# in ``format`` / ``kind`` and in the ``extra`` fields a checkpoint adds.
 
-def save_table(table: EncryptedTable, path) -> None:
-    """Persist an encrypted table (ciphertexts + uids + metadata)."""
-    meta_path, data_path = _paths(path)
+def table_state(table: EncryptedTable, format_version: int, kind: str,
+                **extra) -> tuple[dict, dict]:
+    """``(metadata, arrays)`` of an encrypted table."""
     arrays = {"uids": np.asarray(table.uids)}
     for attr in table.attribute_names:
-        ciphertexts, __ = table.ciphertexts_for(attr, table.uids)
-        arrays[f"col:{attr}"] = ciphertexts
-    _atomic_savez(data_path, **arrays)
+        arrays[f"{_CIPHERTEXT_PREFIX}{attr}"] = table.full_column(attr)[0]
     meta = {
-        "format": _FORMAT_VERSION,
-        "kind": "encrypted-table",
+        "format": format_version,
+        "kind": kind,
         "name": table.name,
         "attribute_names": list(table.attribute_names),
+        **extra,
     }
-    atomic_write_text(meta_path, json.dumps(meta, indent=2))
+    return meta, arrays
 
 
-def load_table(path) -> EncryptedTable:
-    """Restore an encrypted table saved by :func:`save_table`."""
-    meta_path, data_path = _paths(path)
-    meta = json.loads(meta_path.read_text())
-    if meta.get("kind") != "encrypted-table":
-        raise ValueError(f"{meta_path} does not hold an encrypted table")
-    with np.load(data_path) as data:
-        uids = data["uids"]
-        ciphertexts = {
-            attr: data[f"col:{attr}"]
-            for attr in meta["attribute_names"]
-        }
+def restore_table(meta: dict, arrays) -> EncryptedTable:
+    """Inverse of :func:`table_state` (``arrays``: name -> array)."""
     return EncryptedTable(
         name=meta["name"],
         attribute_names=tuple(meta["attribute_names"]),
-        uids=uids,
-        ciphertexts=ciphertexts,
+        uids=arrays["uids"],
+        ciphertexts={attr: arrays[f"{_CIPHERTEXT_PREFIX}{attr}"]
+                     for attr in meta["attribute_names"]},
     )
 
 
-# --------------------------------------------------------------------- #
-# PRKB indexes                                                            #
-# --------------------------------------------------------------------- #
-
-def save_index(index, path) -> None:
-    """Persist a :class:`~repro.core.prkb.PRKBIndex` (POP + separators)."""
-    meta_path, data_path = _paths(path)
+def index_state(index, format_version: int, kind: str,
+                **extra) -> tuple[dict, dict]:
+    """``(metadata, arrays)`` of a :class:`~repro.core.prkb.PRKBIndex`:
+    the chain as (members, offsets), the separators and the sampling-RNG
+    state."""
     chain = [partition.uids for partition in index.pop]
     offsets = np.cumsum([0] + [len(c) for c in chain]).astype(np.int64)
     members = (np.concatenate(chain) if chain
                else np.zeros(0, dtype=np.uint64))
-    _atomic_savez(data_path, members=members, offsets=offsets)
     meta = {
-        "format": _FORMAT_VERSION,
-        "kind": "prkb-index",
+        "format": format_version,
+        "kind": kind,
         "table": index.table.name,
         "attribute": index.attribute,
+        **extra,
         "max_partitions": index.max_partitions,
         "early_stop": index.early_stop,
         "cap_policy": index.cap_policy,
         "separators": serialize_separators(index._separators),
         "rng_state": _jsonable(index.rng_state()),
     }
+    return meta, {"members": members, "offsets": offsets}
+
+
+def restore_index(meta: dict, members: np.ndarray, offsets: np.ndarray,
+                  table, qpf, seed: int | None = None):
+    """Inverse of :func:`index_state` — no QPF calls.
+
+    With ``seed=None`` the saved sampling-RNG state is restored (absent
+    from version-1 saves).  A chain that files one uid twice is rejected:
+    the arrays come from disk.
+    """
+    from ..core.partitions import PartialOrderPartitions
+    from ..core.prkb import PRKBIndex
+
+    index = PRKBIndex(table, qpf, meta["attribute"],
+                      max_partitions=meta["max_partitions"],
+                      early_stop=meta["early_stop"], seed=seed,
+                      cap_policy=meta.get("cap_policy", "freeze"))
+    index.pop = PartialOrderPartitions.from_segments(members, offsets)
+    distinct = index.pop.tracked_uids().size
+    if distinct != index.pop.num_tuples:
+        raise ValueError(
+            f"saved index repeats a uid ({index.pop.num_tuples} chain "
+            f"tuples over {distinct} distinct uids)")
+    index._separators = materialize_separators(meta["separators"])
+    if seed is None and meta.get("rng_state") is not None:
+        index.set_rng_state(meta["rng_state"])
+    return index
+
+
+# --------------------------------------------------------------------- #
+# the classic layout: <path>.json + <path>.npz                            #
+# --------------------------------------------------------------------- #
+
+def _save(path, meta: dict, arrays: dict) -> None:
+    meta_path, data_path = _paths(path)
+    _atomic_savez(data_path, **arrays)
     atomic_write_text(meta_path, json.dumps(meta, indent=2))
+
+
+def load_arrays(path) -> dict:
+    """Every array of one ``.npz`` archive, by name."""
+    with np.load(path) as data:
+        return {name: data[name] for name in data.files}
+
+
+def _load(path, kind: str, what: str) -> tuple[dict, dict]:
+    meta_path, data_path = _paths(path)
+    meta = json.loads(meta_path.read_text())
+    if meta.get("kind") != kind:
+        raise ValueError(f"{meta_path} does not hold {what}")
+    return meta, load_arrays(data_path)
+
+
+def save_table(table: EncryptedTable, path) -> None:
+    """Persist an encrypted table (ciphertexts + uids + metadata)."""
+    _save(path, *table_state(table, _FORMAT_VERSION, "encrypted-table"))
+
+
+def load_table(path) -> EncryptedTable:
+    """Restore an encrypted table saved by :func:`save_table`."""
+    return restore_table(*_load(path, "encrypted-table",
+                                "an encrypted table"))
+
+
+def save_index(index, path) -> None:
+    """Persist a :class:`~repro.core.prkb.PRKBIndex` (POP + separators)."""
+    _save(path, *index_state(index, _FORMAT_VERSION, "prkb-index"))
 
 
 def load_index(path, table: EncryptedTable, qpf, seed: int | None = None):
@@ -269,37 +323,21 @@ def load_index(path, table: EncryptedTable, qpf, seed: int | None = None):
     fresh deterministic stream instead (or for version-1 saves, which
     carry no RNG state).
     """
-    from ..core.partitions import PartialOrderPartitions
-    from ..core.prkb import PRKBIndex
-
-    meta_path, data_path = _paths(path)
-    meta = json.loads(meta_path.read_text())
-    if meta.get("kind") != "prkb-index":
-        raise ValueError(f"{meta_path} does not hold a PRKB index")
+    meta, arrays = _load(path, "prkb-index", "a PRKB index")
     if meta["table"] != table.name:
         raise ValueError(
             f"index was saved for table {meta['table']!r}, "
             f"got {table.name!r}"
         )
-    index = PRKBIndex(table, qpf, meta["attribute"],
-                      max_partitions=meta["max_partitions"],
-                      early_stop=meta["early_stop"], seed=seed,
-                      cap_policy=meta.get("cap_policy", "freeze"))
-    with np.load(data_path) as data:
-        members = data["members"]
-        offsets = data["offsets"]
-    stored_uids = set(members.tolist())
-    table_uids = set(table.uids.tolist())
-    if stored_uids != table_uids:
+    members = arrays["members"]
+    # Table uids are distinct, so a member list that repeats one fails
+    # this comparison too.
+    if not np.array_equal(np.sort(members), np.sort(table.uids)):
         raise ValueError(
             "saved index does not cover the loaded table's tuples "
-            f"({len(stored_uids)} saved vs {len(table_uids)} in table)"
+            f"({members.size} saved vs {table.num_rows} in table)"
         )
-    index.pop = PartialOrderPartitions.from_segments(members, offsets)
-    index._separators = materialize_separators(meta["separators"])
-    if seed is None and meta.get("rng_state") is not None:
-        index.set_rng_state(meta["rng_state"])
-    return index
+    return restore_index(meta, members, arrays["offsets"], table, qpf, seed)
 
 
 def _jsonable(state) -> object:

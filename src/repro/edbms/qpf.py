@@ -61,6 +61,7 @@ from .encryption import EncryptedTable, attribute_key
 
 __all__ = ["TrustedMachine", "QueryProcessingFunction", "QPFRequest",
            "QPFShardPool", "CrossingLatency", "PredicateLRU", "ColumnCache",
+           "build_trusted_machine",
            "PREDICATE_CACHE_SIZE", "COLUMN_CACHE_BYTES"]
 
 #: Default bound on the number of unsealed predicates an enclave keeps
@@ -352,13 +353,12 @@ class TrustedMachine:
                        uids: "np.ndarray | int", deltas: dict) -> np.ndarray:
         # Warm path: a cached decrypted column turns the request into a
         # pure position gather — zero keystream work.  Version-keyed, so
-        # any insert/delete invalidates on the next lookup; tables
-        # without a version counter (e.g. the MPC backend's shares)
-        # bypass the cache entirely.  A plain ``int`` is the one-tuple
-        # lane (QFilter probes, insert placement): a scalar position
-        # lookup and a one-cell view instead of a vector gather.
-        version = getattr(table, "version", None)
-        if version is not None and self._column_cache.budget_bytes:
+        # any insert/delete invalidates on the next lookup.  A plain
+        # ``int`` is the one-tuple lane (QFilter probes, insert
+        # placement): a scalar position lookup and a one-cell view
+        # instead of a vector gather.
+        version = table.version
+        if self._column_cache.budget_bytes:
             column = self._column_cache.get(table.name, attribute, version)
             if column is not None:
                 _bump(deltas, "column_cache_hits")
@@ -386,10 +386,7 @@ class TrustedMachine:
         *before* decrypting, so an over-budget column costs nothing here
         and simply stays on the per-request path.
         """
-        full = getattr(table, "full_column", None)
-        if full is None:
-            return None
-        ciphertexts, nonces = full(attribute)
+        ciphertexts, nonces = table.full_column(attribute)
         if not self._column_cache.admits(ciphertexts.nbytes):
             return None
         plain = np.empty(ciphertexts.size, dtype=np.uint64)
@@ -407,11 +404,10 @@ class TrustedMachine:
         tuple is evaluated here) — this is purely a wall-clock warm-up
         hook for servers that know their hot columns.  Returns whether
         the column is now resident; ``False`` when the cache is
-        disabled, the table is unversioned, or the column exceeds the
-        byte budget.
+        disabled or the column exceeds the byte budget.
         """
-        version = getattr(table, "version", None)
-        if version is None or not self._column_cache.budget_bytes:
+        version = table.version
+        if not self._column_cache.budget_bytes:
             return False
         if self._column_cache.get(table.name, attribute,
                                   version) is not None:
@@ -786,6 +782,26 @@ class QPFShardPool:
                 # siblings are still on their worker machines.
                 wait(futures)
         return parts
+
+
+def build_trusted_machine(key: SecretKey, counter: CostCounter,
+                          qpf_workers: int | None = None,
+                          qpf_latency: CrossingLatency | None = None,
+                          qpf_min_shard_tuples: int | None = None,
+                          column_cache_bytes: int | None = None
+                          ) -> "TrustedMachine | QPFShardPool":
+    """The Θ oracle an engine or testbed asks for: one machine, or a
+    :class:`QPFShardPool` when ``qpf_workers`` is given.  ``None`` leaves
+    a setting at the class default."""
+    options = {}
+    if column_cache_bytes is not None:
+        options["column_cache_bytes"] = column_cache_bytes
+    if qpf_workers is None:
+        return TrustedMachine(key, counter, latency=qpf_latency, **options)
+    if qpf_min_shard_tuples is not None:
+        options["min_shard_tuples"] = qpf_min_shard_tuples
+    return QPFShardPool(key, counter, num_workers=qpf_workers,
+                        latency=qpf_latency, **options)
 
 
 class QueryProcessingFunction:

@@ -41,125 +41,23 @@ from ..crypto.trapdoor import (
 from .costs import CostCounter
 from .qpf import PREDICATE_CACHE_SIZE, PredicateLRU, QPFRequest, \
     _bump, _evaluate_plain
+from .store import UidColumnStore
 
 __all__ = ["SecretSharedTable", "MPCQueryProcessingFunction",
            "share_table", "share_rows"]
 
 
-class SecretSharedTable:
-    """SP-side storage of a secret-shared relation.
-
-    Mirrors the parts of :class:`~repro.edbms.encryption.EncryptedTable`
-    that PRKB touches (``name``, ``attribute_names``, ``uids``,
-    ``positions``) so index code is backend-agnostic.
-    """
+class SecretSharedTable(UidColumnStore):
+    """SP-side storage of a secret-shared relation: one multiplicative
+    share per cell, plus the public per-attribute ``domain_shift``."""
 
     def __init__(self, name: str, attribute_names: tuple[str, ...],
                  uids: np.ndarray, sp_shares: dict[str, np.ndarray],
                  domain_shift: dict[str, int]):
-        self.name = name
-        self.attribute_names = tuple(attribute_names)
-        self._uids = np.asarray(uids, dtype=np.uint64)
-        self._sp_shares = {
-            attr: np.asarray(col, dtype=np.uint64)
-            for attr, col in sp_shares.items()
-        }
+        super().__init__(name, attribute_names, uids, sp_shares)
         self.domain_shift = dict(domain_shift)
-        if set(self._sp_shares) != set(self.attribute_names):
-            raise ValueError("share columns do not match attributes")
-        for attr, col in self._sp_shares.items():
-            if len(col) != len(self._uids):
-                raise ValueError(f"column {attr!r} misaligned with uids")
-        self._reindex()
-        self._next_uid = self._position_lookup.size
 
-    @property
-    def num_rows(self) -> int:
-        """Number of shared tuples stored at the SP."""
-        return len(self._uids)
-
-    @property
-    def uids(self) -> np.ndarray:
-        """All row uids (read-only view)."""
-        view = self._uids.view()
-        view.flags.writeable = False
-        return view
-
-    def _reindex(self) -> None:
-        """Rebuild the dense uid -> row-position lookup (-1 = absent):
-        uids are allocator-dense, so one gather replaces a per-uid dict
-        walk, as in :class:`~repro.edbms.encryption.EncryptedTable`."""
-        capacity = int(self._uids.max()) + 1 if len(self._uids) else 0
-        self._position_lookup = np.full(capacity, -1, dtype=np.int64)
-        self._position_lookup[self._uids] = np.arange(len(self._uids),
-                                                      dtype=np.int64)
-
-    def _known(self, uids: np.ndarray) -> np.ndarray:
-        """Mask of the (uint64) uids currently stored."""
-        known = uids < self._position_lookup.size
-        known[known] = self._position_lookup[uids[known]] >= 0
-        return known
-
-    def positions(self, uids: np.ndarray) -> np.ndarray:
-        """Physical positions of the given uids."""
-        uids = np.asarray(uids, dtype=np.uint64).ravel()
-        if uids.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        if int(uids.max()) < self._position_lookup.size:
-            pos = self._position_lookup[uids]
-            if int(pos.min()) >= 0:
-                return pos
-        raise KeyError(f"unknown uid {int(uids[~self._known(uids)][0])}")
-
-    def shares_for(self, attribute: str, uids: np.ndarray
-                   ) -> tuple[np.ndarray, np.ndarray]:
-        """(SP shares, nonce uids) for the requested rows."""
-        uids = np.asarray(uids, dtype=np.uint64)
-        return self._sp_shares[attribute][self.positions(uids)], uids
-
-    def storage_bytes(self) -> int:
-        """SP-side footprint (shares + uids)."""
-        cells = sum(col.nbytes for col in self._sp_shares.values())
-        return cells + self._uids.nbytes
-
-    # -- updates ------------------------------------------------------- #
-
-    def allocate_uids(self, count: int) -> np.ndarray:
-        """Reserve fresh uids for rows about to be inserted."""
-        fresh = np.arange(self._next_uid, self._next_uid + count,
-                          dtype=np.uint64)
-        self._next_uid += count
-        return fresh
-
-    def insert_rows(self, uids: np.ndarray,
-                    sp_shares: dict[str, np.ndarray]) -> None:
-        """Append already-shared rows (uids from :meth:`allocate_uids`)."""
-        uids = np.asarray(uids, dtype=np.uint64).ravel()
-        present = uids[self._known(uids)]
-        if present.size:
-            raise ValueError(f"uid {int(present[0])} already present")
-        columns = {}
-        for attr in self.attribute_names:
-            col = np.asarray(sp_shares[attr], dtype=np.uint64)
-            if len(col) != len(uids):
-                raise ValueError(f"column {attr!r} misaligned")
-            columns[attr] = np.concatenate([self._sp_shares[attr], col])
-        self._uids = np.concatenate([self._uids, uids])
-        self._sp_shares = columns
-        self._reindex()
-
-    def delete_rows(self, uids: np.ndarray) -> None:
-        """Remove rows by uid."""
-        doomed = np.unique(np.asarray(uids, dtype=np.uint64))
-        missing = doomed[~self._known(doomed)]
-        if missing.size:
-            raise KeyError(f"unknown uids: {missing[:5].tolist()}")
-        keep = np.ones(len(self._uids), dtype=bool)
-        keep[self._position_lookup[doomed]] = False
-        self._uids = self._uids[keep]
-        for attr in self.attribute_names:
-            self._sp_shares[attr] = self._sp_shares[attr][keep]
-        self._reindex()
+    shares_for = UidColumnStore.cells_for
 
 
 def share_rows(key: SecretKey, table: SecretSharedTable,

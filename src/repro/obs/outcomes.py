@@ -109,23 +109,14 @@ def build_atom(table: str, strategy: str, steps, sql_hash: str,
             actual = int(step_actuals[position])
         elif len(steps) == 1:
             actual = int(actual_qpf)
-        # Hybrid alternatives are (kind, cost, leakage) triples; legacy
-        # and provenance entries are (kind, cost) pairs.  Preserve the
-        # leakage estimate when present so the ledger stays replayable.
-        alternatives = []
-        for entry in step.alternatives:
-            if len(entry) >= 3:
-                alternatives.append([entry[0], int(entry[1]),
-                                     float(entry[2])])
-            else:
-                alternatives.append([entry[0], int(entry[1])])
         encoded.append({
             "key": key,
             "kind": step.kind,
             "estimated": int(step.estimated_qpf),
             "actual": actual,
             "cached": bool(step.cached),
-            "alternatives": alternatives,
+            "alternatives": [[kind, int(cost), float(leakage)]
+                             for kind, cost, leakage in step.alternatives],
         })
         leakage = float(getattr(step, "leakage", 0.0))
         if leakage:

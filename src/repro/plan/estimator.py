@@ -84,8 +84,8 @@ class CostEstimator:
 
         Returns ``(corrected, raw)`` where ``raw`` is the uncorrected
         estimate when a factor applied, else ``None`` — the planner
-        records ``raw`` as ``("uncorrected", raw)`` provenance in the
-        step's alternatives.  With no corrections loaded (the default)
+        records ``raw`` as ``("uncorrected", raw, leakage)`` provenance
+        in the chosen step's alternatives.  With no corrections loaded (the default)
         this is the identity.
         """
         corrections = self.corrections

@@ -5,7 +5,10 @@
 :class:`PhysicalPlan`, so rendered estimates are the estimates the
 executor ran with and nothing ever plans twice.
 
-Dispatch (per residual predicate, adaptive à la Enc2DB):
+Dispatch (per residual predicate, adaptive à la Enc2DB — one candidate
+ranking, :meth:`Planner._dispatch_scheme`, whatever the strategy; with
+hybrid execution on it also ranks OPE / Log-SRC-i / MPC candidates under
+the leakage budget, see :mod:`repro.plan.schemes`):
 
 * unindexed attribute → :class:`LinearScanOp` (the only legal operator);
 * indexed predicate the equivalence cache already knows →
@@ -81,6 +84,16 @@ _STRATEGIES = ("auto", "md", "sd+", "baseline",
                "prkb", "scan", "ope", "src", "mpc")
 _SCHEME_STRATEGIES = ("prkb", "scan", "ope", "src", "mpc")
 _HYBRID_ONLY = ("ope", "src", "mpc")
+
+#: The operator that executes a dispatched ``PlanStep.kind``.
+_STEP_OPERATORS = {
+    "prkb-sd": PRKBSelectOp,
+    "prkb-between": PRKBSelectOp,
+    "baseline-scan": LinearScanOp,
+    OPE_KIND: OPECompareOp,
+    SRC_KIND: SRCStructureOp,
+    MPC_KIND: MPCShareOp,
+}
 
 
 class PhysicalPlan:
@@ -444,7 +457,7 @@ class Planner:
         ops: list[PhysicalOperator] = []
         steps: list[PlanStep] = []
 
-        grid_alternatives: tuple = ()
+        composed = None
         use_md = (strategy in ("auto", "md", "sd+")
                   and len(dimensions) >= (1 if strategy != "auto" else 2))
         if use_md and strategy == "auto":
@@ -460,8 +473,6 @@ class Planner:
                 for d in dimensions for condition in d.conditions())
             if grid_cost > composed:
                 use_md = False
-            else:
-                grid_alternatives = (("prkb-sd", composed),)
         if strategy == "baseline" or (dimensions and not use_md):
             # Grid rejected: every predicate goes through the
             # per-condition pipeline in original statement order.
@@ -478,97 +489,62 @@ class Planner:
                                            bonus=(mode == "md"))
             estimated, raw = estimator.corrected_qpf(table, kind, attrs,
                                                      estimated)
-            if raw is not None:
-                grid_alternatives += (("uncorrected", raw),)
+            # Each bounded dimension reveals a two-cut band, through the
+            # grid or composed one predicate at a time.
+            leakage = (2 * len(attrs) / max(1, scan_cost)
+                       if self.hybrid is not None else 0.0)
             step = PlanStep(
                 kind=kind,
                 attributes=attrs,
                 indexed=True,
                 partitions=min(ks),
                 estimated_qpf=estimated,
-                alternatives=grid_alternatives,
-                # Each bounded dimension reveals a two-cut band.
-                leakage=(2 * len(attrs) / max(1, scan_cost)
-                         if self.hybrid is not None else 0.0),
+                alternatives=tuple(
+                    (rejected, cost, leakage) for rejected, cost in
+                    (("prkb-sd", composed), ("uncorrected", raw))
+                    if cost is not None),
+                leakage=leakage,
             )
             steps.append(step)
             ops.append(GridIntersectOp(table, dimensions, mode, step))
 
         for condition in residual:
-            op = self._dispatch_condition(table, condition, strategy,
-                                          scan_cost)
+            op = self._dispatch_scheme(table, condition, strategy,
+                                       scan_cost)
             ops.append(op)
             steps.append(op.step)
         return ops, steps
 
-    def _dispatch_condition(self, table: str, condition, strategy: str,
-                            scan_cost: int) -> PhysicalOperator:
-        """Cost-based PRKB / cache-hit / linear-scan choice for one
-        predicate (the Enc2DB-style adaptive dispatch)."""
-        if strategy in _SCHEME_STRATEGIES or (
-                strategy == "auto" and self.hybrid is not None):
-            return self._dispatch_scheme(table, condition, strategy,
-                                         scan_cost)
-        attribute = condition.attribute
-        indexed = (strategy != "baseline"
-                   and self.server.has_index(table, attribute))
-        if not indexed:
-            step = PlanStep("baseline-scan", (attribute,), False, None,
-                            scan_cost)
-            return LinearScanOp(table, condition, step)
-        index = self.server.index(table, attribute)
-        k = index.num_partitions
-        kind = ("prkb-between"
-                if isinstance(condition, BetweenCondition) else "prkb-sd")
-        prkb_cost = self.estimator.comparison_qpf(table, attribute)
-        prkb_cost, raw = self.estimator.corrected_qpf(
-            table, kind, (attribute,), prkb_cost)
-        provenance = (("uncorrected", raw),) if raw is not None else ()
-        if kind == "prkb-sd" and self.estimator.is_cached(table, condition):
-            # A predicate the equivalence cache already knows is one
-            # chain slice: 0 QPF, not a cold NS-pair scan.
-            step = PlanStep(kind, (attribute,), True, k, 0, cached=True,
-                            alternatives=((kind, prkb_cost),
-                                          ("baseline-scan", scan_cost)))
-            return CacheHitOp(table, condition, step)
-        effective = min(prkb_cost, scan_cost) if index.can_grow \
-            else prkb_cost
-        if effective <= scan_cost:
-            step = PlanStep(kind, (attribute,), True, k, effective,
-                            alternatives=(("baseline-scan", scan_cost),)
-                            + provenance)
-            return PRKBSelectOp(table, condition, step)
-        # Degenerate index (capped chain pricier than the scan, and no
-        # refinement to buy): the adaptive dispatch drops to the scan.
-        step = PlanStep("baseline-scan", (attribute,), False, None,
-                        scan_cost, alternatives=((kind, prkb_cost),)
-                        + provenance)
-        return LinearScanOp(table, condition, step)
-
     def _dispatch_scheme(self, table: str, condition, strategy: str,
                          scan_cost: int) -> PhysicalOperator:
-        """Scheme-registry dispatch for one predicate.
+        """Scheme-registry dispatch for one predicate (adaptive à la
+        Enc2DB): every strategy ranks its candidates here.
 
-        Builds the full candidate list — PRKB (when indexed), linear
-        scan, and (when hybrid artifacts are reachable) OPE compare,
-        Log-SRC-i probe and MPC share — each carrying a corrected cost
-        estimate and an RPOI leakage estimate.  Under ``auto`` the
-        cheapest candidate *admissible under the leakage budget* wins
-        (ties prefer registry order, PRKB first); a forced scheme
+        Builds the candidate list — PRKB (when indexed), linear scan,
+        and (when hybrid artifacts are reachable) OPE compare, Log-SRC-i
+        probe and MPC share — each carrying a corrected cost estimate
+        and an RPOI leakage estimate.  The cheapest candidate
+        *admissible under the leakage budget* wins (ties prefer registry
+        order, PRKB first; a growable chain is never priced above the
+        scan, since scanning would freeze the index); a forced scheme
         strategy bypasses admissibility but still records and charges
-        its leakage.  Every rejected candidate lands in
+        its leakage.  The paper's own strategies — and ``auto`` with
+        hybrid off — rank PRKB against the scan with no budget and no
+        leakage model.  Every rejected candidate lands in
         ``PlanStep.alternatives`` as a ``(kind, cost, leakage)`` triple.
         """
-        hybrid = self.hybrid
         estimator = self.estimator
         attribute = condition.attribute
         between = isinstance(condition, BetweenCondition)
         prkb_kind = "prkb-between" if between else "prkb-sd"
-        reveal = condition_cuts(condition) / max(1, scan_cost)
-        indexed = self.server.has_index(table, attribute)
+        forced = strategy if strategy in _SCHEME_STRATEGIES else None
+        hybrid = self.hybrid if forced or strategy == "auto" else None
+        reveal = (condition_cuts(condition) / max(1, scan_cost)
+                  if forced or hybrid is not None else 0.0)
+        indexed = (strategy != "baseline"
+                   and self.server.has_index(table, attribute))
 
         candidates: list[SchemeCandidate] = []
-        factories: dict[str, object] = {}
         provenance: dict[str, tuple] = {}
 
         partitions = None
@@ -579,64 +555,57 @@ class Planner:
                 table, prkb_kind, (attribute,),
                 estimator.comparison_qpf(table, attribute))
             if raw is not None:
-                provenance[prkb_kind] = (("uncorrected", raw),)
+                provenance[prkb_kind] = (("uncorrected", raw, reveal),)
             effective = min(cost, scan_cost) if index.can_grow else cost
             candidates.append(
                 SchemeCandidate("prkb", prkb_kind, effective, reveal))
-            factories[prkb_kind] = \
-                lambda step: PRKBSelectOp(table, condition, step)
         candidates.append(
             SchemeCandidate("scan", "baseline-scan", scan_cost, reveal))
-        factories["baseline-scan"] = \
-            lambda step: LinearScanOp(table, condition, step)
 
         if hybrid is not None:
-            scheme_factories = {
-                OPE_KIND: lambda step: OPECompareOp(table, condition,
-                                                    step),
-                SRC_KIND: lambda step: SRCStructureOp(table, condition,
-                                                      step),
-                MPC_KIND: lambda step: MPCShareOp(table, condition, step),
-            }
             for candidate in hybrid.scheme_estimates(table, condition,
                                                      estimator):
                 cost, raw = estimator.corrected_qpf(
                     table, candidate.kind, (attribute,), candidate.cost)
                 if raw is not None:
-                    provenance[candidate.kind] = (("uncorrected", raw),)
+                    provenance[candidate.kind] = (
+                        ("uncorrected", raw, candidate.leakage),)
                     candidate = SchemeCandidate(
                         candidate.scheme, candidate.kind, cost,
                         candidate.leakage)
-                factories[candidate.kind] = \
-                    scheme_factories[candidate.kind]
                 candidates.append(candidate)
 
-        if (indexed and not between and strategy in ("auto", "prkb")
+        if (indexed and not between and forced in (None, "prkb")
                 and estimator.is_cached(table, condition)):
-            # Equivalence-cache hit: the repeat costs ~0 QPF and reveals
-            # no *new* cut — the adversary already saw this result set.
+            # Equivalence-cache hit: the repeat is one chain slice — 0
+            # QPF, not a cold NS-pair scan — and reveals no *new* cut:
+            # the adversary already saw this result set.
             alternatives = (tuple(c.as_alternative() for c in candidates)
                             + provenance.get(prkb_kind, ()))
             step = PlanStep(prkb_kind, (attribute,), True, partitions, 0,
                             cached=True, alternatives=alternatives)
             return CacheHitOp(table, condition, step)
 
-        if strategy in _SCHEME_STRATEGIES:
+        if forced:
             chosen = next((c for c in candidates
-                           if c.scheme == strategy), None)
+                           if c.scheme == forced), None)
             if chosen is None:
                 # Forced PRKB on an unindexed attribute: only the scan
                 # is physically legal; the miss shows in alternatives.
                 chosen = next(c for c in candidates if c.scheme == "scan")
         else:
-            ledger = hybrid.ledger
-            admissible = [c for c in candidates
-                          if ledger.admits(table, c.leakage)]
-            # MPC (leakage 0) is always admissible, so the pool is never
-            # empty while hybrid is on; the fallbacks are belt-and-braces.
-            pool = (admissible
-                    or [c for c in candidates if c.leakage <= 0.0]
-                    or candidates)
+            pool = candidates
+            if hybrid is not None:
+                ledger = hybrid.ledger
+                # MPC (leakage 0) is always admissible, so the pool is
+                # never empty while hybrid is on; the fallbacks are
+                # belt-and-braces.
+                pool = ([c for c in candidates
+                         if ledger.admits(table, c.leakage)]
+                        or [c for c in candidates if c.leakage <= 0.0]
+                        or candidates)
+            # A degenerate index (capped chain pricier than the scan,
+            # and no refinement to buy) loses to the scan here.
             chosen = min(pool, key=lambda c: c.cost)
 
         alternatives = (tuple(c.as_alternative() for c in candidates
@@ -647,4 +616,4 @@ class Planner:
                         partitions if chosen.kind == prkb_kind else None,
                         chosen.cost, alternatives=alternatives,
                         leakage=chosen.leakage)
-        return factories[chosen.kind](step)
+        return _STEP_OPERATORS[chosen.kind](table, condition, step)

@@ -32,10 +32,8 @@ class PlanStep:
     #: The planner expects the SP's equivalence cache to answer this step
     #: (a repeat of a known predicate): estimated cost collapses to ~0.
     cached: bool = False
-    #: Strategies the cost-based dispatch considered and rejected.
-    #: Legacy entries are ``(kind, estimated_qpf)`` pairs; hybrid
-    #: dispatch records ``(kind, estimated_qpf, leakage)`` triples so
-    #: every rejected scheme carries both cost and leakage.
+    #: Strategies the cost-based dispatch considered and rejected, as
+    #: ``(kind, estimated_qpf, leakage)`` triples.
     alternatives: tuple = ()
     #: Estimated RPOI revealed by executing this step (0.0 outside
     #: hybrid dispatch; see ``repro.plan.schemes`` for the model).
@@ -55,14 +53,10 @@ class PlanStep:
         """The rejected strategies, one ``kind ~cost`` clause each."""
         if not self.alternatives:
             return ""
-        clauses = []
-        for entry in self.alternatives:
-            if len(entry) >= 3:
-                kind, cost, leakage = entry[0], entry[1], entry[2]
-                clauses.append(f"{kind} ~{cost} QPF leak={leakage:.4g}")
-            else:
-                kind, cost = entry
-                clauses.append(f"{kind} ~{cost} QPF")
+        clauses = [
+            f"{kind} ~{cost} QPF" + (f" leak={leakage:.4g}" if leakage
+                                     else "")
+            for kind, cost, leakage in self.alternatives]
         return f"rejected: {', '.join(clauses)}"
 
 

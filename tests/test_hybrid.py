@@ -72,11 +72,34 @@ class TestHybridOffDefaults:
             with pytest.raises(RuntimeError, match="hybrid"):
                 db.query(WORKLOAD[0], strategy=strategy)
 
-    def test_default_plans_carry_no_leakage_or_triples(self, db):
+    def test_default_plans_carry_no_leakage(self, db):
         plan = db.planner.plan(parse_select(WORKLOAD[0]))
         assert plan.steps[0].leakage == 0.0
-        for entry in plan.steps[0].alternatives:
-            assert len(entry) == 2
+        assert plan.steps[0].alternatives
+        for kind, cost, leakage in plan.steps[0].alternatives:
+            assert leakage == 0.0
+
+    @pytest.mark.parametrize("hybrid", [False, True])
+    def test_every_alternative_is_a_triple(self, db, hybrid):
+        if hybrid:
+            db.enable_hybrid()
+        db.query(WORKLOAD[0], strategy="prkb")  # a cached step as well
+        seen = 0
+        for strategy in ("auto", "md", "sd+", "baseline") + FORCED:
+            if strategy in ("ope", "src", "mpc") and not hybrid:
+                continue
+            for sql in WORKLOAD + (
+                    "SELECT * FROM t WHERE X > 10 AND X < 9000 "
+                    "AND Y > 10 AND Y < 9000",):
+                plan = db.planner.plan(parse_select(sql), strategy)
+                for step in plan.steps:
+                    for kind, cost, leakage in step.alternatives:
+                        assert isinstance(kind, str) and cost >= 0
+                        assert leakage >= 0.0
+                        seen += 1
+                    assert step.render_alternatives().count("~") \
+                        == len(step.alternatives)
+        assert seen
 
     def test_forced_prkb_and_scan_work_without_hybrid(self, db):
         for strategy in ("prkb", "scan"):

@@ -92,12 +92,12 @@ class TestApplyCorrections:
         assert step.estimated_qpf == min(
             round(raw.estimated_qpf * factor),
             db.planner.estimator.scan_qpf("t"))  # refinement credit
-        assert ("uncorrected", raw.estimated_qpf) in step.alternatives
+        assert ("uncorrected", raw.estimated_qpf, 0.0) in step.alternatives
         db.clear_corrections()
         again = db.explain("SELECT * FROM t WHERE X < 500").steps[0]
         assert again.estimated_qpf == raw.estimated_qpf
         assert all(kind != "uncorrected"
-                   for kind, __ in again.alternatives)
+                   for kind, __, __ in again.alternatives)
 
     def test_apply_invalidates_cached_plans(self):
         db = _db(seed=2)

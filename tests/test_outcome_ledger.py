@@ -34,7 +34,7 @@ def _atom(i=0, tenant="local", estimated=100, actual=120):
         attributes = ("X",)
         estimated_qpf = estimated
         cached = False
-        alternatives = (("baseline-scan", 400),)
+        alternatives = (("baseline-scan", 400, 0.0),)
 
     return build_atom("t", "auto", [Step()], statement_hash(f"q{i}"),
                       tenant, estimated, actual, 1.5, 10, ts=1000.0 + i)
@@ -165,7 +165,7 @@ class TestEngineWiring:
         [step] = atom["steps"]
         assert step["key"] == step_key("t", "prkb-sd", ("X",))
         assert step["actual"] == atom["actual_qpf"] > 0
-        assert ("baseline-scan", 200) in \
+        assert ("baseline-scan", 200, 0.0) in \
             [tuple(alt) for alt in step["alternatives"]]
         db.close()
         assert db.ledger.closed  # close() flushed and closed the ledger
@@ -201,6 +201,21 @@ class TestEngineWiring:
         assert replayed.corrections() == live.corrections()
         assert replayed.report()["error_p90"] == \
             live.report()["error_p90"]
+
+    def test_store_load_accepts_atoms_with_pair_alternatives(self,
+                                                             tmp_path):
+        """Ledgers written before alternatives became triples hold
+        two-element entries; they must still replay."""
+        ledger = PlanOutcomeLedger(tmp_path / "ledger")
+        for i in range(6):
+            atom = _atom(i)
+            atom["steps"][0]["alternatives"] = [["baseline-scan", 400]]
+            ledger.append(atom)
+        ledger.close()
+        replayed = OutcomeStore.load(tmp_path / "ledger", min_samples=5)
+        assert replayed.atoms == 6
+        assert list(replayed.corrections()) == [step_key("t", "prkb-sd",
+                                                         ("X",))]
 
     @staticmethod
     def _metered_db():

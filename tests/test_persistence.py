@@ -2,6 +2,7 @@
 
 import json
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,12 +18,19 @@ from repro.edbms.durability.checkpoint import (
 from repro.edbms.persistence import (
     load_index,
     load_table,
+    restore_index,
     save_index,
     save_table,
 )
 from repro.workloads import uniform_table
 
 from conftest import plain_lookup
+
+# The serializer under the classic layout is the one under checkpoints:
+# CI's fault-injection job runs both.
+pytestmark = pytest.mark.durability
+
+DATA = Path(__file__).parent / "data"
 
 
 def make_bed(seed=0, warm=20):
@@ -212,3 +220,119 @@ class TestArchiveFormat:
         _as_parent_wrote(tmp_path)
         parent = sum(f.stat().st_size for f in tmp_path.glob("*.npz"))
         assert current <= 1.02 * parent
+
+
+def _names(archive_path):
+    with zipfile.ZipFile(archive_path) as archive:
+        return sorted(archive.namelist())
+
+
+class TestFormatsPinned:
+    """Both layouts write exactly the keys and members they always did."""
+
+    def test_classic_layout(self, tmp_path):
+        bed = make_bed(seed=14)
+        save_table(bed.table, tmp_path / "t")
+        save_index(bed.prkb["X"], tmp_path / "ix")
+        meta = json.loads((tmp_path / "t.json").read_text())
+        assert set(meta) == {"format", "kind", "name", "attribute_names"}
+        assert (meta["format"], meta["kind"]) == (2, "encrypted-table")
+        assert _names(tmp_path / "t.npz") \
+            == ["col:X.npy", "col:Y.npy", "uids.npy"]
+        meta = json.loads((tmp_path / "ix.json").read_text())
+        assert set(meta) == {
+            "format", "kind", "table", "attribute", "max_partitions",
+            "early_stop", "cap_policy", "separators", "rng_state"}
+        assert (meta["format"], meta["kind"]) == (2, "prkb-index")
+        assert _names(tmp_path / "ix.npz") == ["members.npy", "offsets.npy"]
+
+    def test_checkpoint_layout(self, tmp_path):
+        bed = make_bed(seed=14)
+        write_table_checkpoint(tmp_path, "ck", bed.table, generation=7)
+        write_index_checkpoint(tmp_path, "ck.X", bed.prkb["X"],
+                               generation=7)
+        generation = {"generation": 7, "wal_generation": 7}
+        meta = json.loads((tmp_path / "ck.json").read_text())
+        assert set(meta) == {"format", "kind", "name", "attribute_names",
+                             "generation", "data_file", "wal_generation"}
+        assert (meta["format"], meta["kind"]) \
+            == (1, "encrypted-table-checkpoint")
+        assert meta.items() >= dict(generation,
+                                    data_file="ck.7.npz").items()
+        assert _names(tmp_path / "ck.7.npz") \
+            == ["col:X.npy", "col:Y.npy", "uids.npy"]
+        meta = json.loads((tmp_path / "ck.X.json").read_text())
+        assert set(meta) == {
+            "format", "kind", "table", "attribute", "generation",
+            "data_file", "wal_generation", "max_partitions", "early_stop",
+            "cap_policy", "separators", "rng_state"}
+        assert (meta["format"], meta["kind"]) \
+            == (1, "prkb-index-checkpoint")
+        assert meta.items() >= dict(generation,
+                                    data_file="ck.X.7.npz").items()
+        assert _names(tmp_path / "ck.X.7.npz") \
+            == ["members.npy", "offsets.npy"]
+
+
+class TestParentFixtures:
+    """``tests/data/parent_*`` were written by the commit before the two
+    serializers became one: an 8-row table ``t`` (seed 3), index on X
+    after ``X < 30`` and ``X < 60``."""
+
+    CHAIN = [[0, 5, 6], [7], [1, 2, 3, 4]]
+
+    @staticmethod
+    def _bed():
+        return Testbed(uniform_table("t", 8, ["X"], domain=(1, 100), seed=3),
+                       ["X"], seed=3)
+
+    def _check(self, bed, index):
+        assert [p.uids.tolist() for p in index.pop] == self.CHAIN
+        assert index.num_separators == 2
+        index.pop.check_invariants(plain_lookup(bed, "X"))
+        trapdoor = bed.owner.comparison_trapdoor("X", "<", 45)
+        got = SingleDimensionProcessor(index).select(trapdoor)
+        values = bed.plain.columns["X"]
+        assert sorted(got.tolist()) \
+            == sorted(bed.plain.uids[values < 45].tolist())
+
+    def test_classic_pair_loads(self):
+        bed = self._bed()
+        self._check(bed, load_index(DATA / "parent_index", bed.table,
+                                    bed.qpf))
+
+    def test_checkpoint_pair_loads(self):
+        bed = self._bed()
+        meta, members, offsets = read_index_checkpoint(DATA, "parent_ckpt")
+        assert meta["wal_generation"] == 4
+        self._check(bed, restore_index(meta, members, offsets, bed.table,
+                                       bed.qpf))
+
+
+class TestRepeatedMember:
+    """A chain that files one uid twice must not load (either layout)."""
+
+    @staticmethod
+    def _repeat_last_member(archive_path):
+        with np.load(archive_path) as data:
+            members, offsets = data["members"], data["offsets"].copy()
+        offsets[-1] += 1
+        np.savez(archive_path, members=np.append(members, members[0]),
+                 offsets=offsets)
+
+    def test_load_index_rejects(self, tmp_path):
+        bed = make_bed(seed=15, warm=5)
+        save_index(bed.prkb["X"], tmp_path / "ix")
+        self._repeat_last_member(tmp_path / "ix.npz")
+        with pytest.raises(ValueError, match="does not cover"):
+            load_index(tmp_path / "ix", bed.table, bed.qpf)
+
+    def test_checkpoint_restore_rejects(self, tmp_path):
+        bed = make_bed(seed=15, warm=5)
+        write_index_checkpoint(tmp_path, "ck.X", bed.prkb["X"],
+                               generation=1)
+        self._repeat_last_member(tmp_path / "ck.X.1.npz")
+        meta, members, offsets = read_index_checkpoint(tmp_path, "ck.X")
+        assert members.size == bed.table.num_rows + 1
+        with pytest.raises(ValueError, match="repeats a uid"):
+            restore_index(meta, members, offsets, bed.table, bed.qpf)

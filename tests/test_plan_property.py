@@ -67,10 +67,10 @@ def test_chosen_strategy_within_bound_of_rejected(workload, seed):
                 continue
             # The dispatch picked the cheapest estimate on the table...
             assert step.estimated_qpf <= min(
-                cost for _, cost in step.alternatives)
+                cost for _, cost, _ in step.alternatives)
             # ...and the pick's real cost stays within the documented
             # bound of the *worst* rejected alternative's estimate.
-            worst = max(cost for _, cost in step.alternatives)
+            worst = max(cost for _, cost, _ in step.alternatives)
             assert analyzed.actual_qpf <= \
                 ESTIMATE_BOUND * worst + ESTIMATE_SLACK
 
