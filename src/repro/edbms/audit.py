@@ -104,34 +104,28 @@ def attach_audit_log(server) -> AuditLog:
     transparently.
     """
     log = AuditLog()
-    original_select = server.select
-    original_baseline = server.select_baseline
-    original_range = server.select_range
 
-    def select(table_name, trapdoor, update=True):
-        before = server.counter.snapshot()
-        result = original_select(table_name, trapdoor, update=update)
-        log.record("select", table_name, (trapdoor.attribute,),
-                   int(result.size), server.counter.diff(before))
-        return result
+    def audited(name: str, operation: str, attributes_of):
+        original = getattr(server, name)
 
-    def select_baseline(table_name, trapdoor):
-        before = server.counter.snapshot()
-        result = original_baseline(table_name, trapdoor)
-        log.record("baseline", table_name, (trapdoor.attribute,),
-                   int(result.size), server.counter.diff(before))
-        return result
+        def wrapper(table_name, query, *args, **kwargs):
+            # This thread's own charges only: a sibling serving thread
+            # on the same counter never lands in the entry.
+            with server.counter.measure() as spent:
+                result = original(table_name, query, *args, **kwargs)
+            log.record(operation, table_name, attributes_of(query),
+                       int(result.size), spent)
+            return result
 
-    def select_range(table_name, query, strategy="md", update=True):
-        before = server.counter.snapshot()
-        result = original_range(table_name, query, strategy=strategy,
-                                update=update)
-        attributes = tuple(dimension.attribute for dimension in query)
-        log.record("select_range", table_name, attributes,
-                   int(result.size), server.counter.diff(before))
-        return result
+        setattr(server, name, wrapper)
 
-    server.select = select
-    server.select_baseline = select_baseline
-    server.select_range = select_range
+    def of_trapdoor(trapdoor):
+        return (trapdoor.attribute,)
+
+    def of_range(query):
+        return tuple(dimension.attribute for dimension in query)
+
+    audited("select", "select", of_trapdoor)
+    audited("select_baseline", "baseline", of_trapdoor)
+    audited("select_range", "select_range", of_range)
     return log

@@ -166,7 +166,10 @@ class CostCounter:
         try:
             yield tally
         finally:
-            stack.remove(tally)
+            # Scopes nest strictly per thread, so this one is on top.
+            # Never ``remove(tally)``: tallies compare by value, and a
+            # nested scope usually equals the one enclosing it.
+            stack.pop()
 
     def reset(self) -> None:
         """Zero every counter in place."""

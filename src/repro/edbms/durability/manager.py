@@ -203,7 +203,7 @@ class DurabilityManager:
             journal.writer.reset(generation)
         drop_stale_generations(self.tables_dir, table.name, generation)
         if self.counter is not None:
-            self.counter.checkpoints_written += 1
+            self.counter.charge(checkpoints_written=1)
 
     def checkpoint_index(self, index) -> None:
         """Write a fresh index checkpoint, truncate its WAL, attach its
@@ -239,7 +239,7 @@ class DurabilityManager:
         journal.reset_baseline()
         drop_stale_generations(self.indexes_dir, stem, generation)
         if self.counter is not None:
-            self.counter.checkpoints_written += 1
+            self.counter.charge(checkpoints_written=1)
 
     def checkpoint_all(self, server) -> None:
         """Checkpoint every registered table and index; truncate all WALs."""

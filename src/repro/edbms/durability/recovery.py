@@ -146,10 +146,11 @@ class RecoveryManager:
             self.manager.recovering = False
         counter = self.manager.counter
         if counter is not None:
-            counter.recovery_records_replayed += stats.wal_records_replayed
-            counter.recovery_torn_bytes += stats.torn_bytes_dropped
-            counter.recovery_orphan_repairs += (stats.orphans_reindexed
-                                                + stats.orphans_dropped)
+            counter.charge(
+                recovery_records_replayed=stats.wal_records_replayed,
+                recovery_torn_bytes=stats.torn_bytes_dropped,
+                recovery_orphan_repairs=(stats.orphans_reindexed
+                                         + stats.orphans_dropped))
         return stats
 
     def _recover_phases(self, manifest, stats, tracer=None) -> None:

@@ -33,13 +33,15 @@ from ..obs import (
 )
 from ..plan import (
     TRAPDOOR_MEMO_SIZE,
-    PhysicalPlan,
+    HybridDispatch,
     PlanAnalysis,
     Planner,
     PlanStep,
     QueryPlan,
+    SecurityBudget,
     StepAnalysis,
 )
+from ..plan.planner import PLAN_METRICS, plan_metric
 from .costs import CostCounter, CostModel, DEFAULT_COST_MODEL
 from .owner import DataOwner
 from .qpf import (
@@ -134,10 +136,6 @@ class EncryptedDatabase:
         self.outcomes: OutcomeStore | None = None
         self._ledger: PlanOutcomeLedger | None = None
         self._outcome_clock = time.time
-        #: Shared hybrid artifact cache (``None`` until
-        #: :meth:`enable_hybrid`); survives :meth:`disable_hybrid` so
-        #: re-enabling reuses materialized artifacts.
-        self._hybrid_materializer = None
 
     # -- observability ------------------------------------------------------- #
 
@@ -152,7 +150,8 @@ class EncryptedDatabase:
         batcher, the shard pool, WAL writers, recovery — starts emitting
         spans/metrics with no further wiring.  Until this is called, the
         instrumented hot paths cost one ``is None`` test and allocate
-        nothing.  Idempotent: re-enabling returns the existing handles.
+        nothing.  Like every ``enable_*`` it attaches once and lives
+        until :meth:`close`: a repeat call returns the same handles.
         """
         if self.tracer is not None:
             return self.tracer, self.metrics
@@ -161,27 +160,19 @@ class EncryptedDatabase:
         self.counter.tracer = self.tracer
         self.counter.metrics = self.metrics
         self._register_metrics(self.metrics)
-        self._bind_outcome_metrics()
+        self._bind_metrics(self.outcomes, self._ledger, *self._serving)
         return self.tracer, self.metrics
 
-    def disable_observability(self) -> None:
-        """Remove tracer + registry; hot paths go back to zero-cost."""
-        self.tracer = None
-        self.metrics = None
-        # Instance attributes shadow the ClassVar defaults; dropping them
-        # restores ``None`` without touching other databases' counters.
-        self.counter.__dict__.pop("tracer", None)
-        self.counter.__dict__.pop("metrics", None)
-        self._bind_outcome_metrics()
-
-    def _bind_outcome_metrics(self) -> None:
-        """Point the outcome store and ledger at the current registry
-        (``None`` after :meth:`disable_observability` unbinds both), so
-        the ``enable_*`` call order never decides what is metered."""
-        if self.outcomes is not None:
-            self.outcomes.bind_metrics(self.metrics)
-        if self._ledger is not None:
-            self._ledger.bind_metrics(self.metrics)
+    def _bind_metrics(self, *parts) -> None:
+        """Point ``parts`` (outcome store, ledger, serving attachments;
+        ``None`` entries are skipped) at the registry, if there is one.
+        Called both when a part attaches and when observability is
+        enabled, so the call order never decides what is metered."""
+        if self.metrics is not None:
+            for part in parts:
+                bind = getattr(part, "bind_metrics", None)
+                if bind is not None:
+                    bind(self.metrics)
 
     def _register_metrics(self, registry: MetricsRegistry) -> None:
         """Mirror the live counter into callback gauges + derived series."""
@@ -241,20 +232,8 @@ class EncryptedDatabase:
                            buckets=DEFAULT_RATIO_BUCKETS)
         # Planner telemetry: pre-register so /metrics shows the series
         # (at zero) before the first planned query after enabling.
-        registry.counter("repro_plan_cache_hits_total",
-                         "physical plans served from the plan cache")
-        registry.counter("repro_plan_cache_misses_total",
-                         "plan-cache misses (fresh planning runs)")
-        registry.counter("repro_plan_cache_invalidations_total",
-                         "cached plans dropped on fingerprint mismatch")
-        registry.counter("repro_plan_fastpath_total",
-                         "plan-cache hits dispatched without cost "
-                         "estimation")
-        registry.histogram("repro_plan_fingerprint_seconds",
-                           "wall time of plan-cache fingerprint checks")
-        registry.counter("repro_plan_strategy_total",
-                         "executed plan steps by dispatched strategy",
-                         ("strategy",))
+        for name in PLAN_METRICS:
+            plan_metric(registry, name)
 
     def observability_endpoint(self) -> "ObservabilityEndpoint":
         """An HTTP-ready introspection surface for this database.
@@ -291,7 +270,8 @@ class EncryptedDatabase:
         for deterministic tests).  Recording is pure post-execution
         bookkeeping: it spends no QPF and never changes planning —
         estimates only move when :meth:`apply_corrections` is called
-        explicitly.  Idempotent while enabled.
+        explicitly.  Attaches once: a repeat call returns the live
+        store and changes nothing.
         """
         if self.outcomes is not None:
             return self.outcomes
@@ -302,17 +282,8 @@ class EncryptedDatabase:
                 max_segments=max_segments)
         if clock is not None:
             self._outcome_clock = clock
-        if self.metrics is not None:
-            self._bind_outcome_metrics()
+        self._bind_metrics(self.outcomes, self._ledger)
         return self.outcomes
-
-    def disable_outcomes(self) -> None:
-        """Stop outcome recording; closes the ledger if one is attached."""
-        if self._ledger is not None:
-            self._ledger.close()
-            self._ledger = None
-        self.outcomes = None
-        self._outcome_clock = time.time
 
     @property
     def ledger(self) -> PlanOutcomeLedger | None:
@@ -324,7 +295,8 @@ class EncryptedDatabase:
 
         ``corrections=None`` pulls them from the live outcome store
         (:meth:`~repro.obs.OutcomeStore.corrections`); an explicit dict
-        (e.g. from a ledger replayed elsewhere) is used as-is.  The plan
+        (e.g. from a ledger replayed elsewhere) is used as-is, and an
+        empty one restores the uncorrected analytic model.  The plan
         cache is invalidated — corrections change estimates without
         touching catalog fingerprints, so stale plans cannot be
         revalidated away.  Sessions created *after* this call inherit
@@ -340,11 +312,6 @@ class EncryptedDatabase:
         self.planner.estimator.corrections = corrections or None
         self.planner.invalidate_plans()
         return corrections
-
-    def clear_corrections(self) -> None:
-        """Restore the uncorrected analytic cost model (and replan)."""
-        self.planner.estimator.corrections = None
-        self.planner.invalidate_plans()
 
     def enable_hybrid(self, budget=None):
         """Turn on scheme-adaptive hybrid execution (Enc²DB direction).
@@ -363,59 +330,41 @@ class EncryptedDatabase:
 
         Hybrid is strictly opt-in: without this call, planning and
         execution are bit-identical to the pure PRKB-vs-scan dispatch.
+        Once on it stays on, and the leakage ledger is never reset: a
+        repeat call with the same budget returns the same dispatch, a
+        different budget is accepted only while no RPOI has been spent
+        and raises afterwards.
         """
-        from ..plan.schemes import HybridDispatch, SecurityBudget
         from .hybrid import HybridMaterializer
 
-        if budget is None or isinstance(budget, SecurityBudget):
-            budget_obj = budget if budget is not None else SecurityBudget()
-        else:
-            budget_obj = SecurityBudget(max_rpoi=float(budget))
-        if self._hybrid_materializer is None:
-            self._hybrid_materializer = HybridMaterializer(
+        budget = SecurityBudget.coerce(budget)
+        current = self.planner.hybrid
+        if current is None:
+            materializer = HybridMaterializer(
                 self.owner, self.server, self.counter, seed=self._seed)
-        dispatch = HybridDispatch(self._hybrid_materializer, budget_obj)
+        elif current.budget == budget:
+            return current
+        elif current.ledger.snapshot():
+            raise RuntimeError(
+                f"leakage already spent under {current.budget}; the "
+                f"budget cannot change to {budget} on a live database")
+        else:
+            materializer = current.materializer
+        dispatch = HybridDispatch(materializer, budget)
         self.planner.hybrid = dispatch
         self.planner.invalidate_plans()
         return dispatch
 
-    def disable_hybrid(self) -> None:
-        """Back to pure PRKB-vs-scan dispatch (materialized artifacts
-        are kept — re-enabling reuses them at their versions)."""
-        self.planner.hybrid = None
-        self.planner.invalidate_plans()
-
     @property
     def hybrid(self):
         """The active :class:`~repro.plan.schemes.HybridDispatch`
-        (``None`` while hybrid execution is off)."""
+        (``None`` until :meth:`enable_hybrid`)."""
         return self.planner.hybrid
 
     def scheme_stats(self) -> dict:
         """Per-scheme QPF attribution tallies (hybrid executions only)."""
-        if self._hybrid_materializer is None:
-            return {}
-        return self._hybrid_materializer.scheme_stats()
-
-    def _record_outcome(self, plan: PhysicalPlan, sql: str,
-                        actual_qpf: int, wall_ms: float, rows: int,
-                        tenant: str | None,
-                        step_actuals=None) -> None:
-        """Build one knowledge atom and feed the ledger + store."""
-        store = self.outcomes
-        ledger = self._ledger
-        if store is None and ledger is None:
-            return
-        atom = build_atom(
-            table=plan.statement.table, strategy=plan.strategy,
-            steps=plan.steps, sql_hash=statement_hash(sql),
-            tenant=tenant or "local", estimated_qpf=plan.estimated_qpf,
-            actual_qpf=actual_qpf, wall_ms=wall_ms, rows=rows,
-            ts=self._outcome_clock(), step_actuals=step_actuals)
-        if ledger is not None and not ledger.closed:
-            ledger.append(atom)
-        if store is not None:
-            store.ingest(atom)
+        hybrid = self.planner.hybrid
+        return {} if hybrid is None else hybrid.materializer.scheme_stats()
 
     # -- durability ---------------------------------------------------------- #
 
@@ -518,9 +467,12 @@ class EncryptedDatabase:
         ``attachment`` needs a ``close()`` that blocks until its
         in-flight work has finished; attachments close in reverse
         registration order (servers before the session manager they
-        dispatch into).
+        dispatch into).  One that has a ``bind_metrics(registry)`` is
+        handed the metrics registry now, or when observability is
+        enabled later.
         """
         self._serving.append(attachment)
+        self._bind_metrics(attachment)
 
     def column_cache_stats(self) -> dict:
         """Decrypted-column cache statistics of the trusted machine.
@@ -605,7 +557,6 @@ class EncryptedDatabase:
 
     def _query_with(self, planner: Planner, sql: str,
                     strategy: str = "auto",
-                    measured: bool = False,
                     tenant: str | None = None) -> QueryAnswer:
         """Parse/plan/execute through a specific planner.
 
@@ -614,77 +565,81 @@ class EncryptedDatabase:
         namespace) so tenants never share plan caches or indexes.
         ``tenant`` labels the query's knowledge atom when outcome
         tracking is enabled (``None`` records as ``"local"``).
-
-        ``measured=False`` accounts per-query cost as a global counter
-        snapshot/diff — exact, and bit-identical to the historical
-        behavior, but only when no sibling query runs concurrently.
-        ``measured=True`` accounts through a thread-local
-        :meth:`CostCounter.measure` scope instead: every ``charge`` made
-        by *this* thread lands in a private tally, so per-query
-        ``qpf_uses`` stays exact while other worker threads charge the
-        same counter.
         """
-        statement = self._parse(sql)
-        counter = self.counter
-        tracer = counter.tracer
-        metrics = counter.metrics
-        timed = metrics is not None or self.outcomes is not None \
-            or self._ledger is not None
-        start = time.perf_counter() if timed else 0.0
-        query_id = None
+        plan, uids, value, spent, wall, query_id = self._run(
+            planner, sql, strategy, "query")
+        return self._finish(planner, plan, sql, uids, value, spent, wall,
+                            query_id, tenant)
+
+    def _run(self, planner: Planner, sql: str, strategy: str,
+             span_name: str, audit: list | None = None):
+        """The one statement path: every entry point (:meth:`query`,
+        session queries, :meth:`explain_analyze`) runs
+        :meth:`_run_statement`, inside a ``span_name`` span when a
+        tracer is installed.  Returns ``(plan, uids, value, spent,
+        wall_seconds, query_id)``."""
+        tracer = self.counter.tracer
         if tracer is None:
+            return (*self._run_statement(planner, sql, strategy, audit),
+                    None)
+        # Planning runs inside the span so the planner's
+        # ``plan.fingerprint`` child lands in the same trace.
+        with tracer.span(span_name, sql=sql, strategy=strategy) as span:
+            plan, uids, value, spent, wall = self._run_statement(
+                planner, sql, strategy, audit)
+            # Totals go in attrs, not cost: span costs stay exclusive
+            # (phase spans below already own every QPF use).
+            span.set(qpf_uses=spent.qpf_uses,
+                     qpf_roundtrips=spent.qpf_roundtrips,
+                     rows=int(uids.size))
+            return plan, uids, value, spent, wall, span.trace_id
+
+    def _run_statement(self, planner: Planner, sql: str, strategy: str,
+                       audit: list | None):
+        """parse → plan → execute in one :meth:`CostCounter.measure`
+        scope: ``spent`` holds exactly the calling thread's charges, so
+        per-statement cost is exact whether or not sibling threads are
+        charging the same counter."""
+        start = time.perf_counter()
+        statement = self._parse(sql)
+        with self.counter.measure() as spent:
             plan = planner.plan(statement, strategy)
-            ctx = planner.execution_context()
-            if measured:
-                with counter.measure() as spent:
-                    uids, value = plan.execute(ctx)
-            else:
-                before = counter.snapshot()
-                uids, value = plan.execute(ctx)
-                spent = counter.diff(before)
-        else:
-            # Planning runs inside the query span so the planner's
-            # ``plan.fingerprint`` child lands in the same trace.
-            with tracer.span("query", sql=sql, strategy=strategy) as span:
-                plan = planner.plan(statement, strategy)
-                ctx = planner.execution_context()
-                if measured:
-                    with counter.measure() as spent:
-                        uids, value = plan.execute(ctx)
-                else:
-                    before = counter.snapshot()
-                    uids, value = plan.execute(ctx)
-                    spent = counter.diff(before)
-                # Totals go in attrs, not cost: span costs stay exclusive
-                # (phase spans below already own every QPF use).
-                span.set(qpf_uses=spent.qpf_uses,
-                         qpf_roundtrips=spent.qpf_roundtrips,
-                         rows=int(uids.size))
-                query_id = span.trace_id
+            uids, value = plan.execute(planner.execution_context(audit))
+        return plan, uids, value, spent, time.perf_counter() - start
+
+    def _finish(self, planner: Planner, plan, sql: str, uids, value,
+                spent: CostCounter, wall: float, query_id, tenant,
+                step_actuals=None) -> QueryAnswer:
+        """What every executed statement leaves behind, once: strategy
+        tallies (and hybrid leakage charges), the latency and
+        estimate-error histograms, one knowledge atom — and the answer.
+        """
         planner.record_execution(plan)
-        wall = time.perf_counter() - start if timed else 0.0
+        metrics = self.counter.metrics
         if metrics is not None:
             metrics.histogram("repro_query_latency_seconds").observe(wall)
-            self._record_estimate_error(plan, spent.qpf_uses)
-        if self.outcomes is not None or self._ledger is not None:
-            self._record_outcome(plan, sql, spent.qpf_uses, wall * 1e3,
-                                 int(uids.size), tenant)
+            metrics.histogram(
+                "repro_plan_estimate_error_ratio",
+                buckets=DEFAULT_RATIO_BUCKETS,
+            ).observe((spent.qpf_uses + 1) / (plan.estimated_qpf + 1))
+        store = self.outcomes
+        if store is not None:
+            atom = build_atom(
+                table=plan.statement.table, strategy=plan.strategy,
+                steps=plan.steps, sql_hash=statement_hash(sql),
+                tenant=tenant or "local",
+                estimated_qpf=plan.estimated_qpf,
+                actual_qpf=spent.qpf_uses, wall_ms=wall * 1e3,
+                rows=int(uids.size), ts=self._outcome_clock(),
+                step_actuals=step_actuals)
+            ledger = self._ledger
+            if ledger is not None and not ledger.closed:
+                ledger.append(atom)
+            store.ingest(atom)
         return QueryAnswer(
-            uids=uids,
-            value=value,
-            qpf_uses=spent.qpf_uses,
+            uids=uids, value=value, qpf_uses=spent.qpf_uses,
             simulated_ms=self.cost_model.simulated_millis(spent),
-            query_id=query_id,
-        )
-
-    def _record_estimate_error(self, plan: PhysicalPlan,
-                               actual_qpf: int) -> None:
-        """Feed the planner-quality histogram (metrics enabled only)
-        from the *executed* plan — no second planning pass."""
-        self.counter.metrics.histogram(
-            "repro_plan_estimate_error_ratio",
-            buckets=DEFAULT_RATIO_BUCKETS,
-        ).observe((actual_qpf + 1) / (plan.estimated_qpf + 1))
+            query_id=query_id)
 
     def execute_many(self, statements: list[str], strategy: str = "auto",
                      window: int | None = None) -> list[QueryAnswer]:
@@ -760,37 +715,12 @@ class EncryptedDatabase:
         resolution after a filtered MIN/MAX) is reported as a trailing
         synthetic step so the per-step actuals always sum to the total.
         """
-        statement = self._parse(sql)
         audit: list[tuple[tuple[str, ...], int, float]] = []
-        tracer = self.counter.tracer
-        before = self.counter.snapshot()
-        start = time.perf_counter()
-        query_id = None
-        if tracer is None:
-            physical = self.planner.plan(statement, strategy)
-            ctx = self.planner.execution_context(audit=audit)
-            uids, value = physical.execute(ctx)
-            spent = self.counter.diff(before)
-        else:
-            # Planning runs inside the span: the ``plan.fingerprint``
-            # child is part of the analyzed trace.
-            with tracer.span("explain_analyze", sql=sql,
-                             strategy=strategy) as span:
-                physical = self.planner.plan(statement, strategy)
-                ctx = self.planner.execution_context(audit=audit)
-                uids, value = physical.execute(ctx)
-                spent = self.counter.diff(before)
-                span.set(qpf_uses=spent.qpf_uses, rows=int(uids.size))
-                query_id = span.trace_id
-        plan = physical.query_plan()
-        self.planner.record_execution(physical)
-        wall_ms = (time.perf_counter() - start) * 1e3
-        answer = QueryAnswer(
-            uids=uids, value=value, qpf_uses=spent.qpf_uses,
-            simulated_ms=self.cost_model.simulated_millis(spent),
-            query_id=query_id)
+        physical, uids, value, spent, wall, query_id = self._run(
+            self.planner, sql, strategy, "explain_analyze", audit)
+        wall_ms = wall * 1e3
         steps = []
-        for position, step in enumerate(plan.steps):
+        for position, step in enumerate(physical.steps):
             if position < len(audit):
                 __, qpf, seconds = audit[position]
                 steps.append(StepAnalysis(step, qpf, seconds * 1e3))
@@ -798,26 +728,18 @@ class EncryptedDatabase:
                 # Planned but never executed (e.g. a prior step emptied
                 # the candidate set) — actuals are genuinely zero.
                 steps.append(StepAnalysis(step, 0, 0.0))
-        accounted = sum(s.actual_qpf for s in steps)
-        residual = spent.qpf_uses - accounted
+        # The audit gives exact per-step actuals, so even multi-step
+        # plans yield an *exact* atom the corrector can learn from.
+        answer = self._finish(
+            self.planner, physical, sql, uids, value, spent, wall,
+            query_id, None, step_actuals=[s.actual_qpf for s in steps])
+        residual = spent.qpf_uses - sum(s.actual_qpf for s in steps)
         if residual:
             steps.append(StepAnalysis(
                 PlanStep("aggregate-resolve", ("*",), False, None, 0),
                 residual, max(0.0, wall_ms - sum(s.wall_ms for s in steps))))
-        metrics = self.counter.metrics
-        if metrics is not None:
-            metrics.histogram(
-                "repro_plan_estimate_error_ratio",
-                buckets=DEFAULT_RATIO_BUCKETS,
-            ).observe((spent.qpf_uses + 1) / (plan.estimated_qpf + 1))
-        if self.outcomes is not None or self._ledger is not None:
-            # The audit gives exact per-step actuals, so even multi-step
-            # plans yield an *exact* atom the corrector can learn from.
-            self._record_outcome(
-                physical, sql, spent.qpf_uses, wall_ms, int(uids.size),
-                None, step_actuals=[
-                    s.actual_qpf for s in steps[:len(physical.steps)]])
-        return PlanAnalysis(plan=plan, steps=tuple(steps), answer=answer)
+        return PlanAnalysis(plan=physical.query_plan(), steps=tuple(steps),
+                            answer=answer)
 
     # -- result materialisation (DO side) ------------------------------------ #
 

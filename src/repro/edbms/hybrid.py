@@ -32,7 +32,6 @@ attribution sums to the global counter.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -68,8 +67,8 @@ class HybridMaterializer:
         self._mpc: dict[tuple[str, str], tuple] = {}
         self._mpc_qpf: MPCQueryProcessingFunction | None = None
         self._tally_lock = threading.Lock()
-        self._scheme_qpf = {scheme: 0 for scheme in SCHEMES}
-        self._scheme_steps = {scheme: 0 for scheme in SCHEMES}
+        self._tallies = {scheme: {"qpf_uses": 0, "steps": 0}
+                         for scheme in SCHEMES}
 
     # -- catalog helpers --------------------------------------------
 
@@ -266,26 +265,18 @@ class HybridMaterializer:
 
     # -- per-scheme QPF attribution ---------------------------------
 
-    @contextmanager
-    def tally(self, scheme: str):
-        """Attribute the QPF spent inside the block to ``scheme``.
-
-        Reads the calling thread's own :meth:`CostCounter.measure`
-        scope, so sessions running hybrid steps side by side never bill
-        each other's QPF.
-        """
-        with self.counter.measure() as spent:
-            try:
-                yield
-            finally:
-                with self._tally_lock:
-                    self._scheme_qpf[scheme] = \
-                        self._scheme_qpf.get(scheme, 0) + spent.qpf_uses
-                    self._scheme_steps[scheme] = \
-                        self._scheme_steps.get(scheme, 0) + 1
+    def tally(self, scheme: str, qpf_uses: int) -> None:
+        """Attribute one executed step's ``qpf_uses`` to ``scheme``
+        (metered by ``repro.plan.operators._run_step`` in the calling
+        thread's own :meth:`CostCounter.measure` scope, so sessions
+        running hybrid steps side by side never bill each other)."""
+        with self._tally_lock:
+            entry = self._tallies[scheme]
+            entry["qpf_uses"] += qpf_uses
+            entry["steps"] += 1
 
     def scheme_stats(self) -> dict[str, dict[str, int]]:
+        """Per-scheme ``{qpf_uses, steps}`` tallied so far (a copy)."""
         with self._tally_lock:
-            return {scheme: {"qpf_uses": self._scheme_qpf.get(scheme, 0),
-                             "steps": self._scheme_steps.get(scheme, 0)}
-                    for scheme in SCHEMES}
+            return {scheme: dict(entry)
+                    for scheme, entry in self._tallies.items()}

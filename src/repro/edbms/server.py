@@ -90,6 +90,18 @@ class ServiceProvider:
             self._durability.on_build_index(index)
         return index
 
+    def build_indexes(self, table_name: str, attributes: list[str],
+                      max_partitions: int | None = None,
+                      seed: int | None = None) -> None:
+        """:meth:`build_index` per attribute; the attribute at position
+        ``i`` samples from ``seed + i`` (the one seed rule the engine
+        and tenant sessions share, which keeps their chains in parity).
+        """
+        for position, attribute in enumerate(attributes):
+            self.build_index(
+                table_name, attribute, max_partitions=max_partitions,
+                seed=None if seed is None else seed + position)
+
     def adopt_index(self, table_name: str, attribute: str,
                     index: PRKBIndex) -> None:
         """Install an already-materialized index (recovery path)."""

@@ -171,13 +171,10 @@ class PlanOutcomeLedger:
         ``registry`` (a :class:`~repro.obs.metrics.MetricsRegistry`).
 
         Pre-registers every family so a scrape shows them (at zero)
-        before the first append.  ``None`` unbinds: later appends feed
-        no registry.
+        before the first append.
         """
         with self._lock:
             self._metrics = registry
-        if registry is None:
-            return
         registry.counter("repro_outcome_ledger_records_total",
                          "knowledge atoms appended to the ledger")
         registry.counter("repro_outcome_ledger_bytes_total",

@@ -277,12 +277,9 @@ class OutcomeStore:
         Pre-registers every family so a scrape shows them (at zero)
         before the first atom; per-tenant burn rates are set-gauges
         (labelled callbacks are not supported by the registry).
-        ``None`` unbinds: later atoms feed no registry.
         """
         with self._lock:
             self._registry = registry
-        if registry is None:
-            return
         registry.counter("repro_outcome_atoms_total",
                          "knowledge atoms recorded, by tenant",
                          ("tenant",))

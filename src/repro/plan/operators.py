@@ -52,7 +52,7 @@ class ExecutionContext:
     (``(attribute, operator, constant) -> EncryptedPredicate``); sharing
     it across operators is what makes repeats equivalence-cache hits.
     ``audit`` is EXPLAIN ANALYZE's per-step ledger (``None`` on the
-    regular query path — attribution then costs one ``is None`` test).
+    regular query path, where steps run unmetered — see ``_run_step``).
     """
 
     owner: object
@@ -67,30 +67,25 @@ class ExecutionContext:
     hybrid: object | None = None
 
 
-class _audited:
-    """Append ``(attrs, qpf_delta, seconds)`` to ``ctx.audit`` around a
-    block; a ``None`` audit makes it a no-op, so the regular query path
-    shares the execution code without paying for step attribution."""
-
-    __slots__ = ("audit", "attrs", "counter", "qpf_before", "start")
-
-    def __init__(self, audit, attrs, counter):
-        self.audit = audit
-        self.attrs = attrs
-        self.counter = counter
-
-    def __enter__(self):
-        if self.audit is not None:
-            self.qpf_before = self.counter.qpf_uses
-            self.start = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if self.audit is not None and exc_type is None:
-            self.audit.append((self.attrs,
-                               self.counter.qpf_uses - self.qpf_before,
-                               time.perf_counter() - self.start))
-        return False
+def _run_step(ctx: ExecutionContext, attributes, scheme, run, *args):
+    """Run one plan step inside its own ``measure()`` scope — the one
+    place per-step cost is attributed: the scope's QPF feeds the
+    EXPLAIN ANALYZE audit (``(attributes, qpf, seconds)``) and, for a
+    scheme-labelled step under hybrid dispatch, the per-scheme tally.
+    The scope sees only the calling thread's charges, so statements
+    served side by side never land in each other's steps.  A step that
+    raises is still tallied (its QPF was spent) but not audited."""
+    start = time.perf_counter()
+    with ctx.counter.measure() as spent:
+        try:
+            result = run(*args)
+        finally:
+            if scheme is not None and ctx.hybrid is not None:
+                ctx.hybrid.materializer.tally(scheme, spent.qpf_uses)
+    if ctx.audit is not None:
+        ctx.audit.append((attributes, spent.qpf_uses,
+                          time.perf_counter() - start))
+    return result
 
 
 class PhysicalOperator:
@@ -129,8 +124,8 @@ class PhysicalOperator:
         raise TypeError(f"unknown condition {condition!r}")
 
 
-class PRKBSelectOp(PhysicalOperator):
-    """One predicate through the PRKB pipeline (QFilter/QScan, Sec. 4)."""
+class _PredicateOp(PhysicalOperator):
+    """Base of the operators that answer one predicate of one table."""
 
     __slots__ = ("table", "condition")
 
@@ -139,11 +134,16 @@ class PRKBSelectOp(PhysicalOperator):
         self.table = table
         self.condition = condition
 
+
+class PRKBSelectOp(_PredicateOp):
+    """One predicate through the PRKB pipeline (QFilter/QScan, Sec. 4)."""
+
+    __slots__ = ()
+
     def execute(self, ctx: ExecutionContext) -> np.ndarray:
         """Seal the predicate and answer it via the PRKB index."""
-        with _audited(ctx.audit, (self.condition.attribute,), ctx.counter):
-            trapdoor = self._seal_condition(ctx, self.condition)
-            return np.sort(ctx.server.select(self.table, trapdoor))
+        trapdoor = self._seal_condition(ctx, self.condition)
+        return np.sort(ctx.server.select(self.table, trapdoor))
 
 
 class CacheHitOp(PRKBSelectOp):
@@ -155,23 +155,17 @@ class CacheHitOp(PRKBSelectOp):
     __slots__ = ()
 
 
-class LinearScanOp(PhysicalOperator):
+class LinearScanOp(_PredicateOp):
     """One predicate tested against every tuple (Fig. 2a baseline)."""
 
-    __slots__ = ("table", "condition")
+    __slots__ = ()
 
     scheme = "scan"
 
-    def __init__(self, table: str, condition, step: PlanStep):
-        super().__init__(step)
-        self.table = table
-        self.condition = condition
-
     def execute(self, ctx: ExecutionContext) -> np.ndarray:
         """Seal the predicate and test it against every tuple."""
-        with _audited(ctx.audit, (self.condition.attribute,), ctx.counter):
-            trapdoor = self._seal_condition(ctx, self.condition)
-            return np.sort(ctx.server.select_baseline(self.table, trapdoor))
+        trapdoor = self._seal_condition(ctx, self.condition)
+        return np.sort(ctx.server.select_baseline(self.table, trapdoor))
 
 
 class GridIntersectOp(PhysicalOperator):
@@ -195,71 +189,52 @@ class GridIntersectOp(PhysicalOperator):
 
     def execute(self, ctx: ExecutionContext) -> np.ndarray:
         """Seal all dimension trapdoors and run the grid selection."""
-        with _audited(ctx.audit, self.step.attributes, ctx.counter):
-            ranges = [
-                DimensionRange(
-                    attribute=d.attribute,
-                    low=ctx.seal_comparison(
-                        d.attribute, d.low.operator, d.low.constant),
-                    high=ctx.seal_comparison(
-                        d.attribute, d.high.operator, d.high.constant),
-                )
-                for d in self.dimensions
-            ]
-            return ctx.server.select_range(self.table, ranges,
-                                           strategy=self.mode)
+        ranges = [
+            DimensionRange(
+                attribute=d.attribute,
+                low=ctx.seal_comparison(
+                    d.attribute, d.low.operator, d.low.constant),
+                high=ctx.seal_comparison(
+                    d.attribute, d.high.operator, d.high.constant),
+            )
+            for d in self.dimensions
+        ]
+        return ctx.server.select_range(self.table, ranges,
+                                       strategy=self.mode)
 
 
-class OPECompareOp(PhysicalOperator):
+class OPECompareOp(_PredicateOp):
     """One predicate answered by SP-local order-preserving ciphertext
     comparison — zero QPF, but the materialized OPE column has paid the
     full total order (RPOI 1.0) to get here.  The column itself is
     lazily built (version-keyed) by the hybrid materializer."""
 
-    __slots__ = ("table", "condition")
+    __slots__ = ()
 
     scheme = "ope"
 
-    def __init__(self, table: str, condition, step: PlanStep):
-        super().__init__(step)
-        self.table = table
-        self.condition = condition
-
     def execute(self, ctx: ExecutionContext) -> np.ndarray:
         """Compare OPE ciphertexts SP-side; zero QPF, exact winners."""
-        if ctx.hybrid is None:
-            raise RuntimeError("OPECompareOp requires hybrid execution "
-                               "(EncryptedDatabase.enable_hybrid)")
-        with _audited(ctx.audit, (self.condition.attribute,), ctx.counter):
-            return ctx.hybrid.materializer.ope_select(
-                self.table, self.condition, ctx.hybrid.ledger)
+        return ctx.hybrid.materializer.ope_select(
+            self.table, self.condition, ctx.hybrid.ledger)
 
 
-class SRCStructureOp(PhysicalOperator):
+class SRCStructureOp(_PredicateOp):
     """One predicate probed through the Log-SRC-i structure: an SSE
     lookup per covering dyadic node, false positives filtered inside
     the structure (exact winners out)."""
 
-    __slots__ = ("table", "condition")
+    __slots__ = ()
 
     scheme = "src"
 
-    def __init__(self, table: str, condition, step: PlanStep):
-        super().__init__(step)
-        self.table = table
-        self.condition = condition
-
     def execute(self, ctx: ExecutionContext) -> np.ndarray:
         """Probe the Log-SRC-i structure for the inclusive band."""
-        if ctx.hybrid is None:
-            raise RuntimeError("SRCStructureOp requires hybrid execution "
-                               "(EncryptedDatabase.enable_hybrid)")
-        with _audited(ctx.audit, (self.condition.attribute,), ctx.counter):
-            return ctx.hybrid.materializer.src_select(
-                self.table, self.condition)
+        return ctx.hybrid.materializer.src_select(
+            self.table, self.condition)
 
 
-class MPCShareOp(PhysicalOperator):
+class MPCShareOp(_PredicateOp):
     """One predicate through the full PRKB pipeline over a
     secret-shared table: same QFilter/QScan, but Θ is
     ``MPCQueryProcessingFunction`` — comparison outcomes come back as
@@ -267,23 +242,14 @@ class MPCShareOp(PhysicalOperator):
     trapdoor is sealed through the same DO memo as the TM path, so the
     shared-side equivalence cache answers repeats identically."""
 
-    __slots__ = ("table", "condition")
+    __slots__ = ()
 
     scheme = "mpc"
 
-    def __init__(self, table: str, condition, step: PlanStep):
-        super().__init__(step)
-        self.table = table
-        self.condition = condition
-
     def execute(self, ctx: ExecutionContext) -> np.ndarray:
         """Seal the predicate and run PRKB over the shared table."""
-        if ctx.hybrid is None:
-            raise RuntimeError("MPCShareOp requires hybrid execution "
-                               "(EncryptedDatabase.enable_hybrid)")
-        with _audited(ctx.audit, (self.condition.attribute,), ctx.counter):
-            trapdoor = self._seal_condition(ctx, self.condition)
-            return ctx.hybrid.materializer.mpc_select(self.table, trapdoor)
+        trapdoor = self._seal_condition(ctx, self.condition)
+        return ctx.hybrid.materializer.mpc_select(self.table, trapdoor)
 
 
 class SelectionRoot:
@@ -307,13 +273,11 @@ class SelectionRoot:
         if not self.children:
             return np.sort(ctx.server.table(self.table).uids)
         winners: np.ndarray | None = None
-        hybrid = ctx.hybrid
+        metered = ctx.audit is not None or ctx.hybrid is not None
         for child in self.children:
-            if hybrid is None:
-                part = child.execute(ctx)
-            else:
-                with hybrid.tally(child.scheme):
-                    part = child.execute(ctx)
+            part = (_run_step(ctx, child.step.attributes, child.scheme,
+                              child.execute, ctx)
+                    if metered else child.execute(ctx))
             winners = part if winners is None else np.intersect1d(
                 winners, part, assume_unique=True)
         assert winners is not None
@@ -344,47 +308,49 @@ class AggregateOp:
     def execute(self, ctx: ExecutionContext
                 ) -> tuple[np.ndarray, int]:
         """Resolve the aggregate; returns ``([winner_uid], value)``."""
-        if not self.indexed:
-            return self._full_decrypt(ctx)
-        resolver = AggregateResolver(
-            ctx.server.index(self.table, self.attribute), ctx.owner.key)
+        candidates = None
         if self.child is not None:
-            # Filtered MIN/MAX: resolve the selection, then decrypt only
-            # the winner set's extreme-candidate partitions.
-            winners = self.child.execute(ctx)
-            if winners.size == 0:
+            candidates = self.child.execute(ctx)
+            if candidates.size == 0:
                 raise ValueError("aggregate over an empty selection")
-            uid, value = (resolver.minimum_among(winners)
-                          if self.func == "min"
-                          else resolver.maximum_among(winners))
+        if ctx.audit is None:
+            uid, value = self._resolve(ctx, candidates)
         else:
-            with _audited(ctx.audit, (self.attribute,), ctx.counter):
-                uid, value = (resolver.minimum() if self.func == "min"
-                              else resolver.maximum())
+            # Unfiltered, this is the plan's "aggregate-ends" step;
+            # filtered, the entry lies past the planned steps and
+            # EXPLAIN ANALYZE reports it as the trailing residual.
+            uid, value = _run_step(ctx, (self.attribute,), None,
+                                   self._resolve, ctx, candidates)
         return np.asarray([uid], dtype=np.uint64), value
 
-    def _full_decrypt(self, ctx: ExecutionContext
-                      ) -> tuple[np.ndarray, int]:
+    def _resolve(self, ctx: ExecutionContext,
+                 candidates: np.ndarray | None) -> tuple[int, int]:
+        """``(uid, value)`` of the extreme among ``candidates`` (the
+        whole table when ``None``)."""
+        smallest = self.func == "min"
+        if self.indexed:
+            # Decrypt only the extreme-candidate partitions of the chain.
+            resolver = AggregateResolver(
+                ctx.server.index(self.table, self.attribute), ctx.owner.key)
+            if candidates is None:
+                return resolver.minimum() if smallest else resolver.maximum()
+            return (resolver.minimum_among(candidates) if smallest
+                    else resolver.maximum_among(candidates))
         # No POP to prune with: the trusted machine decrypts every
         # candidate (the unindexed EDBMS cost).
         from ..edbms.encryption import decrypt_column
 
         table = ctx.server.table(self.table)
-        if self.child is not None:
-            candidates = self.child.execute(ctx)
-        else:
+        if candidates is None:
             candidates = table.uids
         if candidates.size == 0:
             raise ValueError("aggregate over an empty selection")
-        with _audited(ctx.audit, (self.attribute,), ctx.counter):
-            ctx.counter.charge(qpf_uses=int(candidates.size),
-                               tuples_retrieved=int(candidates.size))
-            values = decrypt_column(ctx.owner.key, table, self.attribute,
-                                    candidates)
-        best = int(np.argmin(values) if self.func == "min"
-                   else np.argmax(values))
-        return (np.asarray([candidates[best]], dtype=np.uint64),
-                int(values[best]))
+        ctx.counter.charge(qpf_uses=int(candidates.size),
+                           tuples_retrieved=int(candidates.size))
+        values = decrypt_column(ctx.owner.key, table, self.attribute,
+                                candidates)
+        best = int(np.argmin(values) if smallest else np.argmax(values))
+        return int(candidates[best]), int(values[best])
 
 
 class BatchProbeOp:

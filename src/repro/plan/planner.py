@@ -64,7 +64,7 @@ from .schemes import (
 )
 
 __all__ = ["Planner", "PhysicalPlan", "TRAPDOOR_MEMO_SIZE",
-           "PLAN_CACHE_SIZE"]
+           "PLAN_CACHE_SIZE", "PLAN_METRICS", "plan_metric"]
 
 #: DO-side LRU of sealed comparison trapdoors.  Re-asking the same
 #: predicate reuses the same sealed object, which is what lets the SP's
@@ -75,6 +75,34 @@ TRAPDOOR_MEMO_SIZE = 512
 
 #: Physical plans retained per database, keyed ``(statement, strategy)``.
 PLAN_CACHE_SIZE = 256
+
+#: The planner's metric families, ``name -> (registry method, help,
+#: label names)``.  The engine pre-registers them in this order when
+#: observability is enabled (``/metrics`` shows each at zero before the
+#: first planned query); the planner bumps them by name.
+PLAN_METRICS = {
+    "repro_plan_cache_hits_total": (
+        "counter", "physical plans served from the plan cache", ()),
+    "repro_plan_cache_misses_total": (
+        "counter", "plan-cache misses (fresh planning runs)", ()),
+    "repro_plan_cache_invalidations_total": (
+        "counter", "cached plans dropped on fingerprint mismatch", ()),
+    "repro_plan_fastpath_total": (
+        "counter", "plan-cache hits dispatched without cost estimation",
+        ()),
+    "repro_plan_fingerprint_seconds": (
+        "histogram", "wall time of plan-cache fingerprint checks", ()),
+    "repro_plan_strategy_total": (
+        "counter", "executed plan steps by dispatched strategy",
+        ("strategy",)),
+}
+
+
+def plan_metric(registry, name: str):
+    """Get-or-create the :data:`PLAN_METRICS` family ``name``."""
+    kind, help_text, labels = PLAN_METRICS[name]
+    return getattr(registry, kind)(name, help_text, labels)
+
 
 #: Legacy paper strategies plus the scheme-forcing views: ``prkb`` and
 #: ``scan`` force the paper's two pipelines per predicate; ``ope``,
@@ -274,17 +302,12 @@ class Planner:
         invalidations = cache.invalidations
         cached = cache.lookup((statement, strategy), fingerprint)
         if cached is not None:
-            self._bump("repro_plan_cache_hits_total",
-                       "physical plans served from the plan cache")
-            self._bump("repro_plan_fastpath_total",
-                       "plan-cache hits dispatched without cost "
-                       "estimation")
+            self._bump("repro_plan_cache_hits_total")
+            self._bump("repro_plan_fastpath_total")
             return cached
         if cache.invalidations != invalidations:
-            self._bump("repro_plan_cache_invalidations_total",
-                       "cached plans dropped on fingerprint mismatch")
-        self._bump("repro_plan_cache_misses_total",
-                   "plan-cache misses (fresh planning runs)")
+            self._bump("repro_plan_cache_invalidations_total")
+        self._bump("repro_plan_cache_misses_total")
         plan = self._build(statement, strategy, fingerprint)
         cache.insert((statement, strategy), plan)
         return plan
@@ -307,18 +330,10 @@ class Planner:
         self._plan_cache = PlanCache(PLAN_CACHE_SIZE)
 
     def record_execution(self, plan: PhysicalPlan) -> None:
-        """Count the dispatched strategies of one executed plan."""
-        metrics = self.counter.metrics
+        """Count the dispatched strategies of one executed plan (and
+        charge its leakage under hybrid dispatch)."""
         for step in plan.steps:
-            with self._memo_lock:
-                self.strategy_counts[step.kind] = (
-                    self.strategy_counts.get(step.kind, 0) + 1)
-            if metrics is not None:
-                metrics.counter(
-                    "repro_plan_strategy_total",
-                    "executed plan steps by dispatched strategy",
-                    ("strategy",),
-                ).inc(strategy=step.kind)
+            self._count_strategy(step.kind, 1)
         if self.hybrid is not None:
             self.hybrid.charge_execution(plan.statement.table, plan.steps)
 
@@ -328,18 +343,14 @@ class Planner:
         :class:`BatchProbeOp` carry no per-statement plan steps, so the
         batch dispatcher labels them here — every dispatch path feeds
         ``repro_plan_strategy_total{strategy}``."""
-        if count <= 0:
-            return
+        if count > 0:
+            self._count_strategy("batch-probe", count)
+
+    def _count_strategy(self, kind: str, count: int) -> None:
         with self._memo_lock:
-            self.strategy_counts["batch-probe"] = (
-                self.strategy_counts.get("batch-probe", 0) + count)
-        metrics = self.counter.metrics
-        if metrics is not None:
-            metrics.counter(
-                "repro_plan_strategy_total",
-                "executed plan steps by dispatched strategy",
-                ("strategy",),
-            ).inc(count, strategy="batch-probe")
+            self.strategy_counts[kind] = (
+                self.strategy_counts.get(kind, 0) + count)
+        self._bump("repro_plan_strategy_total", count, strategy=kind)
 
     def execution_context(self, audit: list | None = None
                           ) -> ExecutionContext:
@@ -351,10 +362,10 @@ class Planner:
 
     # -- internals --------------------------------------------------------- #
 
-    def _bump(self, name: str, help_text: str) -> None:
+    def _bump(self, name: str, amount: int = 1, **labels) -> None:
         metrics = self.counter.metrics
         if metrics is not None:
-            metrics.counter(name, help_text).inc()
+            plan_metric(metrics, name).inc(amount, **labels)
 
     def _fingerprint(self, statement: SelectStatement) -> tuple:
         """Catalog state this statement's costs depend on.  O(conditions)."""
@@ -414,10 +425,8 @@ class Planner:
             fingerprint = self._profile_fingerprint(profile)
         metrics = counter.metrics
         if metrics is not None:
-            metrics.histogram(
-                "repro_plan_fingerprint_seconds",
-                "wall time of plan-cache fingerprint checks",
-            ).observe(time.perf_counter() - start)
+            plan_metric(metrics, "repro_plan_fingerprint_seconds").observe(
+                time.perf_counter() - start)
         return fingerprint
 
     def _build(self, statement: SelectStatement, strategy: str,

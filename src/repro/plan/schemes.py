@@ -42,7 +42,6 @@ ever reaches materialized artifacts through the duck-typed
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 from ..edbms.sql import BetweenCondition, ComparisonCondition
@@ -123,6 +122,16 @@ class SecurityBudget:
         if self.max_rpoi is not None and self.max_rpoi < 0:
             raise ValueError("max_rpoi must be >= 0 or None")
 
+    @classmethod
+    def coerce(cls, budget) -> "SecurityBudget":
+        """The budget a caller meant: a :class:`SecurityBudget` as is, a
+        bare ``max_rpoi`` number, or ``None`` for unconstrained."""
+        if budget is None:
+            return cls()
+        if isinstance(budget, cls):
+            return budget
+        return cls(max_rpoi=float(budget))
+
 
 class LeakageLedger:
     """Per-table cumulative RPOI spend against a :class:`SecurityBudget`.
@@ -188,18 +197,16 @@ class SchemeCandidate:
 class HybridDispatch:
     """Budgeted scheme selection state attached to one :class:`Planner`.
 
-    Pairs a :class:`LeakageLedger` with the shared artifact
+    Pairs a private :class:`LeakageLedger` with the shared artifact
     materializer (``repro.edbms.hybrid.HybridMaterializer``, reached
     duck-typed).  Multiple dispatchers — one per tenant session — may
-    share a single materializer while holding private ledgers.
+    share a single materializer while metering leakage independently.
     """
 
-    def __init__(self, materializer, budget: SecurityBudget | None = None,
-                 ledger: LeakageLedger | None = None) -> None:
+    def __init__(self, materializer, budget: SecurityBudget) -> None:
         self.materializer = materializer
-        self.budget = budget if budget is not None else SecurityBudget()
-        self.ledger = ledger if ledger is not None else \
-            LeakageLedger(self.budget)
+        self.budget = budget
+        self.ledger = LeakageLedger(budget)
 
     # -- planner-facing estimates -----------------------------------
 
@@ -276,13 +283,3 @@ class HybridDispatch:
         for step in steps:
             if step.leakage and step.kind != OPE_KIND:
                 self.ledger.charge(table, step.leakage)
-
-    @contextmanager
-    def tally(self, scheme: str):
-        """Attribute QPF spent inside the block to ``scheme``."""
-        with self.materializer.tally(scheme):
-            yield
-
-    def scheme_stats(self) -> dict[str, dict[str, int]]:
-        """Per-scheme QPF/step tallies from the shared materializer."""
-        return self.materializer.scheme_stats()

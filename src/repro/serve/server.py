@@ -65,7 +65,6 @@ class QueryServer:
         self._served = 0
         self._failed = 0
         db._attach_serving(self)
-        self._register_metrics()
 
     # -- tenant surface ---------------------------------------------------- #
 
@@ -174,13 +173,14 @@ class QueryServer:
                 ("tenant", "reason"),
             ).inc(tenant=tenant, reason=reason)
 
-    def _register_metrics(self) -> None:
-        metrics = self.db.counter.metrics
-        if metrics is not None:
-            metrics.gauge(
-                "repro_serve_pending",
-                "admitted-but-unfinished serving requests",
-                callback=lambda: self.admission.pending)
+    def bind_metrics(self, registry) -> None:
+        """Publish the ``repro_serve_pending`` gauge on ``registry``
+        (the database calls this whichever of server construction and
+        ``enable_observability`` comes second)."""
+        registry.gauge(
+            "repro_serve_pending",
+            "admitted-but-unfinished serving requests",
+            callback=lambda: self.admission.pending)
 
     def endpoint(self):
         """The database's observability endpoint + ``POST /query``."""

@@ -38,6 +38,7 @@ from ..core.locks import SnapshotLock
 from ..edbms.server import ServiceProvider
 from ..edbms.sql import ComparisonCondition
 from ..plan import Planner
+from ..plan.schemes import HybridDispatch, SecurityBudget
 
 __all__ = ["Session", "SessionManager", "TenantNamespace"]
 
@@ -93,19 +94,13 @@ class Session:
 
     def enable_prkb(self, table: str, attributes: list[str],
                     max_partitions: int | None = None) -> None:
-        """Build tenant-private PRKB indexes.
-
-        Seed derivation matches
-        :meth:`~repro.edbms.engine.EncryptedDatabase.enable_prkb`
-        (``db_seed + position``) so a tenant's refinement trajectory is
-        bit-identical to the single-tenant equivalent.
-        """
-        base_seed = self.manager.db._seed
-        for position, attribute in enumerate(attributes):
-            seed = None if base_seed is None else base_seed + position
-            self.namespace.build_index(table, attribute,
-                                       max_partitions=max_partitions,
-                                       seed=seed)
+        """Build tenant-private PRKB indexes, seeded from the database
+        seed exactly like
+        :meth:`~repro.edbms.engine.EncryptedDatabase.enable_prkb`, so a
+        tenant's refinement trajectory is bit-identical to the
+        single-tenant equivalent."""
+        self.namespace.build_indexes(table, attributes, max_partitions,
+                                     self.manager.db._seed)
 
     def query(self, sql: str, strategy: str = "auto"):
         """Run one SELECT in this tenant's namespace; thread-safe."""
@@ -184,21 +179,14 @@ class SessionManager:
 
     def _tenant_hybrid(self, budget, db_hybrid):
         """A tenant-private dispatch over the shared materializer."""
-        from ..plan.schemes import (HybridDispatch, LeakageLedger,
-                                    SecurityBudget)
-
         if db_hybrid is None:
             raise RuntimeError(
                 "per-tenant security budgets need hybrid execution: "
                 "call db.enable_hybrid() first")
-        if budget is None:
-            budget_obj = db_hybrid.budget
-        elif isinstance(budget, SecurityBudget):
-            budget_obj = budget
-        else:
-            budget_obj = SecurityBudget(max_rpoi=float(budget))
-        return HybridDispatch(db_hybrid.materializer, budget_obj,
-                              LeakageLedger(budget_obj))
+        return HybridDispatch(
+            db_hybrid.materializer,
+            db_hybrid.budget if budget is None
+            else SecurityBudget.coerce(budget))
 
     def sessions(self) -> dict[str, Session]:
         """Live sessions by tenant name (snapshot copy)."""
@@ -256,7 +244,7 @@ class SessionManager:
                     else gate.write())
             with hold:
                 answer = self.db._query_with(session.planner, sql,
-                                             strategy, measured=True,
+                                             strategy,
                                              tenant=session.tenant)
             with session._lock:
                 session.queries_served += 1

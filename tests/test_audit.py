@@ -1,6 +1,8 @@
 """Tests for the server-side audit log."""
 
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -99,6 +101,36 @@ class TestAuditLog:
         db.query("SELECT * FROM t WHERE X < 50")
         assert len(log) >= 1
         assert log.entries[0].table == "t"
+
+    def test_entry_bills_only_its_own_thread(self, setup):
+        """A sibling thread charging the shared counter while an audited
+        select runs (a busy ``QueryServer``) stays out of the entry."""
+        owner, sp, log = setup
+        counter = sp.counter
+        stop = threading.Event()
+        hammered = 0
+
+        def hammer():
+            nonlocal hammered
+            while not stop.is_set():
+                counter.charge(qpf_uses=1)
+                hammered += 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        sibling = threading.Thread(target=hammer)
+        before = counter.qpf_uses
+        sibling.start()
+        try:
+            for constant in range(50, 1000, 50):
+                sp.select("t",
+                          owner.comparison_trapdoor("X", "<", constant))
+        finally:
+            stop.set()
+            sibling.join(timeout=10)
+            sys.setswitchinterval(interval)
+        assert not sibling.is_alive() and hammered > 0
+        assert log.total_qpf() == counter.qpf_uses - before - hammered
 
     def test_sequence_monotone(self, setup):
         owner, sp, log = setup

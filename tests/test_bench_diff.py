@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+pytestmark = pytest.mark.obs
+
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
 

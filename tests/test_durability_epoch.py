@@ -124,6 +124,19 @@ def test_select_syncs_only_when_it_refines(tmp_path):
     db.close()
 
 
+def test_checkpoint_charges_reach_measure_scopes(tmp_path):
+    """Durability tallies go through ``charge()`` like every other cost,
+    so the calling thread's ``measure()`` scope sees what the global
+    counter sees."""
+    db = _open(tmp_path / "db")
+    before = db.counter.checkpoints_written
+    with db.counter.measure() as spent:
+        db.checkpoint()
+    assert spent.checkpoints_written \
+        == db.counter.checkpoints_written - before == 3  # t, t.A, t.B
+    db.close()
+
+
 def test_every_n_counts_operations(tmp_path):
     db = _open(tmp_path / "db", indexed=("A",), fsync="every:4")
     updater = db.server.updater("t")

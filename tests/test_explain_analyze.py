@@ -1,15 +1,19 @@
 """EXPLAIN ANALYZE: per-step actual QPF, cached replans, estimate error."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from repro.edbms.engine import EncryptedDatabase
 
+pytestmark = pytest.mark.obs
+
 DOMAIN = (1, 10_000)
 
 
-@pytest.fixture()
-def db():
+def _database():
     database = EncryptedDatabase(seed=0)
     rng = np.random.default_rng(1)
     database.create_table(
@@ -18,6 +22,11 @@ def db():
          "B": rng.integers(1, 10_001, 500)})
     database.enable_prkb("t", ["A", "B"])
     return database
+
+
+@pytest.fixture()
+def db():
+    return _database()
 
 
 class TestSingleDimension:
@@ -82,3 +91,35 @@ class TestEstimateErrorMetric:
             db.query(f"SELECT * FROM t WHERE A < {constant}")
         analysis = db.explain_analyze("SELECT * FROM t WHERE A < 4500")
         assert 0.1 < analysis.error_ratio < 10.0
+
+
+class TestBusySibling:
+    def test_steps_bill_only_the_analyzing_thread(self, db):
+        """A sibling thread charging the shared counter (a busy
+        ``QueryServer``) lands in neither the steps nor the total."""
+        statements = [f"SELECT * FROM t WHERE A < {c} AND B > {c // 2}"
+                      for c in range(1000, 9000, 500)]
+        stop = threading.Event()
+
+        def hammer():
+            while not stop.is_set():
+                db.counter.charge(qpf_uses=1)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        sibling = threading.Thread(target=hammer)
+        sibling.start()
+        try:
+            analyses = [db.explain_analyze(sql, strategy="prkb")
+                        for sql in statements]
+        finally:
+            stop.set()
+            sibling.join(timeout=10)
+            sys.setswitchinterval(interval)
+        assert not sibling.is_alive()
+        quiet = _database()  # the fixture's twin, with no sibling
+        for sql, busy in zip(statements, analyses):
+            want = quiet.explain_analyze(sql, strategy="prkb")
+            assert [s.actual_qpf for s in busy.steps] \
+                == [s.actual_qpf for s in want.steps], sql
+            assert busy.answer.qpf_uses == want.answer.qpf_uses

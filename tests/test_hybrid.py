@@ -387,11 +387,41 @@ class TestOutcomeIntegration:
                               _expected(database, WORKLOAD[2]))
         assert "QPF" in rendered
 
-    def test_disable_hybrid_restores_defaults(self, db):
-        db.enable_hybrid()
-        db.query(WORKLOAD[0])
-        db.disable_hybrid()
-        plan = db.planner.plan(parse_select(
-            "SELECT * FROM t WHERE X < 999"))
-        assert plan.steps[0].kind not in (OPE_KIND, SRC_KIND, MPC_KIND)
-        assert plan.steps[0].leakage == 0.0
+    def test_leakage_spent_survives_any_enable_sequence(self):
+        """Repeat ``enable_hybrid`` calls never hand the planner a fresh
+        ledger: spend is monotone, and with the cap reached no second
+        OPE column is admitted (~2.0 RPOI under a 1.04 cap otherwise).
+        """
+        rng = np.random.default_rng(0)
+        database = EncryptedDatabase(seed=7)
+        database.create_table(
+            "t", {name: DOMAIN for name in "XYZ"},
+            {name: rng.integers(DOMAIN[0], DOMAIN[1] + 1, 1000,
+                                dtype=np.int64) for name in "XYZ"})
+        database.enable_prkb("t", ["X"])
+        dispatch = database.enable_hybrid(1.04)
+        spent = []
+        for constant in (2000, 4000, 6000):
+            database.query(f"SELECT * FROM t WHERE Y < {constant}")
+            database.query(f"SELECT * FROM t WHERE Z < {constant + 500}")
+            again = database.enable_hybrid(SecurityBudget(max_rpoi=1.04))
+            assert again is dispatch and again.ledger is dispatch.ledger
+            spent.append(database.hybrid.ledger.spent("t"))
+        assert spent == sorted(spent) and spent[0] >= 1.0
+        columns = sorted(dispatch.materializer._ope)
+        assert len(columns) == 1  # one OPE column is all 1.04 buys
+        database.query("SELECT * FROM t WHERE Z < 7777")
+        database.query("SELECT * FROM t WHERE Y < 7777")
+        assert sorted(dispatch.materializer._ope) == columns
+        assert spent[-1] <= database.hybrid.ledger.spent("t") <= 1.04
+        # A different cap cannot be swapped in over spent leakage.
+        with pytest.raises(RuntimeError, match="already spent"):
+            database.enable_hybrid(2.5)
+        assert database.hybrid is dispatch
+
+    def test_budget_may_change_before_anything_is_spent(self, db):
+        first = db.enable_hybrid(0.5)
+        second = db.enable_hybrid(0.0)
+        assert second is not first and db.hybrid is second
+        assert second.materializer is first.materializer
+        assert second.budget == SecurityBudget(max_rpoi=0.0)

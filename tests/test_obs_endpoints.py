@@ -74,6 +74,32 @@ class TestMetricsRoute:
             assert name in body, name
         assert "repro_query_latency_seconds_bucket" in body
 
+    def test_family_headers_do_not_move_with_the_first_query(self):
+        """Names and help text live in one table (``PLAN_METRICS``): the
+        engine pre-registers from it, the planner bumps from it, so the
+        ``# HELP`` / ``# TYPE`` lines are the same before and after."""
+        from repro.plan.planner import PLAN_METRICS
+
+        db = EncryptedDatabase(seed=0)
+        db.create_table("t", {"X": (1, 10_000)},
+                        {"X": np.arange(1, 401)})
+        db.enable_prkb("t", ["X"])
+        db.enable_observability()
+        endpoint = db.observability_endpoint()
+
+        def headers():
+            return [line for line in endpoint.handle("/metrics")[2]
+                    .splitlines() if line.startswith("#")]
+
+        before = headers()
+        for name, (kind, help_text, __) in PLAN_METRICS.items():
+            assert f"# HELP {name} {help_text}" in before
+            assert f"# TYPE {name} {kind}" in before
+        db.query("SELECT * FROM t WHERE X < 5000")
+        db.query("SELECT * FROM t WHERE X < 5000")  # plan-cache hit
+        assert headers() == before
+        assert db.metrics.get("repro_plan_cache_hits_total").value() == 1
+
     def test_no_arena_series(self, served):
         __, endpoint, __ = served
         assert "repro_arena" not in endpoint.handle("/metrics")[2]

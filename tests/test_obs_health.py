@@ -9,6 +9,8 @@ from repro.core.prkb import HEALTH_HISTORY
 from repro.edbms.engine import EncryptedDatabase
 from repro.workloads import uniform_table
 
+pytestmark = pytest.mark.obs
+
 DOMAIN = (1, 10_000)
 ROWS = 500
 

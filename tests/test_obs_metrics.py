@@ -17,6 +17,8 @@ from repro.obs import (
     render_prometheus,
 )
 
+pytestmark = pytest.mark.obs
+
 
 class TestBuckets:
     def test_log_buckets_shape(self):

@@ -15,6 +15,8 @@ from repro.edbms.qpf import QPFRequest
 from repro.obs import Tracer
 from repro.workloads import distinct_comparison_thresholds, uniform_table
 
+pytestmark = pytest.mark.obs
+
 #: The probe's deterministic global cost (seeds pinned below).
 EXPECTED_QPF = 23455
 #: Every QPF-side tally of the probe, as charged site by site before the

@@ -11,6 +11,8 @@ import pytest
 
 from repro.edbms.engine import EncryptedDatabase
 
+pytestmark = pytest.mark.obs
+
 DOMAIN = (1, 10_000)
 LEAF_PHASES = {"prkb.qfilter.sample", "prkb.qfilter.search",
                "prkb.qscan", "prkb.update", "prkb.cached"}

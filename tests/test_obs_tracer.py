@@ -6,6 +6,8 @@ import pytest
 
 from repro.obs import Span, Tracer
 
+pytestmark = pytest.mark.obs
+
 
 class TestNesting:
     def test_with_block_nests_and_finishes(self):

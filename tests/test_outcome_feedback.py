@@ -93,7 +93,7 @@ class TestApplyCorrections:
             round(raw.estimated_qpf * factor),
             db.planner.estimator.scan_qpf("t"))  # refinement credit
         assert ("uncorrected", raw.estimated_qpf, 0.0) in step.alternatives
-        db.clear_corrections()
+        db.apply_corrections({})
         again = db.explain("SELECT * FROM t WHERE X < 500").steps[0]
         assert again.estimated_qpf == raw.estimated_qpf
         assert all(kind != "uncorrected"

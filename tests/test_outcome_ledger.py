@@ -254,27 +254,6 @@ class TestEngineWiring:
                        .value(tenant="local") == 3
         db.close()
 
-    def test_disable_unbinds_and_reenable_feeds_the_fresh_registry(
-            self, tmp_path):
-        from repro.obs import MetricsRegistry
-
-        db = self._metered_db()
-        db.enable_outcomes(tmp_path / "ledger")
-        __, first = db.enable_observability()
-        self._three_queries(db)
-        db.disable_observability()
-        self._three_queries(db)  # metered by nobody
-        fresh = MetricsRegistry()
-        db.enable_observability(registry=fresh)
-        self._three_queries(db)
-        for registry in (first, fresh):  # the orphan stopped at 3
-            assert registry.get(
-                "repro_outcome_ledger_records_total").value() == 3
-            assert registry.get("repro_outcome_atoms_total") \
-                           .value(tenant="local") == 3
-        assert db.ledger.records_written == 9
-        db.close()
-
 
 class TestAtomHelpers:
     def test_symmetric_error_is_direction_free(self):

@@ -98,3 +98,37 @@ class TestDocstrings:
                     continue  # inherited elsewhere
                 assert method.__doc__ and method.__doc__.strip(), \
                     f"{module_name}.{name}.{method_name} lacks a docstring"
+
+
+class TestApiDocDrift:
+    """API.md's ``EncryptedDatabase`` member table and the class agree,
+    so a deleted method cannot linger in the docs (nor a new one hide).
+    """
+
+    @staticmethod
+    def _documented() -> set:
+        import re
+        from pathlib import Path
+
+        text = (Path(__file__).parent.parent / "API.md").read_text()
+        section = text.split("### `EncryptedDatabase(", 1)[1]
+        table = section.split("| member | purpose |", 1)[1] \
+                       .split("\n\n", 1)[0]
+        members = [row.split("|")[1] for row in table.splitlines()[2:]]
+        return {name for cell in members
+                for name in re.findall(r"`(\w+)\(", cell)}
+
+    def test_every_documented_method_exists(self):
+        documented = self._documented()
+        assert documented, "EncryptedDatabase table not found in API.md"
+        missing = {name for name in documented
+                   if not callable(getattr(repro.EncryptedDatabase, name,
+                                           None))}
+        assert not missing, f"API.md documents removed methods: {missing}"
+
+    def test_every_public_method_is_documented(self):
+        public = {name for name, member in inspect.getmembers(
+                      repro.EncryptedDatabase, callable)
+                  if not name.startswith("_")}
+        undocumented = public - self._documented()
+        assert not undocumented, f"not in API.md: {undocumented}"

@@ -182,6 +182,19 @@ class TestCounterMeasure:
         assert outer.qpf_uses == 3
         assert counter.qpf_uses == 3
 
+    def test_nested_scope_equal_to_its_parent_closes_only_itself(self):
+        # Tallies compare by value: while both scopes hold the same
+        # charges, closing the inner one must not evict the outer.
+        counter = CostCounter()
+        with counter.measure() as outer:
+            with counter.measure() as inner:
+                counter.charge(qpf_uses=3)
+            counter.charge(qpf_uses=2)
+        assert (inner.qpf_uses, outer.qpf_uses) == (3, 5)
+        with counter.measure() as later:
+            counter.charge(qpf_uses=1)
+        assert (later.qpf_uses, outer.qpf_uses) == (1, 5)
+
     def test_merge_mirrors_into_measure_scope(self):
         counter = CostCounter()
         shard = CostCounter(qpf_uses=7, comparisons=3)

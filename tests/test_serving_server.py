@@ -230,3 +230,29 @@ class TestServingMetrics:
                      and "shed" in line]
         assert shed_line
         db.close()
+
+    @staticmethod
+    def _served_families(server_first: bool) -> set:
+        db = make_db()
+        if server_first:
+            server = QueryServer(db, workers=2)
+            db.enable_observability()
+        else:
+            db.enable_observability()
+            server = QueryServer(db, workers=2)
+        server.session("acme").enable_prkb("t", ["X"])
+        server.query("acme", "SELECT * FROM t WHERE X < 5000")
+        status, __, body = server.endpoint().handle("/metrics")
+        assert status == 200
+        assert db.metrics.get("repro_serve_pending").value() == 0
+        db.close()
+        return {line.split()[2] for line in body.splitlines()
+                if line.startswith("# TYPE ")}
+
+    def test_same_families_in_either_attach_order(self):
+        """The pending gauge is registered whichever of server
+        construction and ``enable_observability`` comes second."""
+        server_first = self._served_families(True)
+        assert server_first == self._served_families(False)
+        assert {"repro_serve_pending", "repro_serve_requests_total",
+                "repro_serve_latency_seconds"} <= server_first
