@@ -498,11 +498,8 @@ class EncryptedDatabase:
     def enable_prkb(self, table: str, attributes: list[str],
                     max_partitions: int | None = None) -> None:
         """Ask the SP to initialise PRKB on the given attributes."""
-        for position, attribute in enumerate(attributes):
-            seed = None if self._seed is None else self._seed + position
-            self.server.build_index(table, attribute,
-                                    max_partitions=max_partitions,
-                                    seed=seed)
+        self.server.build_indexes(table, attributes, max_partitions,
+                                  self._seed)
 
     def enable_audit(self):
         """Attach a server-side audit log; returns the live log.

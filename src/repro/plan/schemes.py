@@ -130,7 +130,7 @@ class SecurityBudget:
             return cls()
         if isinstance(budget, cls):
             return budget
-        return cls(max_rpoi=float(budget))
+        return SecurityBudget(max_rpoi=float(budget))
 
 
 class LeakageLedger:
