@@ -39,7 +39,7 @@ def test_extension_inference(benchmark):
         index = bed.prkb["X"]
         outcome = pop_interval_attack(
             index.pop.sizes(),
-            index.pop.indices_of_uids(bed.plain.uids),
+            index.pop.ordinals_of_uids(bed.plain.uids),
             auxiliary, truth)
         errors[warm] = outcome.mean_absolute_error
         rows.append([
@@ -75,7 +75,7 @@ def test_extension_inference(benchmark):
         index = bed.prkb["X"]
         return pop_interval_attack(
             index.pop.sizes(),
-            index.pop.indices_of_uids(bed.plain.uids),
+            index.pop.ordinals_of_uids(bed.plain.uids),
             auxiliary, truth)
 
     benchmark.pedantic(attack_once, rounds=3, iterations=1)

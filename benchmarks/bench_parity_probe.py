@@ -22,6 +22,13 @@ exact number:
   on a cold PRKB — refinements cannot propagate inside a window — so
   they are not part of the exact-parity gate.)
 
+Counts alone would pass a mode that returns the wrong set at the right
+cost, so every mode's winners are also checked, query by query, against
+a numpy oracle over the plaintext column — as sets for the PRKB-level
+modes, and as the identical strictly increasing uid array for the two
+engine modes (the operator contract).  A mismatch is a ``_check``
+failure like a miscount.
+
 Results land in ``BENCH_parity.json``; CI diffs them with
 ``bench_diff.py --threshold 0`` so a single stray QPF use anywhere in
 the stack fails the build.  ``--tiny`` is accepted for CLI uniformity
@@ -33,6 +40,8 @@ from __future__ import annotations
 
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from repro.bench import Testbed
 from repro.edbms.engine import EncryptedDatabase
@@ -61,17 +70,20 @@ def _probe_table():
     return uniform_table("t", NUM_ROWS, ["X"], domain=DOMAIN, seed=0)
 
 
-def _run_testbed(tracer=None, **testbed_kwargs) -> dict:
-    """The probe through the PRKB directly; returns its parity stats."""
+def _run_testbed(tracer=None, **testbed_kwargs):
+    """The probe through the PRKB directly; returns its parity stats,
+    the plaintext table and the per-query winners."""
     bed = Testbed(_probe_table(), ["X"], seed=7, **testbed_kwargs)
     if tracer is not None:
         bed.counter.tracer = tracer
     try:
+        answers = []
         for threshold in _thresholds():
             trapdoor = bed.owner.comparison_trapdoor("X", "<", threshold)
-            bed.prkb["X"].select(trapdoor)
-        return {"qpf_uses": bed.counter.qpf_uses,
-                "partitions": bed.prkb["X"].pop.num_partitions}
+            answers.append(bed.prkb["X"].select(trapdoor).winners)
+        return ({"qpf_uses": bed.counter.qpf_uses,
+                 "partitions": bed.prkb["X"].pop.num_partitions},
+                bed.plain, answers)
     finally:
         bed.close()
 
@@ -90,30 +102,57 @@ def _engine_twin() -> EncryptedDatabase:
     return db
 
 
-def _run_engine(batched: bool) -> dict:
+def _run_engine(batched: bool):
     db = _engine_twin()
     sqls = [f"SELECT * FROM t WHERE X < {t}" for t in _thresholds()]
     if batched:
+        answers = []
         for lo in range(0, len(sqls), 8):
-            db.execute_many(sqls[lo:lo + 8], window=1)
+            answers.extend(db.execute_many(sqls[lo:lo + 8], window=1))
     else:
-        for sql in sqls:
-            db.query(sql)
-    return {"qpf_uses": db.counter.qpf_uses}
+        answers = [db.query(sql) for sql in sqls]
+    return ({"qpf_uses": db.counter.qpf_uses}, db.owner.plain_table("t"),
+            [answer.uids for answer in answers])
 
 
-def _measure() -> dict:
-    results = {"serial": _run_testbed(),
-               "traced": _run_testbed(tracer=Tracer(capacity=8192))}
+def _answer_mismatches(mode: str, plain, answers, ordered: bool
+                       ) -> list[str]:
+    """Queries whose winners differ from the plaintext oracle; with
+    ``ordered`` the winners must be the oracle's strictly increasing
+    array itself, not just its set."""
+    column = plain.columns["X"]
+    mismatches = []
+    for threshold, got in zip(_thresholds(), answers):
+        want = np.sort(plain.uids[column < threshold])
+        if ordered and np.any(got[1:] <= got[:-1]):
+            mismatches.append(
+                f"{mode}: X < {threshold}: uids not strictly increasing")
+        elif not np.array_equal(got if ordered else np.sort(got), want):
+            mismatches.append(
+                f"{mode}: X < {threshold}: {got.size} winners, oracle "
+                f"has {want.size}")
+    return mismatches
+
+
+def _measure() -> tuple[dict, list[str]]:
+    """Every mode's parity stats (the JSON envelope) plus the answer
+    mismatches against the oracle (reported, never stored)."""
+    runs = {"serial": _run_testbed(),
+            "traced": _run_testbed(tracer=Tracer(capacity=8192))}
     for mode in SHARD_MODES:
-        results[f"shard_{mode}"] = _run_testbed(qpf_workers=2)
-    results["engine_serial"] = _run_engine(batched=False)
-    results["engine_batched"] = _run_engine(batched=True)
+        runs[f"shard_{mode}"] = _run_testbed(qpf_workers=2)
+    runs["engine_serial"] = _run_engine(batched=False)
+    runs["engine_batched"] = _run_engine(batched=True)
+    results, mismatches = {}, []
+    for mode, (stats, plain, answers) in runs.items():
+        results[mode] = stats
+        mismatches += _answer_mismatches(mode, plain, answers,
+                                         ordered=mode.startswith("engine"))
     results["expected"] = {"qpf_uses": EXPECTED_QPF}
-    return results
+    return results, mismatches
 
 
-def _check(results: dict) -> list[str]:
+def _check(results: dict, mismatches: list[str]) -> list[str]:
     failures = []
     for mode, stats in results.items():
         if mode == "expected":
@@ -121,7 +160,7 @@ def _check(results: dict) -> list[str]:
         if stats["qpf_uses"] != EXPECTED_QPF:
             failures.append(
                 f"{mode}: qpf_uses {stats['qpf_uses']} != {EXPECTED_QPF}")
-    return failures
+    return failures + mismatches
 
 
 def _report(results: dict, out=None) -> None:
@@ -138,22 +177,22 @@ def _report(results: dict, out=None) -> None:
 
 
 def test_parity_probe():
-    results = _measure()
+    results, mismatches = _measure()
     _report(results)
-    assert not _check(results)
+    assert not _check(results, mismatches)
 
 
 def main(argv: list[str]) -> int:
     args = parse_bench_args(argv)
-    results = _measure()
+    results, mismatches = _measure()
     _report(results, out=args.out)
-    failures = _check(results)
+    failures = _check(results, mismatches)
     for failure in failures:
         print(f"FAIL: {failure}")
     if failures:
         return 1
     print(f"OK: all {len(results) - 1} modes report exactly "
-          f"{EXPECTED_QPF} qpf_uses")
+          f"{EXPECTED_QPF} qpf_uses and the oracle's winners")
     return 0
 
 

@@ -138,7 +138,7 @@ class AggregateResolver:
         uids = np.asarray(uids, dtype=np.uint64)
         if uids.size == 0:
             return _EMPTY
-        positions = self.index.pop.indices_of_uids(uids)
+        positions = self.index.pop.ordinals_of_uids(uids)
         lo, hi = int(positions.min()), int(positions.max())
         return uids[(positions == lo) | (positions == hi)]
 

@@ -34,13 +34,6 @@ __all__ = ["BetweenProcessor"]
 _EMPTY = np.zeros(0, dtype=np.uint64)
 
 
-def _concat(parts: list[np.ndarray]) -> np.ndarray:
-    chunks = [p for p in parts if p.size]
-    if not chunks:
-        return _EMPTY
-    return np.concatenate(chunks)
-
-
 class BetweenProcessor:
     """Process BETWEEN trapdoors on one attribute using its PRKB index.
 
@@ -194,7 +187,10 @@ class BetweenProcessor:
 
     def select(self, trapdoor: EncryptedPredicate,
                update: bool = True) -> np.ndarray:
-        """Answer a BETWEEN trapdoor; returns winner uids."""
+        """Answer a BETWEEN trapdoor; returns winner uids, strictly
+        increasing (the free run and the scanned edges go through
+        :meth:`~repro.core.partitions.PartialOrderPartitions.uids_in_order`
+        before any refinement moves the chain)."""
         if trapdoor.kind != "between":
             raise ValueError(
                 f"BetweenProcessor handles BETWEEN trapdoors; got kind "
@@ -226,6 +222,8 @@ class BetweenProcessor:
                     seen_in_band = True
                 elif seen_in_band:
                     break
+            winners = pop.uids_in_order(
+                0, 0, [true_u for true_u, __ in scans.values()])
             if update and self.index.can_grow:
                 known_one_positions = {
                     s for s, (true_u, __) in scans.items() if true_u.size
@@ -233,7 +231,7 @@ class BetweenProcessor:
                 self._apply_band_splits(trapdoor, scans,
                                         known_one_positions)
             self.index.commit_journal()
-            return _concat([true_u for true_u, __ in scans.values()])
+            return winners
         else:
             if self._probe(trapdoor, cache, 0):
                 ns_left = [0]
@@ -248,10 +246,10 @@ class BetweenProcessor:
             # the two edges are certainly in-band — free winners.
             free_winner_positions = list(range(ns_left[-1] + 1, ns_right[0]))
         scans = {s: self._scan(trapdoor, s) for s in scan_positions}
-        winners = _concat(
-            [pop[i].uids for i in free_winner_positions]
-            + [true_u for true_u, _ in scans.values()]
-        )
+        offsets = pop.offsets
+        winners = pop.uids_in_order(
+            int(offsets[ns_left[-1] + 1]), int(offsets[ns_right[0]]),
+            [true_u for true_u, _ in scans.values()])
         if update and self.index.can_grow:
             known_one_positions = set(free_winner_positions) | {
                 s for s, (true_u, _) in scans.items() if true_u.size

@@ -91,6 +91,24 @@ def _mask_runs(mask: np.ndarray) -> list[tuple[int, int]]:
             for i in range(0, edges.size, 2)]
 
 
+def _observed_labels(members: np.ndarray, observed_uids: np.ndarray,
+                     observed_labels: np.ndarray) -> np.ndarray:
+    """Each member's observed QPF label as ``int8``: 1 / 0, or -1 when
+    the member was never observed (``members``: one partition, never
+    empty).
+
+    One dense scratch over the uid span, written at the observations and
+    gathered at ``members`` — no hashing, no sort.  A uid observed twice
+    carries the same label both times (Θ is deterministic).
+    """
+    span = int(members.max()) + 1
+    if observed_uids.size:
+        span = max(span, int(observed_uids.max()) + 1)
+    scratch = np.full(span, -1, dtype=np.int8)
+    scratch[observed_uids] = observed_labels
+    return scratch[members]
+
+
 @dataclass(frozen=True)
 class DimensionRange:
     """One dimension of a hyper-rectangle query: two comparison trapdoors.
@@ -302,30 +320,24 @@ class MultiDimensionProcessor:
         """Tuples inside IN partitions of *every* dimension: free winners.
 
         IN partitions form at most two contiguous runs along the chain
-        (a prefix and/or a suffix of the NS band), so each dimension's
-        union comes out of the prefix-sum buffer as whole-run slices
-        instead of one concatenation per partition.
+        (a prefix and/or a suffix of the NS band), so the first
+        dimension's IN set comes out of the prefix-sum buffer as
+        whole-run slices; every further dimension keeps the uids its own
+        chain files in an IN partition (one ordinal gather) — no sort,
+        no set intersection.  The result is in the first chain's order.
         """
-        current: np.ndarray | None = None
-        for position in range(len(query)):
-            index = contexts[position][0].index
-            in_chunks = [
-                index.pop.range_uids(start, stop - 1)
-                for start, stop in _mask_runs(status_of[position] == _IN)
-            ]
-            if in_chunks:
-                dim_in = np.concatenate(in_chunks)
-                dim_in.sort()
-            else:
-                dim_in = _EMPTY
-            if current is None:
-                current = dim_in
-            else:
-                current = np.intersect1d(current, dim_in,
-                                         assume_unique=True)
+        in_runs = [
+            contexts[0][0].index.pop.range_uids(start, stop - 1)
+            for start, stop in _mask_runs(status_of[0] == _IN)
+        ]
+        current = np.concatenate(in_runs) if in_runs else _EMPTY
+        for position in range(1, len(query)):
             if current.size == 0:
-                return _EMPTY
-        return current if current is not None else _EMPTY
+                break
+            ordinals = contexts[position][0].index.pop.ordinals_of_uids(
+                current)
+            current = current[status_of[position][ordinals] == _IN]
+        return current
 
     def _collect_candidates(self, query: list[DimensionRange],
                             contexts: dict[int, list[_PredicateContext]],
@@ -334,11 +346,13 @@ class MultiDimensionProcessor:
 
         Also files each candidate into the per-predicate NS groups used by
         phase 2, so it is only ever tested against predicates that are
-        actually unsure about it.  Everything is mask arithmetic over the
-        chains' uid→ordinal arrays: the NS union comes out of the
-        prefix-sum buffers as run slices, OUT-pruning is one boolean
-        gather per dimension, and the groups are index arrays into the
-        returned (sorted, unique) candidate array.
+        actually unsure about it.  Everything is mask arithmetic: the NS
+        runs come out of the prefix-sum buffers as slices and are
+        scattered into one bool mask over the uid span, whose
+        ``flatnonzero`` is the union in uid order; OUT-pruning is one
+        boolean gather per dimension over the chains' uid→ordinal
+        arrays, and the groups are index arrays into the returned
+        (sorted, unique) candidate array.
         """
         ns_chunks = []
         for position in range(len(query)):
@@ -347,8 +361,13 @@ class MultiDimensionProcessor:
                 index.pop.range_uids(start, stop - 1)
                 for start, stop in _mask_runs(status_of[position] == _NS)
             )
-        ns_union = (np.unique(np.concatenate(ns_chunks))
-                    if ns_chunks else _EMPTY)
+        ns_union = _EMPTY
+        if ns_chunks:
+            in_ns = np.zeros(max(int(chunk.max()) for chunk in ns_chunks)
+                             + 1, dtype=bool)
+            for chunk in ns_chunks:
+                in_ns[chunk] = True
+            ns_union = np.flatnonzero(in_ns).view(np.uint64)
         self._qpf.counter.charge(
             comparisons=int(ns_union.size) * len(query))
         keep = np.ones(ns_union.size, dtype=bool)
@@ -451,25 +470,16 @@ class MultiDimensionProcessor:
                 except KeyError:
                     continue  # sibling predicate already split it
                 members = partition.uids
-                observed_uids, observed_labels = ctx.observed()
-                observed_mask = (np.isin(members, observed_uids)
-                                 if observed_uids.size
-                                 else np.zeros(members.size, dtype=bool))
-                member_labels = np.empty(members.size, dtype=bool)
-                untested = members[~observed_mask]
-                if untested.size:
+                member_labels = _observed_labels(members, *ctx.observed())
+                unknown = member_labels < 0
+                if unknown.any():
+                    untested = members[unknown]
                     labels = ctx.index.qpf.batch(ctx.trapdoor,
                                                  ctx.index.table, untested)
-                    member_labels[~observed_mask] = labels
+                    member_labels[unknown] = labels
                     ctx.record(untested, labels)
-                if observed_mask.any():
-                    order = np.argsort(observed_uids, kind="stable")
-                    positions = np.searchsorted(
-                        observed_uids[order], members[observed_mask])
-                    member_labels[observed_mask] = \
-                        observed_labels[order][positions]
-                true_uids = members[member_labels]
-                false_uids = members[~member_labels]
+                true_uids = members[member_labels == 1]
+                false_uids = members[member_labels == 0]
                 if not (true_uids.size and false_uids.size):
                     continue  # completion revealed a homogeneous partition
                 first_label = self._orientation(ctx, partition)

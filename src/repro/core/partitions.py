@@ -27,15 +27,15 @@ stay O(n + k).  The result: mapping
 m candidate uids to chain positions is two numpy gathers instead of m
 dict lookups.
 
-Zero-copy winner materialisation
+The chain buffer and its offsets
 --------------------------------
-Selection answers are always a *prefix* or *suffix* of the chain (the
-winners of ``X < c`` are partitions ``P1..Pj`` plus part of ``P_{j+1}``).
-Rebuilding that union with ``np.concatenate`` costs O(result size) per
-query.  Instead the chain lazily maintains one contiguous uid buffer in
-chain order plus prefix-sum ``offsets`` (``offsets[i]`` = first buffer
-position of ``P_i``), so :meth:`PartialOrderPartitions.prefix_uids` /
-``suffix_uids`` / ``range_uids`` answer with a single read-only slice.
+The chain lazily maintains one contiguous uid buffer in chain order plus
+prefix-sum ``offsets`` (``offsets[i]`` = first buffer position of
+``P_i``).  It serves the places that want members *as a set, in chain
+order*: QFilter's endpoint and probe samples and QScan's NS partitions
+read a :class:`ChainView` snapshot of it, and PRKB(MD) gathers its IN
+and NS runs with :meth:`PartialOrderPartitions.range_uids` — each one
+read-only slice, no per-partition concatenation.
 
 Maintenance is in-place and cheap: a split permutes only its own
 partition's segment of the buffer (O(segment)) and inserts one offset; a
@@ -46,6 +46,20 @@ captured earlier remains a boundary, which is what makes
 set-stable while later queries keep refining the chain.  Tuple inserts
 and deletes discard the buffer (rebuilt lazily as a *new* array, so
 outstanding views are never corrupted).
+
+Answers in uid order
+--------------------
+Selection answers are a run of whole partitions (the winners of
+``X < c`` are ``P1..Pj``) plus the winners QScan found in the NS
+partitions.  Callers name the run by its *buffer offsets* — the
+coordinate a :class:`ChainView` is set-stable in — and
+:meth:`PartialOrderPartitions.uids_in_order` turns it into the strictly
+increasing uid array every operator returns, by construction: the
+offsets become live chain positions (``searchsorted``), the positions a
+bool table over slots (one compare on the slot→ordinal table), and that
+table is gathered through ``uid -> slot``; the NS winners are scattered
+into the result and ``flatnonzero`` reads it out in uid order.  O(k + n)
+per answer, no sort, and no structure beyond the two lookup tables above.
 """
 
 from __future__ import annotations
@@ -243,10 +257,6 @@ class PartialOrderPartitions:
         """Chain position of the partition holding ``uid``."""
         return self.index_of(self.partition_of(uid))
 
-    def indices_of_uids(self, uids: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`index_of_uid` (multi-dimensional grid use)."""
-        return self.ordinals_of_uids(uids)
-
     # -- vectorised uid -> chain-position lookups ----------------------- #
 
     def _grow_slot_array(self, capacity: int) -> None:
@@ -309,7 +319,7 @@ class PartialOrderPartitions:
         return [len(p) for p in self._chain]
 
     # ------------------------------------------------------------------ #
-    # zero-copy winner slices                                             #
+    # chain-order slices and uid-order answers                            #
     # ------------------------------------------------------------------ #
 
     def _ensure_offsets(self) -> None:
@@ -354,35 +364,54 @@ class PartialOrderPartitions:
         self._ensure_offsets()
         return _readonly(self._offsets)
 
-    def prefix_uids(self, count: int) -> np.ndarray:
-        """Members of ``P1..P_count`` as one read-only slice — zero copies.
+    def range_uids(self, first: int, last: int) -> np.ndarray:
+        """Members of ``P_{first+1}..P_{last+1}`` (inclusive indices) as
+        one read-only contiguous slice, in chain order.
 
         The returned view is *set-stable*: later splits may permute uids
         within it but never change which uids it contains.  Callers that
         outlive further tuple inserts/deletes must copy.
         """
         self._ensure_offsets()
-        return _readonly(self._buffer[:self._offsets[count]])
-
-    def suffix_uids(self, start: int) -> np.ndarray:
-        """Members of ``P_{start+1}..P_k`` as one read-only slice."""
-        self._ensure_offsets()
-        return _readonly(self._buffer[self._offsets[start]:])
-
-    def range_uids(self, first: int, last: int) -> np.ndarray:
-        """Members of ``P_{first+1}..P_{last+1}`` (inclusive indices) as
-        one read-only contiguous slice."""
-        self._ensure_offsets()
         return _readonly(
             self._buffer[self._offsets[first]:self._offsets[last + 1]])
+
+    def uids_in_order(self, start: int, stop: int,
+                      extra=()) -> np.ndarray:
+        """Members at chain-buffer offsets ``[start, stop)`` plus every uid
+        in the ``extra`` arrays, as one strictly increasing ``uint64``
+        array (see "Answers in uid order" in the module docstring).
+
+        ``start`` / ``stop`` must be partition boundaries of a buffer
+        this chain has published — live, or pinned earlier by a
+        :class:`ChainView` and refined only by splits since — so they
+        name whole live partitions.  ``stop <= start`` names none.
+        """
+        self._ensure_offsets()
+        self._ensure_ordinals()
+        # One read each: both tables are republished by reference swap.
+        ordinals, slot_of_uid = self._slot_ordinals, self._slot_of_uid
+        first, last = np.searchsorted(self._offsets, (start, stop))
+        if first < last:
+            # The trailing False is where a deleted or untracked uid's
+            # ``-1`` slot lands.
+            wanted = np.zeros(ordinals.size + 1, dtype=bool)
+            np.logical_and(ordinals >= first, ordinals < last,
+                           out=wanted[:-1])
+            hit = wanted[slot_of_uid]
+        else:
+            hit = np.zeros(slot_of_uid.size, dtype=bool)
+        for uids in extra:
+            hit[uids] = True
+        return np.flatnonzero(hit).view(np.uint64)
 
     def freeze(self) -> "ChainView":
         """Snapshot the chain for one batched execution window.
 
         The view pins the current partition list, buffer and offsets;
         concurrent *splits* on the live chain keep the snapshot's slices
-        set-stable (see module docstring).  Tuple inserts/deletes are not
-        permitted inside a batch window.
+        set-stable (see module docstring).  Tuple inserts/deletes and
+        merges are not permitted inside a batch window.
         """
         self._ensure_offsets()
         return ChainView(list(self._chain), self._buffer, self._offsets)
@@ -600,10 +629,13 @@ class ChainView:
       old :class:`Partition` object is simply no longer in the live
       chain, but its uid list is never mutated by splits), and
     * buffer rewrites stay inside pre-existing segment boundaries, so
-      the snapshot's prefix/suffix/range slices remain set-equal.
+      the snapshot's prefix/suffix/range slices remain set-equal, and
+      every snapshot offset (:meth:`span`) is still a live boundary —
+      which is what lets :meth:`PartialOrderPartitions.uids_in_order`
+      answer a snapshot range against the live chain.
 
-    Tuple inserts/deletes invalidate snapshots; the batching layer never
-    interleaves them with a window.
+    Tuple inserts/deletes and merges invalidate snapshots; the batching
+    layer never interleaves them with a window.
     """
 
     __slots__ = ("_chain", "_buffer", "_offsets")
@@ -645,3 +677,9 @@ class ChainView:
         """Snapshot members of partitions ``first..last`` inclusive."""
         return _readonly(
             self._buffer[self._offsets[first]:self._offsets[last + 1]])
+
+    def span(self, first: int, last: int) -> tuple[int, int]:
+        """Buffer offsets ``(start, stop)`` of partitions ``first..last``
+        inclusive — the set :meth:`range_uids` slices, in the coordinate
+        :meth:`PartialOrderPartitions.uids_in_order` takes."""
+        return int(self._offsets[first]), int(self._offsets[last + 1])

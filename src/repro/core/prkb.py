@@ -26,11 +26,15 @@ queries share enclave roundtrips.  Pipelines read only a frozen
 :class:`~repro.core.partitions.ChainView`; refinements are returned as
 :class:`DeferredSplit` plans and committed when each query completes,
 skipped harmlessly if a sibling query already split the same partition.
+The answer itself is read out of the live chain in uid order when the
+pipeline completes: the snapshot's winner span is still a run of whole
+live partitions, since siblings only split.
 """
 
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left, insort
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field, replace
 
@@ -84,9 +88,12 @@ class QFilterOutcome:
 
     Attributes
     ----------
-    winners:
-        Uids guaranteed to satisfy the predicate without per-tuple QPF
-        (the ``TW`` group).
+    span:
+        Chain-buffer offsets ``(start, stop)`` of the partitions
+        guaranteed to satisfy the predicate without per-tuple QPF (the
+        ``TW`` group); ``start >= stop`` when there are none.  Answers
+        read it through
+        :meth:`~repro.core.partitions.PartialOrderPartitions.uids_in_order`.
     ns_indices:
         Chain indices of the Not-Sure partitions — ``(a, b)`` in the
         general case, a single index when the chain has one partition.
@@ -99,7 +106,7 @@ class QFilterOutcome:
         single-partition case where no samples are drawn.
     """
 
-    winners: np.ndarray
+    span: tuple[int, int]
     ns_indices: tuple[int, ...]
     boundary: bool
     label_prefix: bool | None
@@ -110,13 +117,16 @@ class QFilterOutcome:
 class QScanOutcome:
     """Result of Algorithm 2 (``QScan``) over the NS partitions.
 
-    ``split_index`` is the chain index of the non-homogeneous partition
-    (Case 2 of Lemma 4.5) or ``None`` when the predicate turned out
-    equivalent to a stored one (Case 1).  When a split occurred,
-    ``true_uids`` / ``false_uids`` are the two halves by QPF output.
+    ``winners`` holds the NS winners (``TWNS``) as one uid array per NS
+    partition, possibly empty; the answer scatters them, so they are
+    never concatenated.  ``split_index`` is the chain index of the
+    non-homogeneous partition (Case 2 of Lemma 4.5) or ``None`` when the
+    predicate turned out equivalent to a stored one (Case 1).  When a
+    split occurred, ``true_uids`` / ``false_uids`` are the two halves by
+    QPF output.
     """
 
-    winners: np.ndarray
+    winners: tuple[np.ndarray, ...]
     split_index: int | None
     true_uids: np.ndarray = field(default_factory=lambda: _EMPTY)
     false_uids: np.ndarray = field(default_factory=lambda: _EMPTY)
@@ -126,6 +136,7 @@ class QScanOutcome:
 class SelectionResult:
     """Full outcome of processing one comparison predicate with PRKB.
 
+    ``winners`` is strictly increasing ``uint64`` by construction.
     ``phase_qpf`` breaks the total down by pipeline phase —
     ``qfilter`` (sampling + binary search, O(log k)), ``qscan`` (the
     NS-pair scans, O(n/k)) and ``update`` (0 for comparisons; the
@@ -159,15 +170,6 @@ class DeferredSplit:
 
 
 _EMPTY = np.zeros(0, dtype=np.uint64)
-
-
-def _concat(parts: list[np.ndarray]) -> np.ndarray:
-    chunks = [p for p in parts if p.size]
-    if not chunks:
-        return _EMPTY
-    if len(chunks) == 1:
-        return chunks[0]
-    return np.concatenate(chunks)
 
 
 def _metered(sub, meter: dict, phase: str):
@@ -315,8 +317,9 @@ class PRKBIndex:
         # health().  One small tuple per select — cheap enough to keep
         # always on (QPF parity is untouched; only Python-side state).
         self._history: deque = deque(maxlen=HEALTH_HISTORY)
-        self._queries_noted = 0
-        self._scan_stats: tuple[int, tuple[int, int]] | None = None
+        #: NS scan widths of the non-equivalent ``_history`` entries,
+        #: kept sorted so the planner's p90 is two list reads.
+        self._scan_widths: list[int] = []
         self._equiv_hits = 0
         self._equiv_misses = 0
         self._splits_committed = 0
@@ -453,31 +456,30 @@ class PRKBIndex:
 
     def _note_query(self, qpf_uses: int, ns_width: int,
                     split_planned: bool, was_equivalent: bool) -> None:
-        """Append one query outcome to the bounded health history."""
+        """Append one query outcome to the bounded health history, and
+        keep ``_scan_widths`` in step with it: the entry the full deque
+        evicts leaves the sorted list, the new one enters it."""
         with self._stats_lock:
-            self._history.append(
+            history, widths = self._history, self._scan_widths
+            if len(history) == history.maxlen:
+                __, evicted, __, evicted_equivalent = history[0]
+                if not evicted_equivalent:
+                    del widths[bisect_left(widths, evicted)]
+            history.append(
                 (qpf_uses, ns_width, split_planned, was_equivalent))
-            self._queries_noted += 1
+            if not was_equivalent:
+                insort(widths, ns_width)
 
     def observed_scan_stats(self) -> tuple[int, int]:
         """``(queries_observed, p90 NS-scan width)`` for the estimator.
 
-        The pair the planner reads on *every* cost estimate; computing
-        it through :meth:`health` rebuilt the full report (four numpy
-        percentile calls) per planned query.  The value only changes
-        when :meth:`_note_query` appends, so it is memoized on the note
-        counter; a workload of distinct statements still recomputes it
-        per query, hence :func:`_p90` instead of ``np.percentile`` —
-        values identical to :meth:`health`.
+        The pair the planner reads on *every* cost estimate, so it reads
+        the width list :meth:`_note_query` keeps sorted instead of
+        sorting the history per plan; :func:`_p90` gives values
+        identical to :meth:`health`'s ``np.percentile``.
         """
-        cached = self._scan_stats
-        if cached is not None and cached[0] == self._queries_noted:
-            return cached[1]
-        history = self._history
-        stats = (len(history),
-                 _p90(sorted(ns for __, ns, __, eq in history if not eq)))
-        self._scan_stats = (self._queries_noted, stats)
-        return stats
+        with self._stats_lock:
+            return len(self._history), _p90(self._scan_widths)
 
     def health(self, window: int | None = None) -> dict:
         """Operational health report for this index.
@@ -576,15 +578,15 @@ class PRKBIndex:
         algorithm (P1 then Pk) but shipped as one fused request, so a
         serial drive reproduces the exact sample sequence and
         ``qpf_uses`` of the original implementation with one fewer
-        roundtrip.  Winner groups come out of the chain's prefix-sum
-        buffer as single slices — no per-partition concatenation.
+        roundtrip.  The winner group is reported as its span of the
+        snapshot's chain buffer — two offsets, no uids touched.
         """
         k = view.num_partitions
         if k == 0:
-            return QFilterOutcome(_EMPTY, (), False, None, None)
+            return QFilterOutcome((0, 0), (), False, None, None)
         if k == 1:
             # No samples needed: the single partition is the NS "pair".
-            return QFilterOutcome(_EMPTY, (0,), False, None, None)
+            return QFilterOutcome((0, 0), (0,), False, None, None)
         with self._rng_lock:
             endpoints = np.asarray(
                 [view[0].sample(self._rng), view[k - 1].sample(self._rng)],
@@ -594,9 +596,8 @@ class PRKBIndex:
         if label_first == label_last:
             # Boundary case: separating point is at one of the two ends;
             # every middle partition shares the sampled label.
-            winners = view.range_uids(1, k - 2) if label_first else _EMPTY
             return QFilterOutcome(
-                winners=winners,
+                span=view.span(1, k - 2) if label_first else (0, 0),
                 ns_indices=(0, k - 1),
                 boundary=True,
                 label_prefix=label_first,
@@ -614,10 +615,9 @@ class PRKBIndex:
                 a = m
             else:
                 b = m
-        winners = (view.prefix_uids(a) if label_first
-                   else view.suffix_uids(b + 1))
         return QFilterOutcome(
-            winners=winners,
+            span=(view.span(0, a - 1) if label_first
+                  else view.span(b + 1, k - 1)),
             ns_indices=(a, b),
             boundary=False,
             label_prefix=label_first,
@@ -637,7 +637,7 @@ class PRKBIndex:
                    filtered: QFilterOutcome):
         """Algorithm 2 as a request generator over a chain snapshot."""
         if not filtered.ns_indices:
-            return QScanOutcome(winners=_EMPTY, split_index=None)
+            return QScanOutcome(winners=(), split_index=None)
         if len(filtered.ns_indices) == 1:
             # Single-partition chain: a full scan is both QScan and the
             # first opportunity to split.
@@ -646,8 +646,9 @@ class PRKBIndex:
             labels = yield QPFRequest(trapdoor, self.table, uids)
             true_uids, false_uids = uids[labels], uids[~labels]
             if true_uids.size and false_uids.size:
-                return QScanOutcome(true_uids, index, true_uids, false_uids)
-            return QScanOutcome(true_uids, None)
+                return QScanOutcome((true_uids,), index, true_uids,
+                                    false_uids)
+            return QScanOutcome((true_uids,), None)
 
         a, b = filtered.ns_indices
         uids_a = view[a].uids
@@ -665,7 +666,7 @@ class PRKBIndex:
                 labels_b = yield QPFRequest(trapdoor, self.table, uids_b)
                 winners_b = uids_b[labels_b]
             return QScanOutcome(
-                winners=_concat([true_a, winners_b]),
+                winners=(true_a, winners_b),
                 split_index=a,
                 true_uids=true_a,
                 false_uids=false_a,
@@ -674,7 +675,7 @@ class PRKBIndex:
         uids_b = view[b].uids
         labels_b = yield QPFRequest(trapdoor, self.table, uids_b)
         true_b, false_b = uids_b[labels_b], uids_b[~labels_b]
-        winners = _concat([true_a, true_b])
+        winners = (true_a, true_b)
         if true_b.size and false_b.size:
             return QScanOutcome(winners, b, true_b, false_b)
         # Case 1 of Lemma 4.5: the predicate is equivalent to a stored one.
@@ -748,12 +749,16 @@ class PRKBIndex:
                              false_uids=scanned.false_uids,
                              first_label=first_label)
 
-    def _commit_split(self, deferred: DeferredSplit) -> bool:
+    def _commit_split(self, deferred: DeferredSplit,
+                      rotate: bool = True) -> bool:
         """Apply a planned split to the live chain; False when skipped.
 
         Skips when the target partition is no longer in the chain (a
         sibling query in the same batch window — or a concurrent session
         — split it first) or when the partition cap forbids growth.
+        ``rotate=False`` also skips instead of rotating at the cap: a
+        lock-step window passes it, because a merge would erase a
+        boundary that its still-running siblings' winner spans end on.
         Commits always run under the index write lock (reentrant when
         the caller already holds it), so a refinement publishes
         atomically with respect to snapshot readers.
@@ -765,7 +770,7 @@ class PRKBIndex:
                 # refinement superseded; knowledge not lost long
                 return False
             if not self.can_grow:
-                if self.cap_policy != "rotate":
+                if not rotate or self.cap_policy != "rotate":
                     return False
                 rotated = self._make_room(protect=index)
                 if rotated is None:
@@ -873,8 +878,10 @@ class PRKBIndex:
                           and view.num_partitions > 1)
         if was_equivalent:
             self._remember_equivalence(trapdoor, view, filtered)
+        # The live chain, not ``view``: its offsets still bound the
+        # snapshot's runs (splits only), and its tables give uid order.
         result = SelectionResult(
-            winners=_concat([filtered.winners, scanned.winners]),
+            winners=self.pop.uids_in_order(*filtered.span, scanned.winners),
             qpf_uses=meter["qfilter"] + meter["qscan"],
             partitions_after=self.pop.num_partitions,
             was_equivalent=was_equivalent,
@@ -942,10 +949,10 @@ class PRKBIndex:
                            ) -> SelectionResult | None:
         """Answer from the equivalence cache, or ``None`` on a miss.
 
-        A hit costs zero QPF and zero scan work: the winners are one
-        prefix/suffix slice of the chain's uid buffer, resolved against
-        the separator's *current* position (splits elsewhere may have
-        shifted it since the equivalence was learned).
+        A hit costs zero QPF and zero scan work: the winners are the
+        chain's prefix or suffix up to the separator's *current* position
+        (splits elsewhere may have shifted it since the equivalence was
+        learned), read out in uid order.
         """
         with self._stats_lock:
             entry = self._equiv_cache.get(trapdoor.serial)
@@ -953,8 +960,9 @@ class PRKBIndex:
                 self._equiv_cache.move_to_end(trapdoor.serial)
         if entry is None:
             return None
+        pop = self.pop
         if entry[0] == "all":
-            winners = self.pop.prefix_uids(self.pop.num_partitions)
+            winners = pop.uids_in_order(0, pop.num_tuples)
         elif entry[0] == "none":
             winners = _EMPTY
         else:
@@ -967,8 +975,9 @@ class PRKBIndex:
                 with self._stats_lock:
                     self._equiv_cache.pop(trapdoor.serial, None)
                 return None
-            winners = (self.pop.prefix_uids(position + 1) if prefix_side
-                       else self.pop.suffix_uids(position + 1))
+            cut = int(pop.offsets[position + 1])
+            winners = (pop.uids_in_order(0, cut) if prefix_side
+                       else pop.uids_in_order(cut, pop.num_tuples))
         self.qpf.counter.charge(comparisons=1)
         return SelectionResult(
             winners=winners,

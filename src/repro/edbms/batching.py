@@ -199,9 +199,8 @@ class BatchAnswer:
     ``qpf_uses`` is the query's *logical* consumption (independent of
     sharing); ``roundtrip_share`` is its fractional share of the
     physical roundtrips it rode in (summing shares over a window gives
-    the window's physical roundtrip count).  ``winners`` may be a
-    read-only view into the chain's uid buffer — copy before storing it
-    past subsequent table updates.
+    the window's physical roundtrip count).  ``winners`` is strictly
+    increasing ``uint64``, like every selection answer.
     """
 
     winners: np.ndarray
@@ -334,14 +333,17 @@ class BatchExecutor:
             return True
         except StopIteration as stop:
             result, deferred = stop.value
+            # No rotation inside a window: siblings still answer spans
+            # of the frozen view, which a merge would break.
             if state.span is None:
                 if deferred is not None:
-                    state.index._commit_split(deferred)
+                    state.index._commit_split(deferred, rotate=False)
             else:
                 tracer = self.qpf.counter.tracer
                 uspan = tracer.begin("prkb.update", parent=state.span)
                 committed = (deferred is not None
-                             and state.index._commit_split(deferred))
+                             and state.index._commit_split(deferred,
+                                                           rotate=False))
                 tracer.finish(uspan.set(split=bool(committed)), qpf_uses=0)
             if result.partitions_after != state.index.pop.num_partitions:
                 result = replace(
@@ -382,7 +384,7 @@ class BatchExecutor:
             elif job.kind == "scan":
                 labels = self.qpf.batch(job.trapdoor, job.table,
                                         job.table.uids)
-                winners = job.table.uids[labels]
+                winners = np.sort(job.table.uids[labels])
             else:
                 raise ValueError(f"unknown job kind {job.kind!r}")
         finally:

@@ -681,7 +681,7 @@ class EncryptedDatabase:
                           + answer.roundtrip_share
                           * self.cost_model.roundtrip_cost * 1e3)
                 answers[position] = QueryAnswer(
-                    uids=np.sort(np.asarray(answer.winners)),
+                    uids=answer.winners,
                     value=None,
                     qpf_uses=answer.qpf_uses,
                     simulated_ms=millis,

@@ -257,11 +257,12 @@ class HybridMaterializer:
             return index
 
     def mpc_select(self, table: str, trapdoor) -> np.ndarray:
-        """Drive the PRKB pipeline over shares with the MPC Θ."""
+        """Drive the PRKB pipeline over shares with the MPC Θ; the chain
+        answers in uid order, as over ciphertext."""
         index = self.mpc_index(table, trapdoor.attribute)
         if trapdoor.kind == "between":
-            return np.sort(BetweenProcessor(index).select(trapdoor))
-        return np.sort(SingleDimensionProcessor(index).select(trapdoor))
+            return BetweenProcessor(index).select(trapdoor)
+        return SingleDimensionProcessor(index).select(trapdoor)
 
     # -- per-scheme QPF attribution ---------------------------------
 

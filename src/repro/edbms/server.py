@@ -171,11 +171,16 @@ class ServiceProvider:
         """Fig. 2a: test every encrypted tuple with the QPF (n uses)."""
         table = self.table(table_name)
         labels = self.qpf.batch(trapdoor, table, table.uids)
-        return table.uids[labels]
+        return np.sort(table.uids[labels])
 
     def select(self, table_name: str, trapdoor: EncryptedPredicate,
                update: bool = True) -> np.ndarray:
-        """Answer one predicate, using PRKB when the attribute is indexed."""
+        """Answer one predicate, using PRKB when the attribute is indexed.
+
+        Winners come back strictly increasing on every path: PRKB and
+        BETWEEN read them out of the chain in uid order, the baseline
+        scan sorts its own.
+        """
         if not self.has_index(table_name, trapdoor.attribute):
             return self.select_baseline(table_name, trapdoor)
         index = self.index(table_name, trapdoor.attribute)
@@ -235,6 +240,8 @@ class ServiceProvider:
             indexes[dimension.attribute] = self.index(table_name,
                                                       dimension.attribute)
         processor = MultiDimensionProcessor(indexes)
+        # A grid answer is a few thousand uids in two runs; sorting them
+        # is cheaper than a bool read-out over the whole uid span.
         if strategy == "md":
             return np.sort(processor.select(query, update=update))
         if strategy == "sd+":

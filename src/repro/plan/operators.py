@@ -104,8 +104,9 @@ class PhysicalOperator:
         """Run this operator under ``ctx``; returns the matching UIDs.
 
         Contract: a 1-D ``uint64`` array, strictly increasing (sorted,
-        no duplicates).  Every operator orders its own answer exactly
-        once; :class:`SelectionRoot` relies on this and never re-sorts.
+        no duplicates).  PRKB-backed answers are in uid order by
+        construction; the other schemes order their own answer exactly
+        once.  :class:`SelectionRoot` relies on this and never re-sorts.
         """
         raise NotImplementedError
 
@@ -141,9 +142,10 @@ class PRKBSelectOp(_PredicateOp):
     __slots__ = ()
 
     def execute(self, ctx: ExecutionContext) -> np.ndarray:
-        """Seal the predicate and answer it via the PRKB index."""
+        """Seal the predicate and answer it via the PRKB index (already
+        in uid order: the chain reads its winners out that way)."""
         trapdoor = self._seal_condition(ctx, self.condition)
-        return np.sort(ctx.server.select(self.table, trapdoor))
+        return ctx.server.select(self.table, trapdoor)
 
 
 class CacheHitOp(PRKBSelectOp):
@@ -165,7 +167,7 @@ class LinearScanOp(_PredicateOp):
     def execute(self, ctx: ExecutionContext) -> np.ndarray:
         """Seal the predicate and test it against every tuple."""
         trapdoor = self._seal_condition(ctx, self.condition)
-        return np.sort(ctx.server.select_baseline(self.table, trapdoor))
+        return ctx.server.select_baseline(self.table, trapdoor)
 
 
 class GridIntersectOp(PhysicalOperator):

@@ -310,3 +310,40 @@ class TestBatchExecutorDirect:
         answer = db.server.answer_batch(
             "t", [db.owner.comparison_trapdoor("X", "<", 50_000)])[0]
         assert answer.count == answer.winners.size
+
+
+class TestRotationInWindows:
+    def test_windows_at_the_cap_answer_exactly_and_never_merge(
+            self, monkeypatch):
+        """A lock-step window's pipelines answer spans of one frozen
+        view; a rotation merge mid-window would erase a boundary a
+        sibling's span ends on, so window commits skip rotation."""
+        from repro.core.partitions import PartialOrderPartitions
+
+        db = EncryptedDatabase(seed=11)
+        values = np.random.default_rng(11).integers(*DOMAIN, size=400)
+        db.create_table("t", {"X": DOMAIN}, {"X": values})
+        index = db.server.build_index("t", "X", max_partitions=6, seed=11,
+                                      cap_policy="rotate")
+        for constant in (20_000, 40_000, 60_000, 80_000, 90_000, 10_000):
+            index.select(db.owner.comparison_trapdoor("X", "<", constant))
+        assert index.num_partitions == 6  # at the cap, serial rotation
+        merges = []
+        real_merge = PartialOrderPartitions.merge_range
+
+        def logged_merge(self, first, last):
+            merges.append((first, last))
+            return real_merge(self, first, last)
+
+        monkeypatch.setattr(PartialOrderPartitions, "merge_range",
+                            logged_merge)
+        constants = np.random.default_rng(12).integers(*DOMAIN, size=12)
+        answers = db.server.answer_batch(
+            "t", [db.owner.comparison_trapdoor("X", "<", int(c))
+                  for c in constants], window=4)
+        plain = db.owner.plain_table("t")
+        for constant, answer in zip(constants, answers):
+            want = np.sort(plain.uids[plain.columns["X"] < constant])
+            assert np.array_equal(answer.winners, want), constant
+        assert merges == []
+        assert index.num_partitions == 6

@@ -67,7 +67,7 @@ class TestPopAttack:
             bed.warm_up("X", warm, seed=seed)
         index = bed.prkb["X"]
         sizes = index.pop.sizes()
-        tuple_partition = index.pop.indices_of_uids(bed.plain.uids)
+        tuple_partition = index.pop.ordinals_of_uids(bed.plain.uids)
         truth = bed.plain.columns["X"]
         rng = np.random.default_rng(seed + 1)
         auxiliary = rng.integers(domain[0], domain[1] + 1, size=n)

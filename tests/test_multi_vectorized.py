@@ -20,9 +20,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.bench import Testbed
 from repro.core import MultiDimensionProcessor
+from repro.core.multi import _observed_labels
 from repro.core.partitions import PartialOrderPartitions
 from repro.edbms.qpf import TrustedMachine
 from repro.workloads import uniform_table
@@ -109,3 +111,35 @@ def test_vectorised_result_matches_oracle_with_updates(bed):
         want = bed.owner.expected_range_result("t", bounds)
         got = _select(bed, bounds, update=True)
         assert np.array_equal(got, want)
+
+
+def _isin_searchsorted_labels(members, observed_uids, observed_labels):
+    """The refinement's label lookup before the dense scratch: hash
+    membership, then a stable sort and a binary search per member."""
+    known = (np.isin(members, observed_uids) if observed_uids.size
+             else np.zeros(members.size, dtype=bool))
+    labels = np.full(members.size, -1, dtype=np.int8)
+    if known.any():
+        order = np.argsort(observed_uids, kind="stable")
+        positions = np.searchsorted(observed_uids[order], members[known])
+        labels[known] = observed_labels[order][positions]
+    return labels
+
+
+@given(members=st.lists(st.integers(0, 300), min_size=1, max_size=80,
+                        unique=True),
+       observed=st.lists(st.integers(0, 320), max_size=200),
+       truth=st.lists(st.booleans(), min_size=321, max_size=321))
+@settings(max_examples=200, deadline=None)
+def test_dense_label_scratch_equals_isin_searchsorted(members, observed,
+                                                      truth):
+    # Observations repeat uids freely (a tuple seen by the test phase and
+    # again by inference), always with the same label: Θ is a function.
+    members = np.asarray(members, dtype=np.uint64)
+    observed_uids = np.asarray(observed, dtype=np.uint64)
+    observed_labels = np.asarray([truth[u] for u in observed], dtype=bool)
+    got = _observed_labels(members, observed_uids, observed_labels)
+    assert got.dtype == np.int8
+    assert np.array_equal(
+        got, _isin_searchsorted_labels(members, observed_uids,
+                                       observed_labels))

@@ -98,14 +98,35 @@ _NOTES = st.lists(
     max_size=2 * HEALTH_HISTORY + 40)
 
 
-class TestScanStatsP90Identity:
-    """``observed_scan_stats`` computes its p90 without numpy; it must
-    stay bit-identical to the ``np.percentile`` figure ``health()``
-    reports, for any history the bounded deque can hold."""
+def _numpy_stats(notes):
+    """``(queries_observed, p90)`` recomputed from scratch over the
+    window the bounded deque holds after ``notes``."""
+    window = notes[-HEALTH_HISTORY:]
+    widths = [width for width, equivalent in window if not equivalent]
+    p90 = (int(np.percentile(np.asarray(widths, dtype=np.int64), 90))
+           if widths else 0)
+    return len(window), p90
 
-    @given(notes=_NOTES, all_equivalent_tail=st.booleans())
+
+class TestScanStatsP90Identity:
+    """``observed_scan_stats`` reads a width list kept sorted across
+    appends and deque evictions; its p90 must stay bit-identical to the
+    ``np.percentile`` figure ``health()`` reports, for any history the
+    bounded deque can hold."""
+
+    @given(notes=_NOTES, all_equivalent_tail=st.booleans(),
+           wraps=st.integers(0, 3), tail_seed=st.integers(0, 2**16))
     @settings(max_examples=150, deadline=None)
-    def test_p90_equals_numpy_percentile(self, notes, all_equivalent_tail):
+    def test_p90_equals_numpy_percentile(self, notes, all_equivalent_tail,
+                                         wraps, tail_seed):
+        # Drive the deque past HEALTH_HISTORY evictions: a tail of small,
+        # duplicate-heavy widths with cache hits interleaved, so evicted
+        # entries are a mix of both kinds and share values with live ones.
+        rng = np.random.default_rng(tail_seed)
+        notes = notes + [
+            (int(width), bool(equivalent)) for width, equivalent in zip(
+                rng.integers(0, 12, wraps * (HEALTH_HISTORY + 37)),
+                rng.random(wraps * (HEALTH_HISTORY + 37)) < 0.3)]
         if all_equivalent_tail:
             # A full window of cache hits: no scan widths left at all.
             notes = notes + [(0, True)] * HEALTH_HISTORY
@@ -114,10 +135,8 @@ class TestScanStatsP90Identity:
         for step, (width, equivalent) in enumerate(notes):
             index._note_query(width + 2, width, False, equivalent)
             if step % 37 == 0:
-                index.observed_scan_stats()  # exercise the memo too
-        window = notes[-HEALTH_HISTORY:]  # the deque wrapped past these
-        widths = [width for width, equivalent in window if not equivalent]
-        want = (int(np.percentile(np.asarray(widths, dtype=np.int64), 90))
-                if widths else 0)
-        assert index.observed_scan_stats() == (len(window), want)
-        assert index.health()["ns_scan_width"]["p90"] == want
+                assert index.observed_scan_stats() \
+                    == _numpy_stats(notes[:step + 1])
+        want = _numpy_stats(notes)
+        assert index.observed_scan_stats() == want
+        assert index.health()["ns_scan_width"]["p90"] == want[1]

@@ -3,8 +3,14 @@
 Two identical 120-query PRKB runs — one with no tracer (proved to
 allocate zero spans), one traced — must agree bit-for-bit on the global
 ``qpf_uses`` counter, and the traced run's leaf-phase costs must *tile*
-that counter exactly: every use attributed once, none twice.
+that counter exactly: every use attributed once, none twice.  The same
+probe in all five modes of ``benchmarks/bench_parity_probe.py`` must
+also answer every query exactly as a numpy oracle over the plaintext.
 """
+
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -226,3 +232,43 @@ class TestEnabled:
     def test_prkb_growth_unperturbed(self, traced_probe):
         __, bed = traced_probe
         assert bed.prkb["X"].pop.num_partitions == 118
+
+
+def _load_parity_bench():
+    """``benchmarks/bench_parity_probe.py`` as a module (it imports
+    ``_common`` from its own directory)."""
+    benchmarks = Path(__file__).resolve().parents[1] / "benchmarks"
+    spec = importlib.util.spec_from_file_location(
+        "bench_parity_probe", benchmarks / "bench_parity_probe.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.path.insert(0, str(benchmarks))
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(benchmarks))
+    return module
+
+
+class TestEveryModeAnswersTheOracle:
+    def test_five_modes_exact_in_count_and_answers(self):
+        bench = _load_parity_bench()
+        results, mismatches = bench._measure()
+        assert set(results) == {"serial", "traced", "shard_thread",
+                                "engine_serial", "engine_batched",
+                                "expected"}
+        assert bench._check(results, mismatches) == []
+
+    def test_a_wrong_set_at_the_right_cost_fails_the_check(self):
+        bench = _load_parity_bench()
+        __, plain, answers = bench._run_testbed()
+        check = bench._answer_mismatches
+        assert check("serial", plain, answers, ordered=False) == []
+        # The same sets, descending: fine where only sets are compared,
+        # a contract breach for an engine mode.
+        descending = [answer[::-1] for answer in answers]
+        assert check("serial", plain, descending, ordered=False) == []
+        assert len(check("engine_serial", plain, descending, ordered=True)) \
+            == sum(answer.size > 1 for answer in answers)
+        # One winner lost, at no QPF difference.
+        answers[3] = answers[3][1:]
+        assert len(check("serial", plain, answers, ordered=False)) == 1

@@ -66,12 +66,12 @@ class TestPop:
             pop.split(0, np.asarray([0], dtype=np.uint64),
                       np.asarray([1], dtype=np.uint64))
 
-    def test_indices_of_uids(self):
+    def test_ordinals_of_uids(self):
         pop = PartialOrderPartitions(np.arange(6, dtype=np.uint64))
         pop.split(0, np.asarray([0, 1], dtype=np.uint64),
                   np.asarray([2, 3, 4, 5], dtype=np.uint64))
-        got = pop.indices_of_uids(np.asarray([0, 5, 1, 3],
-                                             dtype=np.uint64))
+        got = pop.ordinals_of_uids(np.asarray([0, 5, 1, 3],
+                                              dtype=np.uint64))
         assert got.tolist() == [0, 1, 0, 1]
 
     def test_insert(self):
@@ -179,12 +179,14 @@ class TestOffsetConsistency:
                 want = np.sort(self._naive_range(pop, first, last))
                 assert np.array_equal(got, want), (first, last)
         for count in range(k + 1):
+            cut = int(pop.offsets[count])
+            # uid order by construction: equal to the sorted naive set.
             assert np.array_equal(
-                np.sort(pop.prefix_uids(count)),
+                pop.uids_in_order(0, cut),
                 np.sort(self._naive_range(pop, 0, count - 1))
                 if count else np.zeros(0, dtype=np.uint64))
             assert np.array_equal(
-                np.sort(pop.suffix_uids(count)),
+                pop.uids_in_order(cut, pop.num_tuples),
                 np.sort(self._naive_range(pop, count, k - 1))
                 if count < k else np.zeros(0, dtype=np.uint64))
 
@@ -218,7 +220,7 @@ class TestOffsetConsistency:
 
     def test_views_are_readonly(self):
         pop = PartialOrderPartitions(np.arange(6, dtype=np.uint64))
-        window = pop.prefix_uids(1)
+        window = pop.range_uids(0, 0)
         with pytest.raises(ValueError):
             window[0] = 99
 
@@ -238,6 +240,55 @@ class TestOffsetConsistency:
         pop = PartialOrderPartitions(np.arange(5, dtype=np.uint64))
         pop.offsets
         pop.insert(50, 0)
-        assert sorted(pop.prefix_uids(1).tolist()) == [0, 1, 2, 3, 4, 50]
+        assert sorted(pop.range_uids(0, 0).tolist()) == [0, 1, 2, 3, 4, 50]
         pop.delete(50)
-        assert sorted(pop.prefix_uids(1).tolist()) == [0, 1, 2, 3, 4]
+        assert sorted(pop.range_uids(0, 0).tolist()) == [0, 1, 2, 3, 4]
+
+
+class TestUidsInOrder:
+    """``uids_in_order``: chain-buffer spans plus scattered extras, read
+    out strictly increasing without a sort."""
+
+    @staticmethod
+    def _chain():
+        # Uids deliberately out of order inside and across partitions.
+        pop = PartialOrderPartitions(
+            np.asarray([9, 3, 7, 1, 5, 0, 8, 2, 6, 4], dtype=np.uint64))
+        pop.split(0, np.asarray([9, 3, 7], dtype=np.uint64),
+                  np.asarray([1, 5, 0, 8, 2, 6, 4], dtype=np.uint64))
+        pop.split(1, np.asarray([1, 5, 0], dtype=np.uint64),
+                  np.asarray([8, 2, 6, 4], dtype=np.uint64))
+        return pop
+
+    def test_span_and_extra_come_out_strictly_increasing(self):
+        pop = self._chain()
+        offsets = pop.offsets
+        got = pop.uids_in_order(int(offsets[1]), int(offsets[3]),
+                                [np.asarray([7, 3], dtype=np.uint64)])
+        assert got.dtype == np.uint64
+        assert got.tolist() == [0, 1, 2, 3, 4, 5, 6, 7, 8]
+        assert pop.uids_in_order(0, 0).size == 0
+        assert pop.uids_in_order(int(offsets[2]), int(offsets[1])).size == 0
+
+    def test_deleted_and_grown_uids(self):
+        pop = self._chain()
+        # Grow ``uid -> slot`` well past twice its size, then delete: the
+        # dead uid's -1 slot must land on the table's trailing False.
+        pop.insert(45, 2)
+        pop.delete(2)
+        pop.delete(9)
+        got = pop.uids_in_order(0, pop.num_tuples)
+        assert got.tolist() == [0, 1, 3, 4, 5, 6, 7, 8, 45]
+        pop.check_invariants()
+
+    def test_frozen_span_answers_against_the_refined_live_chain(self):
+        pop = self._chain()
+        view = pop.freeze()
+        start, stop = view.span(1, 2)
+        want = np.sort(view.range_uids(1, 2))
+        # Siblings refine the live chain inside the snapshot's run.
+        pop.split(2, np.asarray([8, 2], dtype=np.uint64),
+                  np.asarray([6, 4], dtype=np.uint64))
+        pop.split(1, np.asarray([1], dtype=np.uint64),
+                  np.asarray([5, 0], dtype=np.uint64))
+        assert np.array_equal(pop.uids_in_order(start, stop), want)
