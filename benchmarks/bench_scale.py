@@ -14,7 +14,7 @@ Not a paper figure: this pins the decrypted-column cache at
   holds only 1.5 columns; resident bytes must respect the budget while
   answers stay exact.
 
-The 23455-QPF parity probe (see ``bench_parity_probe.py``) is
+The parity probe (see ``bench_parity_probe.py``) is
 re-verified inline, cold and warm, in every mode: the cache must never
 change QPF accounting.  Parity keys are scale-independent —
 ``--tiny`` shrinks only the throughput workloads — so CI can diff a
@@ -153,7 +153,7 @@ def _eviction_section(rows: int) -> dict:
 
 
 def _parity_section() -> dict:
-    """The 23455-QPF probe, every mode, cold and warm caches."""
+    """The parity probe, every mode, cold and warm caches."""
     thresholds = [int(t) for t in distinct_comparison_thresholds(
         PARITY_DOMAIN, PARITY_QUERIES, seed=1)]
     results = {}

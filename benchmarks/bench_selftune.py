@@ -15,7 +15,7 @@ attached and learns per-step-fingerprint correction factors from its
 knowledge atoms; phase B replays the identical workload on a seed-twin
 database with ``apply_corrections`` installed.  Checks: the corrected
 twin returns bit-identical winner sets, the estimate-error p90 shrinks
-by >= 2x, and the canonical 23455-QPF parity probe stays exact with the
+by >= 2x, and the canonical parity probe stays exact with the
 ledger enabled and corrections off (the default posture).
 
 Results land in ``BENCH_selftune.json``; CI diffs them with
@@ -39,16 +39,17 @@ from repro.workloads import distinct_comparison_thresholds, uniform_table
 
 from _common import (emit, emit_note, parse_bench_args, scaled,
                      write_bench_json)
+# The canonical parity probe: recording knowledge atoms must not move it.
+from bench_parity_probe import (
+    DOMAIN as PARITY_DOMAIN,
+    EXPECTED_QPF,
+    NUM_QUERIES as PARITY_QUERIES,
+    NUM_ROWS as PARITY_ROWS,
+)
 
 DOMAIN = (1, 1_000_000)
 JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_selftune.json"
 
-#: The canonical parity probe (same pins as bench_parity_probe and
-#: tests/test_obs_parity): recording knowledge atoms must not move it.
-PARITY_DOMAIN = (1, 300_000)
-PARITY_ROWS = 2_000
-PARITY_QUERIES = 120
-EXPECTED_QPF = 23455
 
 
 def _build(n: int, cap: int, warm: int) -> EncryptedDatabase:
@@ -110,7 +111,7 @@ def _run_phase(n: int, cap: int, warm: int, sqls: list[str],
 
 
 def _run_parity(ledger_dir: Path) -> int:
-    """The 23455-QPF probe with a live ledger, corrections off."""
+    """The parity probe with a live ledger, corrections off."""
     db = EncryptedDatabase(seed=7)
     table = uniform_table("t", PARITY_ROWS, ["X"],
                           domain=PARITY_DOMAIN, seed=0)

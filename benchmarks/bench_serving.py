@@ -5,10 +5,10 @@ Not a paper figure: the acceptance gate for the serving core
 
 * **parity** — the canonical 120-query probe of
   ``bench_parity_probe.py`` (2000-row uniform table, pinned seeds,
-  deterministic cost 23455 qpf_uses) run by eight concurrent tenants on
+  deterministic cost ``EXPECTED_QPF``) run by eight concurrent tenants on
   one :class:`~repro.serve.QueryServer`.  Per-tenant PRKB namespaces
   keep every tenant's refinement trajectory private and deterministic,
-  so the shared counter must land on **exactly** 8 x 23455 = 187640
+  so the shared counter must land on **exactly** 8 x ``EXPECTED_QPF``
   regardless of thread interleaving.  Always runs at full scale —
   ``--tiny`` never changes these numbers, so CI diffs them with
   ``--threshold 0``.
@@ -41,15 +41,16 @@ from repro.serve import QueryServer, QuotaExceeded, TenantQuota
 from repro.workloads import distinct_comparison_thresholds, uniform_table
 
 from _common import emit, emit_note, parse_bench_args, write_bench_json
+from bench_parity_probe import (
+    DOMAIN as PARITY_DOMAIN,
+    EXPECTED_QPF,
+    NUM_QUERIES as PARITY_QUERIES,
+    NUM_ROWS as PARITY_ROWS,
+)
 
 JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_serving.json"
 
 # -- parity section (canonical probe, never scaled) ---------------------- #
-PARITY_DOMAIN = (1, 300_000)
-PARITY_ROWS = 2_000
-PARITY_QUERIES = 120
-#: The probe's deterministic cost (same pin as bench_parity_probe).
-EXPECTED_QPF = 23455
 PARITY_TENANTS = 8
 
 # -- throughput section -------------------------------------------------- #

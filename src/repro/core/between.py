@@ -55,11 +55,11 @@ class BetweenProcessor:
     # ------------------------------------------------------------------ #
 
     def _probe(self, trapdoor: EncryptedPredicate, cache: dict[int, bool],
-               position: int) -> bool:
+               words, position: int) -> bool:
         """Sample-probe one partition (memoised) — one QPF use when fresh."""
         if position not in cache:
             pop = self.index.pop
-            uid = pop[position].sample(self.index._rng)
+            uid = pop[position].sample(next(words))
             cache[position] = self.index.qpf(trapdoor, self.index.table, uid)
         return cache[position]
 
@@ -85,7 +85,7 @@ class BetweenProcessor:
             pending.append((mid, hi))
 
     def _find_anchor(self, trapdoor: EncryptedPredicate,
-                     cache: dict[int, bool]) -> int | None:
+                     cache: dict[int, bool], words) -> int | None:
         """Probe partition samples until one with output 1 is found.
 
         First pass follows the bisection order with memoised samples;
@@ -96,20 +96,20 @@ class BetweenProcessor:
         pop = self.index.pop
         order = list(self._bisection_order(pop.num_partitions))
         for position in order:
-            if self._probe(trapdoor, cache, position):
+            if self._probe(trapdoor, cache, words, position):
                 return position
         for __ in range(1, self.anchor_samples):
             for position in order:
                 if len(pop[position]) <= 1:
                     continue  # a single-tuple partition is fully sampled
-                uid = pop[position].sample(self.index._rng)
+                uid = pop[position].sample(next(words))
                 if self.index.qpf(trapdoor, self.index.table, uid):
                     cache[position] = True
                     return position
         return None
 
     def _search_edge(self, trapdoor: EncryptedPredicate,
-                     cache: dict[int, bool], zero_end: int,
+                     cache: dict[int, bool], words, zero_end: int,
                      one_end: int) -> list[int]:
         """Binary-search one band edge between a 0-sample and a 1-sample.
 
@@ -120,7 +120,7 @@ class BetweenProcessor:
         lo, hi = zero_end, one_end
         while abs(hi - lo) > 1:
             mid = (lo + hi) // 2
-            if self._probe(trapdoor, cache, mid):
+            if self._probe(trapdoor, cache, words, mid):
                 hi = mid
             else:
                 lo = mid
@@ -206,7 +206,9 @@ class BetweenProcessor:
         if k == 0:
             return _EMPTY
         cache: dict[int, bool] = {}
-        anchor = None if k == 1 else self._find_anchor(trapdoor, cache)
+        # One ordinal per statement: every probe below draws from it.
+        words = self.index._sample_words()
+        anchor = None if k == 1 else self._find_anchor(trapdoor, cache, words)
         free_winner_positions: list[int] = []
         if anchor is None:
             # Either a single partition, or no sample hit the band: the
@@ -233,14 +235,16 @@ class BetweenProcessor:
             self.index.commit_journal()
             return winners
         else:
-            if self._probe(trapdoor, cache, 0):
+            if self._probe(trapdoor, cache, words, 0):
                 ns_left = [0]
             else:
-                ns_left = self._search_edge(trapdoor, cache, 0, anchor)
-            if self._probe(trapdoor, cache, k - 1):
+                ns_left = self._search_edge(trapdoor, cache, words, 0,
+                                            anchor)
+            if self._probe(trapdoor, cache, words, k - 1):
                 ns_right = [k - 1]
             else:
-                ns_right = self._search_edge(trapdoor, cache, k - 1, anchor)
+                ns_right = self._search_edge(trapdoor, cache, words, k - 1,
+                                             anchor)
             scan_positions = sorted(set(ns_left) | set(ns_right))
             # Partitions strictly between the innermost NS positions of
             # the two edges are certainly in-band — free winners.

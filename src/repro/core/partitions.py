@@ -110,13 +110,14 @@ class Partition:
             self._fold_pending()
         return self._array
 
-    def sample(self, rng: np.random.Generator) -> int:
-        """One uniformly random member — ``P_i.sample`` in the paper."""
+    def sample(self, word: int) -> int:
+        """The member a uniformly random 64-bit ``word`` picks —
+        ``P_i.sample`` in the paper (``word mod |P_i|``)."""
         if self._pending:
             self._fold_pending()
         if not self._array.size:
             raise ValueError("cannot sample from an empty partition")
-        return int(self._array[int(rng.integers(self._array.size))])
+        return int(self._array[word % self._array.size])
 
     def add(self, uid: int) -> None:
         """Insert a tuple uid (Sec. 7.1 insertion lands here)."""

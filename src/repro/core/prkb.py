@@ -33,6 +33,7 @@ live partitions, since siblings only split.
 
 from __future__ import annotations
 
+import secrets
 import threading
 from bisect import bisect_left, insort
 from collections import OrderedDict, deque
@@ -40,6 +41,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ..crypto.primitives import _WORD_MASK, _mix64
 from ..crypto.trapdoor import EncryptedPredicate
 from ..edbms.encryption import EncryptedTable
 from ..edbms.qpf import QPFRequest, QueryProcessingFunction
@@ -262,7 +264,8 @@ class PRKBIndex:
         Algorithm 2's early-stop strategy; disable only for the ablation
         benchmark.
     seed:
-        Seed for the sampling RNG (reproducible benchmarks).
+        Sampling key (reproducible benchmarks); ``None`` draws a 63-bit
+        one from the OS, once (see :meth:`_sample_words`).
     """
 
     CAP_POLICIES = ("freeze", "rotate")
@@ -288,22 +291,23 @@ class PRKBIndex:
         self.max_partitions = max_partitions
         self.cap_policy = cap_policy
         self.early_stop = early_stop
-        #: Retained so a sibling index (e.g. the hybrid layer's
+        #: Always concrete, so a sibling index (e.g. the hybrid layer's
         #: PRKB-over-shares twin) can replicate this chain's sampling
         #: trajectory exactly.
-        self.seed = seed
-        self._rng = np.random.default_rng(seed)
+        self.seed = secrets.randbits(63) if seed is None else int(seed)
+        #: The ordinal the next sampling statement takes; checkpoints and
+        #: WAL commit records journal it.
+        self.ordinal = 0
         # Snapshot-read protocol (see repro/serve + DESIGN.md): concurrent
         # selections hold ``lock.read()`` while they freeze a ChainView and
         # drive their pipelines; refinement commits, journal commits and
         # table-update mutations hold ``lock.write()``, so splits (and
         # their WAL records) publish atomically between reads.  The small
-        # mutexes guard the sampling RNG (numpy Generators are not
-        # thread-safe) and the Python-side caches/tallies that concurrent
-        # *readers* may touch.  All uncontended costs are sub-microsecond,
-        # so single-threaded paths keep their performance profile.
+        # mutex guards the sampling ordinal and the Python-side
+        # caches/tallies that concurrent *readers* may touch.  All
+        # uncontended costs are sub-microsecond, so single-threaded paths
+        # keep their performance profile.
         self.lock = SnapshotLock()
-        self._rng_lock = threading.Lock()
         self._stats_lock = threading.Lock()
         # Durability journal (attached by the durability manager); must be
         # set before the first `self.pop = ...` so the setter can consult it.
@@ -344,8 +348,8 @@ class PRKBIndex:
 
         The journal observes POP refinements through the chain's listener
         protocol and separator-list edits through explicit calls below;
-        :meth:`commit_journal` closes one query transaction, snapshotting
-        the sampling RNG state so replay reproduces exact QPF parity.
+        :meth:`commit_journal` closes one query transaction, recording
+        the sampling ordinal so replay reproduces exact QPF parity.
         """
         self._journal = journal
         self._pop.listener = journal
@@ -360,27 +364,32 @@ class PRKBIndex:
         """Close the current journal transaction, if a journal is attached.
 
         Idempotent and free when nothing happened since the last commit
-        (no structural ops and an unchanged RNG state).  Runs under the
-        index write lock (reentrant), so commit records land in the WAL
-        strictly after the structural records of the transaction they
-        close — ordering holds under concurrent serving too.
+        (no structural ops and an unchanged sampling ordinal).  Runs
+        under the index write lock (reentrant), so commit records land in
+        the WAL strictly after the structural records of the transaction
+        they close — ordering holds under concurrent serving too.
         """
         if self._journal is not None:
             with self.lock.write():
                 self._journal.commit()
 
-    def rng_state(self) -> dict:
-        """The sampling RNG's serializable state (checkpoint/commit use)."""
-        return self._rng.bit_generator.state
+    def _sample_words(self):
+        """One statement's sampling words, as an endless generator.
 
-    def set_rng_state(self, state: dict) -> None:
-        """Restore the sampling RNG (recovery / load use).
-
-        Accepts the JSON-decoded form of :meth:`rng_state` as written by
-        checkpoints and WAL commit records, including the ``__ndarray__``
-        marker used for ndarray-valued fields (e.g. MT19937's key).
+        The ``step``-th word is ``splitmix64(mix(seed) + (ordinal << 32)
+        + step)``, so no draw depends on which statements sampled first,
+        and statements (each far below 2**32 draws) share no nonce.  The
+        ordinal is taken at the first ``next``: equivalence-cache hits
+        and ``k <= 1`` chains take none.
         """
-        self._rng.bit_generator.state = _decode_rng_state(state)
+        with self._stats_lock:
+            ordinal = self.ordinal
+            self.ordinal += 1
+        base = _mix64(self.seed) + (ordinal << 32)
+        step = 0
+        while True:
+            yield _mix64((base + step) & _WORD_MASK)
+            step += 1
 
     # ------------------------------------------------------------------ #
     # inspection                                                          #
@@ -574,12 +583,10 @@ class PRKBIndex:
 
         Yields :class:`QPFRequest` payloads, receives label arrays, and
         returns the :class:`QFilterOutcome`.  The two endpoint samples
-        are drawn in the same RNG order as the paper's sequential
-        algorithm (P1 then Pk) but shipped as one fused request, so a
-        serial drive reproduces the exact sample sequence and
-        ``qpf_uses`` of the original implementation with one fewer
-        roundtrip.  The winner group is reported as its span of the
-        snapshot's chain buffer — two offsets, no uids touched.
+        are the statement's steps 0 and 1, in the paper's order (P1 then
+        Pk), shipped as one fused request — one fewer roundtrip than the
+        sequential algorithm.  The winner group is reported as its span
+        of the snapshot's chain buffer — two offsets, no uids touched.
         """
         k = view.num_partitions
         if k == 0:
@@ -587,10 +594,10 @@ class PRKBIndex:
         if k == 1:
             # No samples needed: the single partition is the NS "pair".
             return QFilterOutcome((0, 0), (0,), False, None, None)
-        with self._rng_lock:
-            endpoints = np.asarray(
-                [view[0].sample(self._rng), view[k - 1].sample(self._rng)],
-                dtype=np.uint64)
+        words = self._sample_words()
+        endpoints = np.asarray(
+            [view[0].sample(next(words)), view[k - 1].sample(next(words))],
+            dtype=np.uint64)
         labels = yield QPFRequest(trapdoor, self.table, endpoints)
         label_first, label_last = bool(labels[0]), bool(labels[1])
         if label_first == label_last:
@@ -607,9 +614,8 @@ class PRKBIndex:
         a, b = 0, k - 1
         while b - a > 1:
             m = (a + b) // 2
-            with self._rng_lock:
-                probe = np.asarray([view[m].sample(self._rng)],
-                                   dtype=np.uint64)
+            probe = np.asarray([view[m].sample(next(words))],
+                               dtype=np.uint64)
             labels = yield QPFRequest(trapdoor, self.table, probe)
             if bool(labels[0]) == label_first:
                 a = m
@@ -1219,19 +1225,3 @@ def _p90(ordered: list[int]) -> int:
     if weight < 0.5:
         return int(low + (high - low) * weight)
     return int(high - (high - low) * (1 - weight))
-
-
-def _decode_rng_state(state):
-    """Inverse of the checkpoint/WAL JSON encoding of a BitGenerator state.
-
-    ndarray-valued fields (e.g. MT19937's 624-word key) are journaled as
-    ``{"__ndarray__": [...], "dtype": "uint32"}``; everything else passes
-    through unchanged.
-    """
-    if isinstance(state, dict):
-        if "__ndarray__" in state:
-            return np.asarray(state["__ndarray__"],
-                              dtype=np.dtype(state.get("dtype", "uint64")))
-        return {key: _decode_rng_state(value)
-                for key, value in state.items()}
-    return state

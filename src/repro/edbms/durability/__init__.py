@@ -12,7 +12,7 @@ durable:
 * :mod:`~repro.edbms.durability.journal` — the listeners that translate
   live :class:`~repro.core.partitions.PartialOrderPartitions` /
   :class:`~repro.core.prkb.PRKBIndex` mutations into WAL records, with
-  query-transaction commit boundaries carrying the sampling RNG state.
+  query-transaction commit boundaries carrying the sampling ordinal.
 * :mod:`~repro.edbms.durability.checkpoint` — atomic (temp-file +
   ``os.replace``, file- and directory-fsynced) checkpoints with
   generation-numbered data files and WAL truncation.

@@ -47,7 +47,8 @@ __all__ = [
     "drop_stale_generations",
 ]
 
-_CHECKPOINT_FORMAT = 1
+#: 2: sampling ``seed`` / ``ordinal``; 1 had a bit-generator state (ignored).
+_CHECKPOINT_FORMAT = 2
 
 
 class CheckpointError(RuntimeError):
@@ -122,7 +123,7 @@ def _read(directory, stem: str, kind: str, what: str) -> tuple[dict, dict]:
 def write_index_checkpoint(directory, stem: str, index,
                            generation: int, faults=None) -> dict:
     """Checkpoint one PRKB index (chain members + offsets, separators,
-    sampling-RNG state) as generation ``generation``."""
+    sampling seed and ordinal) as generation ``generation``."""
     return _commit(directory, stem, faults, *index_state(
         index, _CHECKPOINT_FORMAT, "prkb-index-checkpoint",
         **_generation_fields(stem, generation)))

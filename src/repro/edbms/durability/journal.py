@@ -6,9 +6,10 @@ separator-edit hooks of :class:`~repro.core.prkb.PRKBIndex`.  Operations
 are appended to the WAL *as they happen*; a transaction — one query's
 refinement, or one insert/delete batch of any size — is closed by
 :meth:`IndexJournal.commit`, which appends a ``commit`` record carrying
-the sampling RNG state.  Recovery replays only complete committed
-transactions, so a crash mid-operation rolls the index back to the
-previous operation boundary — and the restored RNG state means the
+the index's sampling ordinal (the next statement's; every draw is a pure
+function of seed, ordinal and step).  Recovery replays only complete
+committed transactions, so a crash mid-operation rolls the index back to
+the previous operation boundary — and the restored ordinal means the
 replayed index draws *exactly* the samples the live one would have,
 which is what makes post-recovery QPF usage bit-identical to an
 uncrashed run.
@@ -35,7 +36,10 @@ Index operation vocabulary (JSON payloads)::
     {"op":"sep_add","at":i,"attribute":..,"kind":..,"sealed":hex,
      "prefix_label":bool,"edge":..,"partner":int}
     {"op":"sep_del","start":a,"stop":b}
-    {"op":"commit","rng":<numpy BitGenerator state dict>}
+    {"op":"commit","ordinal":n}
+
+Segments written before sampling was keyed carry ``"rng"`` (a numpy
+BitGenerator state) in place of ``"ordinal"``; recovery ignores it.
 
 Table operation vocabulary::
 
@@ -47,7 +51,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..persistence import _jsonable
 from .wal import WALWriter, encode_op, pack_uids
 
 __all__ = ["IndexJournal", "TableJournal"]
@@ -60,20 +63,20 @@ class IndexJournal:
         self.writer = writer
         self._index = None
         self._pending_ops = 0
-        self._baseline_rng: dict | None = None
+        self._baseline_ordinal = 0
 
     def bind(self, index) -> None:
-        """Called by ``PRKBIndex.attach_journal``; snapshots the RNG
-        baseline so no-op commits can be skipped."""
+        """Called by ``PRKBIndex.attach_journal``; notes the ordinal so
+        no-op commits can be skipped."""
         self._index = index
-        self._baseline_rng = _jsonable(index.rng_state())
+        self._baseline_ordinal = index.ordinal
 
     def reset_baseline(self) -> None:
         """Re-anchor after a checkpoint: the WAL is empty again and the
-        checkpoint already holds the current RNG state."""
+        checkpoint already holds the current ordinal."""
         self._pending_ops = 0
         if self._index is not None:
-            self._baseline_rng = _jsonable(self._index.rng_state())
+            self._baseline_ordinal = self._index.ordinal
 
     def _log(self, op: dict) -> None:
         self.writer.append(encode_op(op))
@@ -127,25 +130,21 @@ class IndexJournal:
     # -- transaction boundary -------------------------------------------- #
 
     def commit(self) -> None:
-        """Close the current transaction with an RNG-state commit record.
+        """Close the current transaction with an ordinal commit record.
 
         Skipped entirely when nothing happened — no structural ops logged
-        *and* no RNG draws consumed — so equivalence-cache hits and
-        untouched indexes in a multi-index operation cost zero WAL
-        traffic.
+        *and* no ordinal taken — so equivalence-cache hits and untouched
+        indexes in a multi-index operation cost zero WAL traffic.
         """
         if self._index is None:
             return
-        # Compare (and journal) the JSON-encoded state: ndarray-valued
-        # fields (MT19937) have no scalar ``==`` and would break a plain
-        # dict comparison.
-        state = _jsonable(self._index.rng_state())
-        if self._pending_ops == 0 and state == self._baseline_rng:
+        ordinal = self._index.ordinal
+        if self._pending_ops == 0 and ordinal == self._baseline_ordinal:
             return
-        self.writer.append(encode_op({"op": "commit", "rng": state}))
+        self.writer.append(encode_op({"op": "commit", "ordinal": ordinal}))
         self.writer.mark_commit()
         self._pending_ops = 0
-        self._baseline_rng = state
+        self._baseline_ordinal = ordinal
 
     def close(self) -> None:
         """Flush and close the underlying WAL segment."""

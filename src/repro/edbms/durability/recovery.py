@@ -9,16 +9,16 @@ The recovery sequence (classic ARIES-lite, adapted to PRKB's structure):
    ``wal_generation`` is *stale* (a crash landed between checkpoint
    commit and WAL truncation) and is skipped entirely.
 2. **Indexes.**  Each index checkpoint is materialized (chain via
-   ``PartialOrderPartitions.from_segments``, separators, sampling-RNG
-   state), then its WAL is replayed *transactionally*: ops buffer until
-   their ``commit`` record, which also restores the RNG state recorded
-   at that query boundary.  Complete-but-uncommitted tail ops (crash
-   mid-query) are dropped — the index rolls back to the last finished
-   query.  A torn final record is tolerated and counted.  Both WAL
-   scans run in *strict* mode: a checksum failure *followed by further
-   complete records* is mid-file rot, not a crash tear, and raises
-   :class:`~.wal.WALCorruptionError` instead of silently dropping the
-   committed transactions behind it.
+   ``PartialOrderPartitions.from_segments``, separators, sampling seed
+   and ordinal), then its WAL is replayed *transactionally*: ops buffer
+   until their ``commit`` record, which also restores the sampling
+   ordinal recorded at that query boundary.  Complete-but-uncommitted
+   tail ops (crash mid-query) are dropped — the index rolls back to the
+   last finished query.  A torn final record is tolerated and counted.
+   Both WAL scans run in *strict* mode: a checksum failure *followed by
+   further complete records* is mid-file rot, not a crash tear, and
+   raises :class:`~.wal.WALCorruptionError` instead of silently dropping
+   the committed transactions behind it.
 3. **Orphan repair.**  The durable table is the source of truth for
    membership: uids in the table but unknown to an index are re-filed
    with the paper's O(log k) insertion (the QPF spent is tallied as
@@ -28,9 +28,9 @@ The recovery sequence (classic ARIES-lite, adapted to PRKB's structure):
    and the WALs are truncated, so a crash *during* recovery simply
    re-runs it and a crash after it starts from a clean slate.
 
-The combination of restored RNG state, partition-order-preserving chain
-reconstruction and transaction-boundary rollback yields the property the
-tests assert: a recovered index answers any follow-up workload with
+The combination of restored sampling ordinal, partition-order-preserving
+chain reconstruction and transaction-boundary rollback yields the property
+the tests assert: a recovered index answers any follow-up workload with
 bit-identical winners and byte-for-byte equal QPF usage compared to an
 uncrashed twin at the same query boundary.
 """
@@ -207,7 +207,8 @@ class RecoveryManager:
                 if op["op"] == "commit":
                     for buffered in pending:
                         apply_index_op(index, buffered)
-                    index.set_rng_state(op["rng"])
+                    if "ordinal" in op:  # older segments: "rng", ignored
+                        index.ordinal = op["ordinal"]
                     stats.wal_records_replayed += len(pending) + 1
                     stats.transactions_replayed += 1
                     pending.clear()

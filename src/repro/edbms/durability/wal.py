@@ -173,8 +173,10 @@ class WALWriter:
     directory entry fsynced): writers only come into existence right
     after a checkpoint, which is what truncates/supersedes any previous
     segment.  ``counter`` (a :class:`~repro.edbms.costs.CostCounter`)
-    receives ``wal_records`` / ``wal_bytes`` / ``wal_fsyncs``; ``faults``
-    is the test harness's :class:`~.faults.FaultInjector`.
+    receives ``wal_records`` / ``wal_bytes`` / ``wal_fsyncs`` — every
+    fsync counts, the two that open a segment (file and directory) and
+    the one that closes it included; ``faults`` is the test harness's
+    :class:`~.faults.FaultInjector`.
     """
 
     def __init__(self, path, generation: int = 1,
@@ -202,8 +204,13 @@ class WALWriter:
         self._file.flush()
         os.fsync(self._file.fileno())
         fsync_dir(self.path.parent)
+        self._charge_fsyncs(2)
         self._synced = self._file.tell()
         self._pending_commits = 0
+
+    def _charge_fsyncs(self, count: int) -> None:
+        if self.counter is not None:
+            self.counter.charge(wal_fsyncs=count)
 
     # -- crash-simulation support ------------------------------------- #
 
@@ -273,8 +280,7 @@ class WALWriter:
         os.fsync(self._file.fileno())
         self._synced = self._file.tell()
         self._pending_commits = 0
-        if self.counter is not None:
-            self.counter.charge(wal_fsyncs=1)
+        self._charge_fsyncs(1)
         if span is not None:
             tracer.finish(span, wal_fsyncs=1)
 
@@ -297,6 +303,7 @@ class WALWriter:
         try:
             self._file.flush()
             os.fsync(self._file.fileno())
+            self._charge_fsyncs(1)
         finally:
             self._file.close()
             self._file = None

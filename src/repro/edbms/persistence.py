@@ -14,10 +14,13 @@ old artefact or the new one, never a torn mix.  The durability subsystem
 (:mod:`repro.edbms.durability`) builds its checkpoint format on the same
 helpers and serializers.
 
-Format history: version 1 had no ``rng_state``; version 2 checkpoints the
-index's sampling-RNG state so a restore (with ``seed=None``) continues
-the exact probe sequence of the saved instance — required for
-bit-identical post-restore QPF accounting.  Version-1 files still load.
+Format history (one number per layout; checkpoints are at 2): version 1
+saved no sampling state, version 2 a numpy bit-generator state, version
+3 the sampling ``seed`` and ``ordinal`` — every draw is a function of
+those and the step, so a restore with ``seed=None`` continues the saved
+instance's probe sequence and post-restore QPF is bit-identical.  Older
+files still load, their bit-generator state ignored, under a fresh seed
+at ordinal 0: same answers, but not bit-identical QPF.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ __all__ = ["save_table", "load_table", "save_index", "load_index",
            "atomic_write_bytes", "atomic_write_text", "fsync_dir",
            "serialize_separators", "materialize_separators"]
 
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
 #: Tables save each ciphertext column as the array ``col:<attribute>``.
 _CIPHERTEXT_PREFIX = "col:"
 
@@ -225,8 +228,8 @@ def restore_table(meta: dict, arrays) -> EncryptedTable:
 def index_state(index, format_version: int, kind: str,
                 **extra) -> tuple[dict, dict]:
     """``(metadata, arrays)`` of a :class:`~repro.core.prkb.PRKBIndex`:
-    the chain as (members, offsets), the separators and the sampling-RNG
-    state."""
+    the chain as (members, offsets), the separators and the sampling
+    seed and ordinal."""
     chain = [partition.uids for partition in index.pop]
     offsets = np.cumsum([0] + [len(c) for c in chain]).astype(np.int64)
     members = (np.concatenate(chain) if chain
@@ -241,7 +244,8 @@ def index_state(index, format_version: int, kind: str,
         "early_stop": index.early_stop,
         "cap_policy": index.cap_policy,
         "separators": serialize_separators(index._separators),
-        "rng_state": _jsonable(index.rng_state()),
+        "seed": index.seed,
+        "ordinal": index.ordinal,
     }
     return meta, {"members": members, "offsets": offsets}
 
@@ -250,16 +254,18 @@ def restore_index(meta: dict, members: np.ndarray, offsets: np.ndarray,
                   table, qpf, seed: int | None = None):
     """Inverse of :func:`index_state` — no QPF calls.
 
-    With ``seed=None`` the saved sampling-RNG state is restored (absent
-    from version-1 saves).  A chain that files one uid twice is rejected:
-    the arrays come from disk.
+    With ``seed=None`` the saved sampling seed and ordinal are restored
+    (absent from version-1 and -2 saves); an explicit ``seed`` starts a
+    fresh stream at ordinal 0.  A chain that files one uid twice is
+    rejected: the arrays come from disk.
     """
     from ..core.partitions import PartialOrderPartitions
     from ..core.prkb import PRKBIndex
 
     index = PRKBIndex(table, qpf, meta["attribute"],
                       max_partitions=meta["max_partitions"],
-                      early_stop=meta["early_stop"], seed=seed,
+                      early_stop=meta["early_stop"],
+                      seed=meta.get("seed") if seed is None else seed,
                       cap_policy=meta.get("cap_policy", "freeze"))
     index.pop = PartialOrderPartitions.from_segments(members, offsets)
     distinct = index.pop.tracked_uids().size
@@ -268,8 +274,7 @@ def restore_index(meta: dict, members: np.ndarray, offsets: np.ndarray,
             f"saved index repeats a uid ({index.pop.num_tuples} chain "
             f"tuples over {distinct} distinct uids)")
     index._separators = materialize_separators(meta["separators"])
-    if seed is None and meta.get("rng_state") is not None:
-        index.set_rng_state(meta["rng_state"])
+    index.ordinal = meta.get("ordinal", 0) if seed is None else 0
     return index
 
 
@@ -316,12 +321,12 @@ def save_index(index, path) -> None:
 def load_index(path, table: EncryptedTable, qpf, seed: int | None = None):
     """Restore a PRKB index against its (already loaded) table and QPF.
 
-    With ``seed=None`` (default), a version-2 save restores the exact
-    sampling-RNG state of the saved index, so the restored instance draws
+    With ``seed=None`` (default), a version-3 save restores the sampling
+    seed and ordinal of the saved index, so the restored instance draws
     the very probe sequence the original would have — post-restore
-    ``qpf_uses`` are bit-identical.  Pass ``seed`` to override with a
-    fresh deterministic stream instead (or for version-1 saves, which
-    carry no RNG state).
+    ``qpf_uses`` are bit-identical.  Pass ``seed`` to start a fresh
+    deterministic stream at ordinal 0 instead (or for version-1 and -2
+    saves, which carry no seed).
     """
     meta, arrays = _load(path, "prkb-index", "a PRKB index")
     if meta["table"] != table.name:
@@ -338,18 +343,3 @@ def load_index(path, table: EncryptedTable, qpf, seed: int | None = None):
             f"({members.size} saved vs {table.num_rows} in table)"
         )
     return restore_index(meta, members, arrays["offsets"], table, qpf, seed)
-
-
-def _jsonable(state) -> object:
-    """JSON-clean view of a numpy BitGenerator state dict.
-
-    ndarray-valued fields (e.g. MT19937's key) become a marked dict that
-    ``PRKBIndex.set_rng_state`` decodes back to the original array.
-    """
-    if isinstance(state, dict):
-        return {key: _jsonable(value) for key, value in state.items()}
-    if isinstance(state, np.integer):
-        return int(state)
-    if isinstance(state, np.ndarray):
-        return {"__ndarray__": state.tolist(), "dtype": str(state.dtype)}
-    return state

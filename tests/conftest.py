@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -39,3 +43,19 @@ def ground_truth_range(testbed: Testbed, attribute: str, low: int,
     values = testbed.plain.columns[attribute]
     mask = (values > low) & (values < high)
     return np.sort(testbed.plain.uids[mask])
+
+
+def load_parity_bench():
+    """``benchmarks/bench_parity_probe.py`` as a module (it imports
+    ``_common`` from its own directory): the one home of the probe's
+    pinned ``EXPECTED_QPF``."""
+    benchmarks = Path(__file__).resolve().parents[1] / "benchmarks"
+    spec = importlib.util.spec_from_file_location(
+        "bench_parity_probe", benchmarks / "bench_parity_probe.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.path.insert(0, str(benchmarks))
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(benchmarks))
+    return module

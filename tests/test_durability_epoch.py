@@ -121,6 +121,12 @@ def test_select_syncs_only_when_it_refines(tmp_path):
     fsyncs, records = _spent(db, lambda: db.query(statement))
     assert fsyncs == 1 and records >= 2  # a split and its commit
     assert _spent(db, lambda: db.query(statement)) == (0, 0)  # cache hit
+    # The first select split a one-partition chain without sampling;
+    # this one samples, so it takes ordinal 0 and commits the next one.
+    db.query("SELECT * FROM t WHERE A < 1000")
+    commit = read_wal(tmp_path / "db" / "indexes" / "t.A.wal").records[-1]
+    assert decode_op(commit) == {"op": "commit", "ordinal": 1}
+    assert 8 + len(commit) <= 40  # framed: length + crc32 + payload
     db.close()
 
 
@@ -135,6 +141,22 @@ def test_checkpoint_charges_reach_measure_scopes(tmp_path):
     assert spent.checkpoints_written \
         == db.counter.checkpoints_written - before == 3  # t, t.A, t.B
     db.close()
+
+
+def test_checkpoint_cycle_counts_every_fsync(tmp_path):
+    """A log's segment costs two fsyncs to open (file, then directory
+    entry) and one to close; a checkpoint closes and reopens each of the
+    three logs (t, t.A, t.B)."""
+    db = EncryptedDatabase.open(tmp_path / "db", seed=SEED)
+    counter = db.counter
+    assert counter.wal_fsyncs == 0
+    db.create_table("t", {"A": DOMAIN, "B": DOMAIN}, _data())
+    assert counter.wal_fsyncs == 2
+    db.enable_prkb("t", ["A", "B"])
+    assert counter.wal_fsyncs == 6
+    assert _spent(db, lambda: db.query(WARMUP[0])) == (1, 3)
+    assert _spent(db, db.checkpoint) == (9, 0)
+    assert _spent(db, db.close) == (3, 0)
 
 
 def test_every_n_counts_operations(tmp_path):
@@ -237,12 +259,13 @@ def test_commits_racing_an_epoch_exit_are_never_left_unsynced(tmp_path):
 def test_simulated_crash_inside_an_epoch_syncs_nothing(tmp_path):
     counter = CostCounter()
     writer = WALWriter(tmp_path / "c.wal", counter=counter)
+    before = counter.wal_fsyncs
     with pytest.raises(SimulatedCrash):
         with commit_epoch():
             writer.append(b"record")
             writer.mark_commit()
             raise SimulatedCrash("test")
-    assert counter.wal_fsyncs == 0
+    assert counter.wal_fsyncs == before
     writer.close()
 
 

@@ -5,7 +5,8 @@ and the durable checkpoint/recover cycle — must hand back an index that
 answers a follow-up workload with *identical winner sets and exact
 ``qpf_uses`` parity*, including through the multi-dimensional grid
 engine.  This is stronger than answer correctness: it means the restored
-sampling-RNG state and partition-internal uid order are bit-faithful.
+sampling seed and ordinal and partition-internal uid order are
+bit-faithful.
 """
 
 from __future__ import annotations
@@ -101,13 +102,18 @@ def test_save_load_index_parity(tmp_path):
 
 
 def test_save_load_with_explicit_seed_overrides_rng(tmp_path):
-    """Back-compat: passing a seed ignores the saved RNG state."""
+    """Passing a seed ignores the saved sampling state: a fresh stream
+    at ordinal 0.  Without one, both seed and ordinal come back."""
     original = _build(tmp_path, "db")
     index = original.server.index("t", "A")
     save_index(index, tmp_path / "idx")
+    assert index.ordinal > 0
+    restored = load_index(tmp_path / "idx", original.server.table("t"),
+                          original.qpf)
+    assert (restored.seed, restored.ordinal) == (index.seed, index.ordinal)
     loaded = load_index(tmp_path / "idx", original.server.table("t"),
                         original.qpf, seed=1234)
-    assert str(loaded.rng_state()) != str(index.rng_state())
+    assert (loaded.seed, loaded.ordinal) == (1234, 0)
     # Winner sets (unlike sample draws) are seed-independent.
     trapdoor = original.owner.comparison_trapdoor("A", "<", 2500)
     expected = index.select(trapdoor, update=False).winners

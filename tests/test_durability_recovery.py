@@ -9,6 +9,9 @@ Recovery itself must never spend QPF beyond explicit orphan repair.
 
 from __future__ import annotations
 
+import shutil
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -67,14 +70,15 @@ def _run(db, statements, start=0, checkpoint_at=None):
 
 
 def _fingerprint(db):
-    """Structural identity of every index: chain shape + separators + RNG."""
+    """Structural identity of every index: chain shape + separators +
+    sampling seed and ordinal."""
     marks = {}
     for table, indexes in db.server.all_indexes().items():
         for attribute, index in indexes.items():
             marks[(table, attribute)] = (
                 tuple(len(p) for p in index.pop),
                 len(index._separators),
-                str(index.rng_state()),
+                (index.seed, index.ordinal),
             )
     return marks
 
@@ -407,3 +411,34 @@ def test_midfile_wal_rot_raises_instead_of_silent_loss(tmp_path):
     wal_path.write_bytes(bytes(blob))
     with pytest.raises(WALCorruptionError):
         EncryptedDatabase.open(tmp_path / "db", seed=SEED)
+
+
+def test_wal_written_before_keyed_sampling_recovers(tmp_path):
+    """``tests/data/parent_wal_db`` was written before sampling was
+    keyed: a 24-row table ``t`` (``X = default_rng(21).integers(1, 1000,
+    24)``, seed 21) indexed on X, checkpointed after ``X < 500``; its
+    WAL then holds three selects, an insert of X = 5, 505, 995 and one
+    more select, each closed by a commit record carrying a numpy
+    bit-generator state instead of an ordinal.  Recovery replays every
+    committed op, ignores that state, and answers as the plaintext."""
+    shutil.copytree(Path(__file__).parent / "data" / "parent_wal_db",
+                    tmp_path / "db")
+    db = EncryptedDatabase.open(tmp_path / "db")
+    stats = db.recovery_stats
+    assert (stats.transactions_replayed, stats.wal_records_replayed,
+            stats.tail_ops_dropped, stats.torn_bytes_dropped) == (5, 19, 0, 0)
+    assert stats.orphans_reindexed == stats.orphans_dropped == 0
+    values = np.append(np.random.default_rng(21).integers(1, 1000, 24),
+                       [5, 505, 995])
+    uids = db.server.table("t").uids
+    assert uids.tolist() == list(range(values.size))
+    index = db.server.index("t", "X")
+    assert index.num_partitions == 7
+    index.pop.check_invariants(lambda uid: int(values[uid]))
+    for sql, wanted in (("X < 250", values < 250),
+                        ("X BETWEEN 300 AND 640",
+                         (values >= 300) & (values <= 640)),
+                        ("X > 500", values > 500), ("X < 999", values < 999)):
+        answer = db.query(f"SELECT * FROM t WHERE {sql}")
+        assert answer.uids.tolist() == np.flatnonzero(wanted).tolist()
+    db.close()

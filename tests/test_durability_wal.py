@@ -133,7 +133,8 @@ class TestWALRoundtrip:
         writer.close()
         assert counter.wal_records == 1
         assert counter.wal_bytes == 10 + struct.calcsize("<II")
-        assert counter.wal_fsyncs == 1
+        # Opening (file + directory), the commit, and closing.
+        assert counter.wal_fsyncs == 2 + 1 + 1
 
     def test_reset_starts_fresh_generation(self, tmp_path):
         path = tmp_path / "seg.wal"
@@ -188,10 +189,11 @@ class TestFsyncPolicy:
         counter = CostCounter()
         writer = WALWriter(tmp_path / "g.wal", counter=counter,
                            policy=FsyncPolicy("every", 3))
+        opened = counter.wal_fsyncs
         for _ in range(7):
             writer.append(b"r")
             writer.mark_commit()
-        assert counter.wal_fsyncs == 2  # at commits 3 and 6
+        assert counter.wal_fsyncs - opened == 2  # at commits 3 and 6
         writer.close()
 
 
@@ -294,38 +296,3 @@ class TestSeparatorSerialization:
         assert records[4]["partner"] == 1
         assert records[0]["partner"] == -1
         assert json.dumps(records)  # JSON-clean
-
-
-class TestRngStateEncoding:
-    def test_pcg64_state_roundtrips_through_json(self):
-        from repro.edbms.persistence import _jsonable
-        from repro.core.prkb import _decode_rng_state
-
-        gen = np.random.default_rng(17)
-        gen.integers(0, 100, 5)
-        state = gen.bit_generator.state
-        decoded = _decode_rng_state(json.loads(json.dumps(_jsonable(state))))
-        twin = np.random.default_rng(0)
-        twin.bit_generator.state = decoded
-        assert twin.integers(0, 1 << 30, 8).tolist() == \
-            gen.integers(0, 1 << 30, 8).tolist()
-
-    def test_mt19937_ndarray_state_roundtrips_through_json(self):
-        """Regression: the ndarray-valued MT19937 key is journaled as an
-        ``__ndarray__`` marker; the decoder must restore the array (a raw
-        marker dict would be an invalid BitGenerator state)."""
-        from repro.edbms.persistence import _jsonable
-        from repro.core.prkb import _decode_rng_state
-
-        gen = np.random.Generator(np.random.MT19937(7))
-        gen.integers(0, 100, 3)
-        state = gen.bit_generator.state
-        encoded = json.loads(json.dumps(_jsonable(state)))
-        assert "__ndarray__" in encoded["state"]["key"]
-        decoded = _decode_rng_state(encoded)
-        assert isinstance(decoded["state"]["key"], np.ndarray)
-        assert decoded["state"]["key"].dtype == state["state"]["key"].dtype
-        twin = np.random.Generator(np.random.MT19937(99))
-        twin.bit_generator.state = decoded
-        assert twin.integers(0, 1 << 30, 8).tolist() == \
-            gen.integers(0, 1 << 30, 8).tolist()

@@ -225,6 +225,27 @@ class TestMPCParity:
         assert mpc_db.counter.mpc_messages - messages_before \
             == 2 * mpc_qpf
 
+    def test_unseeded_database_keeps_mpc_parity(self):
+        """Without a seed the index draws its own; the share-table chain
+        copies that concrete seed, so it still samples what the
+        trusted-machine chain samples.  An unseeded database has no
+        twin, so both forced schemes run on this one, each on its own
+        chain, statement by statement."""
+        database = _make_db(seed=None)
+        database.enable_hybrid()
+        rng = np.random.default_rng(3)
+        statements = [f"SELECT * FROM t WHERE X < {int(c)}"
+                      for c in rng.integers(*DOMAIN, 16)]
+        statements += [f"SELECT * FROM t WHERE X BETWEEN {lo} AND {lo + 900}"
+                       for lo in (1200, 4300, 6100, 8800)]
+        spent = []
+        for sql in statements:
+            reference = database.query(sql, strategy="prkb")
+            answer = database.query(sql, strategy="mpc")
+            assert np.array_equal(answer.uids, reference.uids)
+            spent.append((reference.qpf_uses, answer.qpf_uses))
+        assert [mpc for __, mpc in spent] == [prkb for prkb, __ in spent]
+
     def test_per_scheme_qpf_accounting_is_disjoint(self):
         database = _make_db()
         database.enable_hybrid()

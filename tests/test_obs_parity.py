@@ -8,10 +8,6 @@ probe in all five modes of ``benchmarks/bench_parity_probe.py`` must
 also answer every query exactly as a numpy oracle over the plaintext.
 """
 
-import importlib.util
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -21,17 +17,20 @@ from repro.edbms.qpf import QPFRequest
 from repro.obs import Tracer
 from repro.workloads import distinct_comparison_thresholds, uniform_table
 
+from conftest import load_parity_bench
+
 pytestmark = pytest.mark.obs
 
 #: The probe's deterministic global cost (seeds pinned below).
-EXPECTED_QPF = 23455
+EXPECTED_QPF = load_parity_bench().EXPECTED_QPF
 #: Every QPF-side tally of the probe, as charged site by site before the
 #: trusted machine batched its accounting into one charge per crossing.
 EXPECTED_CROSSING_FIELDS = {
-    "qpf_uses": 23455, "qpf_roundtrips": 950, "tuples_retrieved": 23455,
-    "parallel_wall_qpf_uses": 23455, "parallel_wall_roundtrips": 950,
-    "predicate_cache_hits": 830, "predicate_cache_misses": 120,
-    "column_cache_hits": 949, "column_cache_misses": 1,
+    "qpf_uses": EXPECTED_QPF, "qpf_roundtrips": 934,
+    "tuples_retrieved": EXPECTED_QPF,
+    "parallel_wall_qpf_uses": EXPECTED_QPF, "parallel_wall_roundtrips": 934,
+    "predicate_cache_hits": 814, "predicate_cache_misses": 120,
+    "column_cache_hits": 933, "column_cache_misses": 1,
     "column_cache_evictions": 0,
 }
 #: Span names that carry exclusive qpf cost; containers carry attrs only.
@@ -234,24 +233,9 @@ class TestEnabled:
         assert bed.prkb["X"].pop.num_partitions == 118
 
 
-def _load_parity_bench():
-    """``benchmarks/bench_parity_probe.py`` as a module (it imports
-    ``_common`` from its own directory)."""
-    benchmarks = Path(__file__).resolve().parents[1] / "benchmarks"
-    spec = importlib.util.spec_from_file_location(
-        "bench_parity_probe", benchmarks / "bench_parity_probe.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.path.insert(0, str(benchmarks))
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.path.remove(str(benchmarks))
-    return module
-
-
 class TestEveryModeAnswersTheOracle:
     def test_five_modes_exact_in_count_and_answers(self):
-        bench = _load_parity_bench()
+        bench = load_parity_bench()
         results, mismatches = bench._measure()
         assert set(results) == {"serial", "traced", "shard_thread",
                                 "engine_serial", "engine_batched",
@@ -259,7 +243,7 @@ class TestEveryModeAnswersTheOracle:
         assert bench._check(results, mismatches) == []
 
     def test_a_wrong_set_at_the_right_cost_fails_the_check(self):
-        bench = _load_parity_bench()
+        bench = load_parity_bench()
         __, plain, answers = bench._run_testbed()
         check = bench._answer_mismatches
         assert check("serial", plain, answers, ordered=False) == []

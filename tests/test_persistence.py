@@ -196,7 +196,8 @@ class TestArchiveFormat:
         restored = load_index(tmp_path / "ix", bed.table, bed.qpf)
         assert [p.uids.tolist() for p in restored.pop] \
             == [p.uids.tolist() for p in index.pop]
-        assert str(restored.rng_state()) == str(index.rng_state())
+        assert (restored.seed, restored.ordinal) \
+            == (index.seed, index.ordinal)
 
     def test_ciphertext_is_stored_and_uids_deflated(self, tmp_path):
         bed = make_bed(seed=12)
@@ -228,7 +229,9 @@ def _names(archive_path):
 
 
 class TestFormatsPinned:
-    """Both layouts write exactly the keys and members they always did."""
+    """Both layouts write exactly these keys and members; version 3 /
+    checkpoint version 2 replaced ``rng_state`` by ``seed`` and
+    ``ordinal``."""
 
     def test_classic_layout(self, tmp_path):
         bed = make_bed(seed=14)
@@ -236,14 +239,14 @@ class TestFormatsPinned:
         save_index(bed.prkb["X"], tmp_path / "ix")
         meta = json.loads((tmp_path / "t.json").read_text())
         assert set(meta) == {"format", "kind", "name", "attribute_names"}
-        assert (meta["format"], meta["kind"]) == (2, "encrypted-table")
+        assert (meta["format"], meta["kind"]) == (3, "encrypted-table")
         assert _names(tmp_path / "t.npz") \
             == ["col:X.npy", "col:Y.npy", "uids.npy"]
         meta = json.loads((tmp_path / "ix.json").read_text())
         assert set(meta) == {
             "format", "kind", "table", "attribute", "max_partitions",
-            "early_stop", "cap_policy", "separators", "rng_state"}
-        assert (meta["format"], meta["kind"]) == (2, "prkb-index")
+            "early_stop", "cap_policy", "separators", "seed", "ordinal"}
+        assert (meta["format"], meta["kind"]) == (3, "prkb-index")
         assert _names(tmp_path / "ix.npz") == ["members.npy", "offsets.npy"]
 
     def test_checkpoint_layout(self, tmp_path):
@@ -256,7 +259,7 @@ class TestFormatsPinned:
         assert set(meta) == {"format", "kind", "name", "attribute_names",
                              "generation", "data_file", "wal_generation"}
         assert (meta["format"], meta["kind"]) \
-            == (1, "encrypted-table-checkpoint")
+            == (2, "encrypted-table-checkpoint")
         assert meta.items() >= dict(generation,
                                     data_file="ck.7.npz").items()
         assert _names(tmp_path / "ck.7.npz") \
@@ -265,9 +268,9 @@ class TestFormatsPinned:
         assert set(meta) == {
             "format", "kind", "table", "attribute", "generation",
             "data_file", "wal_generation", "max_partitions", "early_stop",
-            "cap_policy", "separators", "rng_state"}
+            "cap_policy", "separators", "seed", "ordinal"}
         assert (meta["format"], meta["kind"]) \
-            == (1, "prkb-index-checkpoint")
+            == (2, "prkb-index-checkpoint")
         assert meta.items() >= dict(generation,
                                     data_file="ck.X.7.npz").items()
         assert _names(tmp_path / "ck.X.7.npz") \

@@ -403,3 +403,101 @@ class TestEquivalenceCache:
         assert np.array_equal(
             np.sort(repeat.winners),
             np.sort(first.winners[first.winners != uid_20]))
+
+
+class TestKeyedSampling:
+    """A statement's draws are a function of (seed, its ordinal, step):
+    the order in which concurrent statements advance cannot move them."""
+
+    @staticmethod
+    def _bed():
+        table = uniform_table("t", 400, ["X"], domain=(1, 10_000), seed=4)
+        bed = Testbed(table, ["X"], seed=4)
+        bed.warm_up("X", 12, seed=4)
+        return bed
+
+    @staticmethod
+    def _start(bed, constant):
+        """A primed ``select_steps(update=False)`` statement: the first
+        request is out (so the ordinal is taken); ``advance`` answers it
+        and returns False once the statement is done."""
+        trapdoor = bed.owner.comparison_trapdoor("X", "<", constant)
+        steps = bed.prkb["X"].select_steps(trapdoor, update=False)
+        state = {"request": next(steps), "sampled": [], "result": None}
+
+        def advance():
+            request = state["request"]
+            state["sampled"].append(request.uids.tolist())
+            labels = bed.qpf.batch(request.trapdoor, request.table,
+                                   request.uids)
+            try:
+                state["request"] = steps.send(labels)
+            except StopIteration as stop:
+                state["result"] = stop.value[0]
+                return False
+            return True
+
+        return state, advance
+
+    def _run(self, order):
+        bed = self._bed()
+        a, advance_a = self._start(bed, 3_100)
+        b, advance_b = self._start(bed, 6_900)
+        if order == "a-first":
+            while advance_a():
+                pass
+            while advance_b():
+                pass
+        elif order == "b-first":
+            while advance_b():
+                pass
+            while advance_a():
+                pass
+        else:
+            live = [advance_a, advance_b]
+            while live:
+                live = [step for step in live if step()]
+        return [(s["sampled"], s["result"].qpf_uses,
+                 s["result"].winners.tolist()) for s in (a, b)]
+
+    def test_interleaving_does_not_move_draws(self):
+        runs = [self._run(order)
+                for order in ("a-first", "b-first", "alternating")]
+        assert len(runs[0][0][0]) > 2  # binary-search probes were drawn
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_between_beside_a_select(self, monkeypatch):
+        from repro.core import BetweenProcessor
+        from repro.core.partitions import Partition
+
+        drawn = []
+        sample = Partition.sample
+
+        def recording(partition, word):
+            drawn.append(sample(partition, word))
+            return drawn[-1]
+
+        monkeypatch.setattr(Partition, "sample", recording)
+
+        def between(bed):
+            drawn.clear()
+            trapdoor = bed.owner.between_trapdoor("X", 2_000, 2_600)
+            with bed.counter.measure() as spent:
+                winners = BetweenProcessor(bed.prkb["X"]).select(
+                    trapdoor, update=False)
+            return list(drawn), spent.qpf_uses, winners.tolist()
+
+        def run(between_inside):
+            bed = self._bed()
+            select, advance = self._start(bed, 5_000)
+            if between_inside:
+                outcome = between(bed)
+            while advance():
+                pass
+            if not between_inside:
+                outcome = between(bed)
+            return (select["sampled"], select["result"].qpf_uses, outcome)
+
+        inside = run(True)
+        assert inside[2][0]  # the BETWEEN drew samples
+        assert inside == run(False)

@@ -3,11 +3,11 @@
 The acceptance gate of the serving core: N worker threads, each a
 tenant running the canonical 120-query probe of
 ``tests/test_obs_parity.py`` / ``benchmarks/bench_parity_probe.py``
-(2000-row uniform table, pinned seeds, deterministic global cost of
-23455 qpf_uses), must produce
+(2000-row uniform table, pinned seeds, deterministic global cost
+``EXPECTED_QPF``), must produce
 
 * bit-identical winner sets per query, and
-* *exactly* N x 23455 aggregate qpf_uses on the shared counter,
+* *exactly* N x ``EXPECTED_QPF`` aggregate qpf_uses on the shared counter,
 
 regardless of thread interleaving — with and without tracing enabled.
 Per-tenant PRKB namespaces make this possible: each tenant's refinement
@@ -29,13 +29,15 @@ from repro.edbms.engine import EncryptedDatabase
 from repro.serve import QueryServer
 from repro.workloads import distinct_comparison_thresholds, uniform_table
 
+from conftest import load_parity_bench
+
 pytestmark = pytest.mark.serving
 
 DOMAIN = (1, 300_000)
 NUM_ROWS = 2_000
 NUM_QUERIES = 120
-#: The canonical probe's deterministic cost (pinned in test_obs_parity).
-EXPECTED_QPF = 23455
+#: The canonical probe's deterministic cost (pinned in bench_parity_probe).
+EXPECTED_QPF = load_parity_bench().EXPECTED_QPF
 NUM_TENANTS = 4
 
 
