@@ -291,7 +291,8 @@ def multi_dimensional_query(indexes: dict[str, LogSRCiIndex],
         if winners is None:
             winners = part
         else:
-            index.counter.comparisons += winners.size + part.size
+            index.counter.charge(
+                comparisons=int(winners.size + part.size))
             winners = np.intersect1d(winners, part, assume_unique=True)
         if winners.size == 0:
             break

@@ -42,8 +42,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..crypto.trapdoor import EncryptedPredicate
-from .partitions import Partition
-from .prkb import PRKBIndex
+from .partitions import ChainView, Partition
+from .prkb import PRKBIndex, QFilterOutcome
 from .single import SingleDimensionProcessor
 
 __all__ = ["DimensionRange", "MultiDimensionProcessor", "estimate_grid_qpf"]
@@ -257,21 +257,61 @@ class MultiDimensionProcessor:
 
     def _snapshot(self, query: list[DimensionRange]
                   ) -> dict[int, list[_PredicateContext]]:
-        """Run QFilter for all 2d predicates; classify every partition."""
-        contexts: dict[int, list[_PredicateContext]] = {}
+        """Run QFilter for all 2d predicates; classify every partition.
+
+        The searches run in lock-step: every round ships each live
+        search's pending probe through one ``batch_many`` crossing, so
+        the phase costs as many crossings as its longest search.  No
+        split lands between the searches and every draw is keyed by
+        (seed, ordinal, step), so interleaving moves no QPF; priming
+        the generators in query order (dimension, then ``low`` before
+        ``high``) hands out the sampling ordinals as a serial run does.
+        """
+        views: dict[int, ChainView] = {}
+        searches = []
         for position, dimension in enumerate(query):
             index = self._index_for(dimension.attribute)
-            contexts[position] = [
-                self._classify(index, trapdoor)
-                for trapdoor in dimension.trapdoors()
-            ]
+            view = views.get(id(index))
+            if view is None:
+                view = views[id(index)] = index.pop.freeze()
+            for trapdoor in dimension.trapdoors():
+                index._check_attribute(trapdoor)
+                searches.append((position, index, trapdoor,
+                                 index._qfilter_gen(trapdoor, view)))
+        outcomes = self._lock_step([search[3] for search in searches])
+        contexts: dict[int, list[_PredicateContext]] = {}
+        for (position, index, trapdoor, __), filtered in zip(searches,
+                                                             outcomes):
+            contexts.setdefault(position, []).append(
+                self._classify(index, trapdoor, filtered))
         return contexts
 
+    def _lock_step(self, generators: list) -> list:
+        """Drive request generators together, one crossing per round;
+        return their results in input order."""
+        outcomes: list = [None] * len(generators)
+        pending = []
+        for slot, steps in enumerate(generators):
+            try:
+                pending.append((slot, steps, next(steps)))
+            except StopIteration as stop:
+                outcomes[slot] = stop.value
+        while pending:
+            answers = self._qpf.batch_many(
+                [request for __, __, request in pending])
+            advanced = []
+            for (slot, steps, __), labels in zip(pending, answers):
+                try:
+                    advanced.append((slot, steps, steps.send(labels)))
+                except StopIteration as stop:
+                    outcomes[slot] = stop.value
+            pending = advanced
+        return outcomes
+
     @staticmethod
-    def _classify(index: PRKBIndex,
-                  trapdoor: EncryptedPredicate) -> _PredicateContext:
-        """One QFilter pass turned into a per-partition status vector."""
-        filtered = index.qfilter(trapdoor)
+    def _classify(index: PRKBIndex, trapdoor: EncryptedPredicate,
+                  filtered: QFilterOutcome) -> _PredicateContext:
+        """One QFilter outcome turned into a per-partition status vector."""
         k = index.pop.num_partitions
         status = np.full(k, _NS, dtype=np.int8)
         ns = list(filtered.ns_indices)

@@ -5,10 +5,11 @@ table.  It owns the POP chain, the stored *separator* predicates needed for
 insert handling, and implements the paper's four algorithms:
 
 * ``initPRKB``  — the constructor (single all-covering partition),
-* ``qfilter``   — Algorithm 1: sampling + binary search for the NS-pair,
-* ``qscan``     — Algorithm 2: bounded scan with early stop,
-* ``update``    — ``updatePRKB``: split the non-homogeneous partition and
-  record the new separator, at zero extra QPF cost.
+* ``_qfilter_gen`` — Algorithm 1: sampling + binary search for the NS-pair,
+* ``_qscan_gen``   — Algorithm 2: bounded scan with early stop,
+* ``_plan_split`` / ``_commit_split`` — ``updatePRKB``: split the
+  non-homogeneous partition and record the new separator, at zero extra
+  QPF cost.
 
 Everything here runs server-side only: the index consumes nothing but QPF
 outputs, which is the paper's central security argument (Sec. 3.3).
@@ -630,11 +631,6 @@ class PRKBIndex:
             label_suffix=label_last,
         )
 
-    def qfilter(self, trapdoor: EncryptedPredicate) -> QFilterOutcome:
-        """Locate the NS-pair and the free Winner group (Algorithm 1)."""
-        self._check_attribute(trapdoor)
-        return self._drive(self._qfilter_gen(trapdoor, self.pop.freeze()))
-
     # ------------------------------------------------------------------ #
     # Algorithm 2: QScan                                                  #
     # ------------------------------------------------------------------ #
@@ -687,13 +683,6 @@ class PRKBIndex:
         # Case 1 of Lemma 4.5: the predicate is equivalent to a stored one.
         return QScanOutcome(winners, None)
 
-    def qscan(self, trapdoor: EncryptedPredicate,
-              filtered: QFilterOutcome) -> QScanOutcome:
-        """Resolve the exact result within the NS partitions (Algorithm 2)."""
-        self._check_attribute(trapdoor)
-        return self._drive(
-            self._qscan_gen(trapdoor, self.pop.freeze(), filtered))
-
     def _drive(self, steps):
         """Run a request generator serially against this index's QPF.
 
@@ -712,21 +701,6 @@ class PRKBIndex:
     # ------------------------------------------------------------------ #
     # updatePRKB                                                          #
     # ------------------------------------------------------------------ #
-
-    def update(self, trapdoor: EncryptedPredicate,
-               filtered: QFilterOutcome, scanned: QScanOutcome) -> bool:
-        """Refine POP_k to POP_{k+1} from the scan's split (Sec. 5.3).
-
-        Returns True when a split was applied.  No QPF is used: the halves
-        and their orientation are fully determined by information already
-        observed.
-        """
-        self._check_attribute(trapdoor)
-        if scanned.split_index is None:
-            return False
-        deferred = self._plan_split(
-            trapdoor, self.pop[scanned.split_index], filtered, scanned)
-        return self._commit_split(deferred)
 
     def _plan_split(self, trapdoor: EncryptedPredicate,
                     partition: Partition, filtered: QFilterOutcome,

@@ -91,7 +91,7 @@ class SkylineResolver:
         keep = [u for u, cell in cells.items()
                 if cell in survivors_by_cell]
         counter = next(iter(self.indexes.values())).qpf.counter
-        counter.comparisons += len(occupied) ** 2 * (2 ** d)
+        counter.charge(comparisons=len(occupied) ** 2 * (2 ** d))
         return np.asarray(sorted(keep), dtype=np.uint64)
 
     # -- trusted-machine confirmation -------------------------------------- #
@@ -102,8 +102,9 @@ class SkylineResolver:
         if candidates.size == 0:
             return []
         counter = next(iter(self.indexes.values())).qpf.counter
-        counter.qpf_uses += int(candidates.size) * len(self._attributes)
-        counter.tuples_retrieved += int(candidates.size)
+        counter.charge(
+            qpf_uses=int(candidates.size) * len(self._attributes),
+            tuples_retrieved=int(candidates.size))
         matrix = np.stack([
             decrypt_column(self._key, self._table, attr, candidates)
             for attr in self._attributes

@@ -461,58 +461,30 @@ class TrustedMachine:
         """Θ over a heterogeneous payload in a single enclave crossing.
 
         Every request is evaluated exactly as :meth:`evaluate_batch`
-        would — same per-tuple ``qpf_uses`` — but the whole payload
-        counts as *one* roundtrip.  This is the primitive the batching
-        layer builds on: N queries' worth of probes cross the enclave
-        boundary together.
+        would — same per-tuple ``qpf_uses``, same predicate-register and
+        column-cache tallies, in submission order, and a one-uid request
+        takes the same scalar lane — but the whole payload counts as
+        *one* roundtrip and lands in one charge, even when a request
+        raises.  This is the primitive the batching layer and the MD
+        grid's lock-stepped searches build on.
         """
-        sizes = [int(r.uids.size) for r in requests]
-        total = sum(sizes)
+        total = sum(int(r.uids.size) for r in requests)
         if total == 0:
             return [np.zeros(0, dtype=bool) for _ in requests]
         deltas = self._cross(total)
         try:
-            # Unseal in submission order first, so predicate-register
-            # hit/miss accounting and LRU recency are identical to a
-            # per-request loop.  Fuse decrypts: one position gather +
-            # keystream per (table, attribute) column instead of one per
-            # request.  Cell nonces are the row uids, so decrypting the
-            # concatenation and slicing it back is bit-identical to
-            # per-request calls.
-            empty = np.zeros(0, dtype=bool)
-            predicates: list[object | None] = []
-            groups: dict[tuple[int, str], list[int]] = {}
-            results: list[np.ndarray | None] = []
-            for position, request in enumerate(requests):
-                if sizes[position]:
-                    predicates.append(
-                        self._plain_predicate(request.trapdoor, deltas))
-                    groups.setdefault(
-                        (id(request.table), request.trapdoor.attribute), []
-                    ).append(position)
-                    results.append(None)
-                else:
-                    predicates.append(None)
-                    results.append(empty)
-            for (__, attribute), positions in groups.items():
-                if len(positions) == 1:
-                    request = requests[positions[0]]
-                    values = self._decrypt_cells(request.table, attribute,
-                                                 request.uids, deltas)
-                    results[positions[0]] = _evaluate_plain(
-                        predicates[positions[0]], values)
+            results = []
+            for request in requests:
+                uids = request.uids
+                if uids.size == 0:
+                    results.append(np.zeros(0, dtype=bool))
                     continue
-                parts = [requests[p].uids for p in positions]
-                values = self._decrypt_cells(requests[positions[0]].table,
-                                             attribute,
-                                             np.concatenate(parts), deltas)
-                offset = 0
-                for position, part in zip(positions, parts):
-                    stop = offset + int(part.size)
-                    results[position] = _evaluate_plain(
-                        predicates[position], values[offset:stop])
-                    offset = stop
-            return results  # type: ignore[return-value]
+                predicate = self._plain_predicate(request.trapdoor, deltas)
+                values = self._decrypt_cells(
+                    request.table, request.trapdoor.attribute,
+                    uids.item(0) if uids.size == 1 else uids, deltas)
+                results.append(_evaluate_plain(predicate, values))
+            return results
         finally:
             self.counter.charge(**deltas)
 

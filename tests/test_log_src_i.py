@@ -221,7 +221,11 @@ class TestMultiDimensional:
             "Y": LogSRCiIndex(key, counter, "Y", (0, 1000), uids, y),
         }
         bounds = {"X": (100, 600), "Y": (200, 800)}
-        got = sorted(map(int, multi_dimensional_query(indexes, bounds)))
+        before = counter.comparisons
+        with counter.measure() as spent:
+            got = sorted(map(int, multi_dimensional_query(indexes, bounds)))
+        # The intersection's comparisons reach the caller's scope too.
+        assert spent.comparisons == counter.comparisons - before > 0
         want = sorted(
             int(u) for u, vx, vy in zip(uids, x, y)
             if 100 < vx < 600 and 200 < vy < 800

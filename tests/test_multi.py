@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from repro.bench import Testbed
-from repro.core import MultiDimensionProcessor
+from repro.core import (MultiDimensionProcessor, PRKBIndex,
+                        SingleDimensionProcessor)
+from repro.edbms import CostCounter
+from repro.edbms.sdb_backend import MPCQueryProcessingFunction, share_table
 from repro.workloads import uniform_table
 
 from conftest import plain_lookup
@@ -206,6 +209,125 @@ class TestMdErrors:
         bed = make_bed(seed=21)
         processor = MultiDimensionProcessor({"X": bed.prkb["X"]})
         assert processor.select([]).size == 0
+
+
+class _Recording:
+    """Keeps every QFilter outcome the grid classifies, in order."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.outcomes = []
+
+    def _classify(self, index, trapdoor, filtered):
+        self.outcomes.append(filtered)
+        return super()._classify(index, trapdoor, filtered)
+
+
+class _LockStep(_Recording, MultiDimensionProcessor):
+    pass
+
+
+class _SerialSearches(_Recording, MultiDimensionProcessor):
+    """Reference: each predicate's QFilter driven alone through
+    ``index._drive``, in query order; records each search's crossings."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.search_roundtrips = []
+
+    def _snapshot(self, query):
+        counter = self._qpf.counter
+        lengths = []
+        contexts = {}
+        for position, dimension in enumerate(query):
+            index = self._index_for(dimension.attribute)
+            contexts[position] = []
+            for trapdoor in dimension.trapdoors():
+                before = counter.qpf_roundtrips
+                filtered = index._drive(
+                    index._qfilter_gen(trapdoor, index.pop.freeze()))
+                lengths.append(counter.qpf_roundtrips - before)
+                contexts[position].append(
+                    self._classify(index, trapdoor, filtered))
+        self.search_roundtrips.append(lengths)
+        return contexts
+
+
+def _grid_indexes(backend, attrs, cold):
+    """A seeded table's PRKB indexes over the trusted machine or the MPC
+    Θ, every dimension but ``cold`` warmed; equal arguments build twins."""
+    bed = make_bed(n=400, attrs=attrs, domain=(1, 10_000), seed=40)
+    if backend == "tm":
+        indexes, counter = bed.prkb, bed.counter
+    else:
+        counter = CostCounter()
+        qpf = MPCQueryProcessingFunction(bed.owner.key, counter)
+        shared = share_table(bed.owner.key, bed.plain)
+        indexes = {attribute: PRKBIndex(shared, qpf, attribute,
+                                        seed=500 + position)
+                   for position, attribute in enumerate(attrs)}
+    rng = np.random.default_rng(41)
+    for attribute in attrs:
+        if attribute == cold:
+            continue
+        processor = SingleDimensionProcessor(indexes[attribute])
+        for threshold in rng.choice(np.arange(2, 10_000), 8,
+                                    replace=False):
+            processor.select(bed.owner.comparison_trapdoor(
+                attribute, "<", int(threshold)))
+    return bed, indexes, counter
+
+
+class TestLockStepParity:
+    """The 2d QFilter searches of one grid statement advance together,
+    one crossing per round, and change nothing else: per statement the
+    same QPF, winners, chain, sampling ordinals and QFilter outcomes as
+    searching one predicate at a time."""
+
+    @pytest.mark.parametrize("backend", ["tm", "mpc"])
+    @pytest.mark.parametrize("attrs, policy", [
+        (("X", "Y"), "complete-partition"),
+        (("A", "B", "C"), "complete-partition"),
+        (("A", "B", "C"), "none"),
+    ])
+    def test_matches_serial_searches(self, backend, attrs, policy):
+        cold = attrs[-1]
+        stacks = [_grid_indexes(backend, attrs, cold) for __ in range(2)]
+        lock = _LockStep(stacks[0][1], update_policy=policy)
+        serial = _SerialSearches(stacks[1][1], update_policy=policy)
+        update = policy != "none"
+        rng = np.random.default_rng(42)
+        single_chain_statements = 0
+        for __ in range(10):
+            bounds = {}
+            for attribute in attrs:
+                low = int(rng.integers(0, 8_000))
+                bounds[attribute] = (low, low + int(rng.integers(50, 3_000)))
+            single_chain_statements += stacks[0][1][cold].num_partitions == 1
+            runs = []
+            for (bed, indexes, counter), processor in zip(stacks,
+                                                          (lock, serial)):
+                query = [bed.dimension_range(a, b) for a, b in bounds.items()]
+                with counter.measure() as spent:
+                    winners = processor.select(query, update=update)
+                chains = {a: (ix.num_partitions, ix.ordinal)
+                          for a, ix in indexes.items()}
+                runs.append((spent, winners, chains))
+            (got, got_winners, got_chains), (want, want_winners,
+                                             want_chains) = runs
+            assert got.qpf_uses == want.qpf_uses
+            assert np.array_equal(got_winners, want_winners)
+            assert got_chains == want_chains
+            assert lock.outcomes == serial.outcomes
+            lengths = serial.search_roundtrips[-1]
+            assert got.qpf_roundtrips == (want.qpf_roundtrips
+                                          - sum(lengths) + max(lengths))
+            assert np.array_equal(
+                np.sort(got_winners),
+                stacks[0][0].owner.expected_range_result("t", bounds))
+        assert single_chain_statements >= 1
+        if not update:
+            assert single_chain_statements == 10
 
 
 class TestTwoDatabasesOneProcess:

@@ -4,11 +4,13 @@ scalar reference.
 Three equivalences introduced by the vectorised execute path are pinned
 with hypothesis across random workloads, duplicates and boundary values:
 
-* the fused single-crossing :meth:`TrustedMachine.evaluate_many` returns
-  exactly the labels (and charges exactly the ``qpf_uses``,
-  ``tuples_retrieved`` and predicate-register hits/misses) of a
-  per-request :meth:`TrustedMachine.evaluate_batch` loop — for any mix
-  of attributes, operator families, duplicate and empty uid payloads;
+* the single-crossing :meth:`TrustedMachine.evaluate_many` returns
+  exactly the labels of a per-request :meth:`TrustedMachine.evaluate_batch`
+  loop and charges every :class:`CostCounter` field as that loop does,
+  except that the whole payload is one roundtrip — for any mix of
+  tables, attributes, operator families, repeated trapdoors, one-uid,
+  duplicate and empty payloads, with and without the decrypted-column
+  cache, and when a request's decrypt raises;
 * the dense uid -> chain-ordinal gather
   (:meth:`PartialOrderPartitions.ordinals_of_uids`) agrees with the
   scalar :meth:`index_of_uid` on duplicate-laden probe arrays over
@@ -20,6 +22,7 @@ with hypothesis across random workloads, duplicates and boundary values:
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.partitions import PartialOrderPartitions
@@ -39,80 +42,114 @@ from repro.edbms import (
     TrustedMachine,
 )
 from repro.edbms.owner import DataOwner
-from repro.edbms.qpf import QPFRequest
+from repro.edbms.qpf import COLUMN_CACHE_BYTES, QPFRequest
 
 NUM_ROWS = 24
 DOMAIN = (-50, 50)
 
-#: (attribute, family, a, b) — family 0..3 picks a comparison operator,
-#: 4 picks BETWEEN with bounds sorted(a, b).
+#: (table, attribute, family, a, b, uids, reuse) — family 0..3 picks a
+#: comparison operator, 4 picks BETWEEN with bounds sorted(a, b);
+#: ``reuse`` resubmits the previous request's trapdoor.
 _REQUESTS = st.lists(
     st.tuples(
+        st.integers(0, 1),
         st.sampled_from(["X", "Y"]),
         st.integers(0, 4),
         st.integers(DOMAIN[0] - 3, DOMAIN[1] + 3),
         st.integers(DOMAIN[0] - 3, DOMAIN[1] + 3),
-        # uid payload: duplicates allowed, may be empty.
-        st.lists(st.integers(0, NUM_ROWS - 1), max_size=30),
+        # uid payload: duplicates allowed, often one uid, may be empty.
+        st.one_of(st.lists(st.integers(0, NUM_ROWS - 1), max_size=30),
+                  st.lists(st.integers(0, NUM_ROWS - 1), min_size=1,
+                           max_size=1)),
+        st.booleans(),
     ),
     max_size=12,
 )
 
+#: A uid no table holds: its request's decrypt raises ``KeyError``.
+_UNKNOWN_UID = NUM_ROWS + 7
+
 _OPERATORS = ("<", "<=", ">", ">=")
 
 
-def _table_and_owner(seed: int):
+def _tables_and_owner(seed: int):
     owner = DataOwner(key=generate_key(seed))
     rng = np.random.default_rng(seed)
     schema = Schema.of(AttributeSpec("X", *DOMAIN),
                        AttributeSpec("Y", *DOMAIN))
-    plain = PlainTable("t", schema, {
-        "X": rng.integers(DOMAIN[0], DOMAIN[1], NUM_ROWS,
-                          endpoint=True).astype(np.int64),
-        "Y": rng.integers(DOMAIN[0], DOMAIN[1], NUM_ROWS,
-                          endpoint=True).astype(np.int64),
-    })
-    return owner, owner.encrypt_table(plain)
+    tables = []
+    for name in ("t", "u"):
+        plain = PlainTable(name, schema, {
+            attribute: rng.integers(DOMAIN[0], DOMAIN[1], NUM_ROWS,
+                                    endpoint=True).astype(np.int64)
+            for attribute in ("X", "Y")})
+        tables.append(owner.encrypt_table(plain))
+    return owner, tables
 
 
-@given(specs=_REQUESTS, seed=st.integers(0, 3))
-@settings(max_examples=60, deadline=None)
-def test_fused_evaluate_many_matches_per_request_reference(specs, seed):
-    owner, table = _table_and_owner(seed)
+@given(specs=_REQUESTS, seed=st.integers(0, 3),
+       column_cache_bytes=st.sampled_from([COLUMN_CACHE_BYTES, 0]),
+       raise_at=st.one_of(st.none(), st.integers(0, 11)))
+@settings(max_examples=80, deadline=None)
+def test_fused_evaluate_many_matches_per_request_reference(
+        specs, seed, column_cache_bytes, raise_at):
+    owner, tables = _tables_and_owner(seed)
     requests = []
-    for attribute, family, a, b, uids in specs:
-        if family < 4:
+    for position, (table_no, attribute, family, a, b, uids,
+                   reuse) in enumerate(specs):
+        if reuse and requests:
+            trapdoor = requests[-1].trapdoor
+        elif family < 4:
             trapdoor = owner.comparison_trapdoor(
                 attribute, _OPERATORS[family], a)
         else:
             trapdoor = owner.between_trapdoor(attribute, min(a, b),
                                               max(a, b))
+        if position == raise_at:
+            uids = uids + [_UNKNOWN_UID]
         requests.append(QPFRequest(
-            trapdoor, table, np.asarray(uids, dtype=np.uint64)))
+            trapdoor, tables[table_no], np.asarray(uids, dtype=np.uint64)))
+    raises = raise_at is not None and raise_at < len(requests)
 
     # Two fresh enclaves over the same key share nothing but the
     # trapdoor objects, so register warm-up sequences are comparable.
-    reference = TrustedMachine(owner.key, CostCounter())
-    scalar_labels = [reference.evaluate_batch(r.trapdoor, r.table, r.uids)
-                     for r in requests]
-    fused = TrustedMachine(owner.key, CostCounter())
-    fused_labels = fused.evaluate_many(requests)
+    # The reference stops where the raising request raises.
+    reference = TrustedMachine(owner.key, CostCounter(),
+                               column_cache_bytes=column_cache_bytes)
+    scalar_labels = []
+    for request in requests:
+        try:
+            scalar_labels.append(reference.evaluate_batch(
+                request.trapdoor, request.table, request.uids))
+        except KeyError:
+            break
+    single = TrustedMachine(owner.key, CostCounter(),
+                            column_cache_bytes=column_cache_bytes)
+    if raises:
+        with pytest.raises(KeyError):
+            single.evaluate_many(requests)
+        assert len(scalar_labels) == raise_at
+    else:
+        many_labels = single.evaluate_many(requests)
+        assert len(many_labels) == len(scalar_labels)
+        for got, want in zip(many_labels, scalar_labels):
+            assert got.dtype == want.dtype == np.bool_
+            assert np.array_equal(got, want)
 
-    assert len(fused_labels) == len(scalar_labels)
-    for got, want in zip(fused_labels, scalar_labels):
-        assert got.dtype == want.dtype == np.bool_
-        assert np.array_equal(got, want)
-    # Work accounting is identical; only the crossing count collapses.
-    assert fused.counter.qpf_uses == reference.counter.qpf_uses
-    assert fused.counter.tuples_retrieved == \
-        reference.counter.tuples_retrieved
-    assert fused.counter.predicate_cache_hits == \
-        reference.counter.predicate_cache_hits
-    assert fused.counter.predicate_cache_misses == \
-        reference.counter.predicate_cache_misses
-    non_empty = sum(1 for r in requests if r.uids.size)
-    assert fused.counter.qpf_roundtrips == (1 if non_empty else 0)
-    assert reference.counter.qpf_roundtrips == non_empty
+    # Every field is charged as the per-request loop charges it — cache
+    # tallies of the requests before a raise included — except that the
+    # payload is one crossing, and a raising crossing has already
+    # shipped (and pays for) all of its tuples.
+    total = sum(int(r.uids.size) for r in requests)
+    got = single.counter.as_dict()
+    want = reference.counter.as_dict()
+    crossing = {"qpf_roundtrips": 1 if total else 0,
+                "parallel_wall_roundtrips": 1 if total else 0}
+    if raises:
+        crossing.update(qpf_uses=total, tuples_retrieved=total,
+                        parallel_wall_qpf_uses=total)
+    for name, value in got.items():
+        assert value == crossing.get(name, want[name]), name
 
 
 _CHAIN_OPS = st.lists(

@@ -70,6 +70,19 @@ class TestSkyline:
             assert resolver.skyline() == brute_force_skyline(bed.plain), \
                 f"seed {seed}"
 
+    def test_charges_land_in_the_callers_measure_scope(self):
+        """Pruning comparisons and confirmation decrypts go through
+        ``charge``, so a statement's ``measure()`` tally sees them."""
+        bed = make_bed(seed=14, warm=10)
+        resolver = SkylineResolver(bed.prkb, bed.owner.key)
+        before = bed.counter.snapshot()
+        with bed.counter.measure() as spent:
+            resolver.skyline()
+        delta = bed.counter.diff(before)
+        assert spent.qpf_uses == delta.qpf_uses > 0
+        assert spent.tuples_retrieved == delta.tuples_retrieved > 0
+        assert spent.comparisons == delta.comparisons > 0
+
     def test_requires_indexes(self):
         bed = make_bed(seed=11)
         with pytest.raises(ValueError):
