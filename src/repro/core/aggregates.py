@@ -138,9 +138,11 @@ class AggregateResolver:
         uids = np.asarray(uids, dtype=np.uint64)
         if uids.size == 0:
             return _EMPTY
-        positions = self.index.pop.ordinals_of_uids(uids)
-        lo, hi = int(positions.min()), int(positions.max())
-        return uids[(positions == lo) | (positions == hi)]
+        # Order keys increase along the chain: the run's end partitions
+        # hold the smallest and the largest key.
+        keys = self.index.pop.keys_of_uids(uids)
+        lo, hi = int(keys.min()), int(keys.max())
+        return uids[(keys == lo) | (keys == hi)]
 
     def minimum_among(self, uids: np.ndarray) -> tuple[int, int]:
         """(uid, value) of the minimum within a winner set (filtered MIN)."""

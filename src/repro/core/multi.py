@@ -17,12 +17,16 @@ Two strategies are implemented:
   partition resolves its pair partner for free — Sec. 6.2's early stop).
 
 The grid phases are fully vectorised: per-partition classifications are
-``int8`` status vectors, candidate collection and OUT-pruning are boolean
-mask arithmetic over the chain's ``uid -> ordinal`` arrays
-(:meth:`~repro.core.partitions.PartialOrderPartitions.ordinals_of_uids`),
-and NS groups are index arrays into one sorted candidate array — no
-per-uid Python loops anywhere on the hot path, so the server-side (free)
-part of a query scales with numpy, not the interpreter.
+``int8`` status vectors whose contiguous runs become key ranges.  Each
+chain's order keys are gathered once per phase
+(:meth:`~repro.core.partitions.PartialOrderPartitions.keys_of_uids`),
+and "in a run of chain positions" is one key compare per run
+(:meth:`~repro.core.partitions.PartialOrderPartitions.keys_in_run`), so
+candidate collection and OUT-pruning are boolean mask arithmetic and NS
+groups are ``key == partition key`` index arrays into one sorted
+candidate array — no per-uid Python loops anywhere on the hot path, so
+the server-side (free) part of a query scales with numpy, not the
+interpreter.
 
 POP refinement under PRKB(MD) is governed by ``update_policy`` (see
 DESIGN.md): the paper does not specify how the *partial* scans of the MD
@@ -42,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..crypto.trapdoor import EncryptedPredicate
-from .partitions import ChainView, Partition
+from .partitions import ChainView, PartialOrderPartitions, Partition
 from .prkb import PRKBIndex, QFilterOutcome
 from .single import SingleDimensionProcessor
 
@@ -89,6 +93,19 @@ def _mask_runs(mask: np.ndarray) -> list[tuple[int, int]]:
     edges = np.flatnonzero(np.diff(padded.view(np.int8)))
     return [(int(edges[i]), int(edges[i + 1]))
             for i in range(0, edges.size, 2)]
+
+
+def _in_runs(pop: PartialOrderPartitions, keys: np.ndarray,
+             mask: np.ndarray) -> np.ndarray:
+    """Which of a chain's order ``keys`` sit at positions where ``mask``
+    holds: one key compare per contiguous run of ``mask``."""
+    runs = _mask_runs(mask)
+    if not runs:
+        return np.zeros(keys.size, dtype=bool)
+    hit = pop.keys_in_run(keys, *runs[0])
+    for start, stop in runs[1:]:
+        hit |= pop.keys_in_run(keys, start, stop)
+    return hit
 
 
 def _observed_labels(members: np.ndarray, observed_uids: np.ndarray,
@@ -363,8 +380,9 @@ class MultiDimensionProcessor:
         (a prefix and/or a suffix of the NS band), so the first
         dimension's IN set comes out of the prefix-sum buffer as
         whole-run slices; every further dimension keeps the uids its own
-        chain files in an IN partition (one ordinal gather) — no sort,
-        no set intersection.  The result is in the first chain's order.
+        chain files in an IN partition (one key gather, one compare per
+        IN run) — no sort, no set intersection.  The result is in the
+        first chain's order.
         """
         in_runs = [
             contexts[0][0].index.pop.range_uids(start, stop - 1)
@@ -374,9 +392,9 @@ class MultiDimensionProcessor:
         for position in range(1, len(query)):
             if current.size == 0:
                 break
-            ordinals = contexts[position][0].index.pop.ordinals_of_uids(
-                current)
-            current = current[status_of[position][ordinals] == _IN]
+            pop = contexts[position][0].index.pop
+            current = current[_in_runs(pop, pop.keys_of_uids(current),
+                                       status_of[position] == _IN)]
         return current
 
     def _collect_candidates(self, query: list[DimensionRange],
@@ -390,9 +408,9 @@ class MultiDimensionProcessor:
         runs come out of the prefix-sum buffers as slices and are
         scattered into one bool mask over the uid span, whose
         ``flatnonzero`` is the union in uid order; OUT-pruning is one
-        boolean gather per dimension over the chains' uid→ordinal
-        arrays, and the groups are index arrays into the returned
-        (sorted, unique) candidate array.
+        key gather per dimension and one compare per run of non-OUT
+        partitions, and the groups are index arrays into the returned
+        (sorted, unique) candidate array, one key compare each.
         """
         ns_chunks = []
         for position in range(len(query)):
@@ -411,15 +429,14 @@ class MultiDimensionProcessor:
         self._qpf.counter.charge(
             comparisons=int(ns_union.size) * len(query))
         keep = np.ones(ns_union.size, dtype=bool)
-        ordinals_of: dict[int, np.ndarray] = {}
+        keys_of: dict[int, np.ndarray] = {}
         for position in range(len(query)):
-            index = contexts[position][0].index
-            ordinals = index.pop.ordinals_of_uids(ns_union)
-            ordinals_of[position] = ordinals
-            keep &= status_of[position][ordinals] != _OUT
+            pop = contexts[position][0].index.pop
+            keys = keys_of[position] = pop.keys_of_uids(ns_union)
+            keep &= _in_runs(pop, keys, status_of[position] != _OUT)
         candidates = ns_union[keep]
         for position in range(len(query)):
-            candidate_ordinals = ordinals_of[position][keep]
+            candidate_keys = keys_of[position][keep]
             for ctx in contexts[position]:
                 ctx.groups = []
                 for partition in ctx.ns_partitions:
@@ -428,7 +445,7 @@ class MultiDimensionProcessor:
                         ctx.groups.append(_NO_POSITIONS)
                         continue  # defensive: NS slots only
                     ctx.groups.append(
-                        np.flatnonzero(candidate_ordinals == chain_pos))
+                        np.flatnonzero(candidate_keys == partition.key))
         return candidates
 
     # -- phase 2: QPF testing with early-stop inference ------------------ #

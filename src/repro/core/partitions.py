@@ -7,25 +7,38 @@ value than every tuple in ``P_{i+1}``.  The chain is refined one split at a
 time as inequivalent predicates are observed.
 
 The implementation keeps, per partition, a dense ``uint64`` uid array
-(appends buffer into a small pending list, folded in vectorised) and a
-global slot-based ``uid -> partition`` lookup (one gather into
-``_slot_of_uid`` plus one list index) so multi-dimensional processing can
-classify tuples in O(1) — no per-uid Python dict maintenance anywhere on
-the refinement path.
+(appends buffer into a small pending list, folded in vectorised) and one
+global ``uid -> order key`` array, so tuples are classified by numpy
+compares — no per-uid Python dict maintenance anywhere on the
+refinement path.
 
-Vectorised ordinal lookups
---------------------------
-The multi-dimensional grid engine classifies whole candidate *arrays* at
-once, so the chain also maintains a dense ``uid -> slot`` int array plus a
-``slot -> chain position`` table (``ordinals_of_uids``).  Each partition
-owns a stable integer *slot*; a split touches only the second half's uids
-(O(segment)), a merge only the merged members, and the slot→ordinal table
-is patched by one vectorised shift per structural change (built lazily
-in O(k) only the first time, and after a compaction).  Slots are
-compacted when structural churn makes the table sparse, so the arrays
-stay O(n + k).  The result: mapping
-m candidate uids to chain positions is two numpy gathers instead of m
-dict lookups.
+Order keys
+----------
+Every partition in the chain holds an integer *order key*
+(:attr:`Partition.key`) in ``[0, 2**30)``, strictly increasing along the
+chain, and the chain keeps one dense ``int32`` ``uid -> key`` array
+(``-1`` = untracked; :meth:`PartialOrderPartitions.keys_of_uids`).  Keys
+preserve exactly what the chain already shows the SP — order and
+partition equality — and nothing more.  Because they increase, "is this
+uid in chain positions ``[i, j)``" is a compare against the keys of
+``P_i`` and ``P_j``
+(:meth:`PartialOrderPartitions.keys_in_run`); because they are stable
+under splits elsewhere, a structural change writes only the uids whose
+partition changed:
+
+* a split leaves the first half the old key and gives the second half
+  the midpoint between its neighbours' keys (or between the old key and
+  ``2**30`` at the chain's end), writing only the second half's uids;
+* a merge keeps its first partition's key and rewrites the others'
+  members; an insert or delete writes one entry;
+* when a split finds no gap left, the whole chain is re-keyed evenly in
+  one vectorised pass over the chain buffer and the new array is
+  published by reference swap (under the index write lock, like every
+  structural change).
+
+Chain positions are recovered by binary search over the chain's keys
+(:meth:`PartialOrderPartitions.index_of`).  Keys are never persisted:
+:meth:`PartialOrderPartitions.from_segments` assigns even keys.
 
 The chain buffer and its offsets
 --------------------------------
@@ -55,20 +68,35 @@ partitions.  Callers name the run by its *buffer offsets* — the
 coordinate a :class:`ChainView` is set-stable in — and
 :meth:`PartialOrderPartitions.uids_in_order` turns it into the strictly
 increasing uid array every operator returns, by construction: the
-offsets become live chain positions (``searchsorted``), the positions a
-bool table over slots (one compare on the slot→ordinal table), and that
-table is gathered through ``uid -> slot``; the NS winners are scattered
-into the result and ``flatnonzero`` reads it out in uid order.  O(k + n)
-per answer, no sort, and no structure beyond the two lookup tables above.
+offsets become live chain positions (``searchsorted``), the run's two
+end keys turn the ``uid -> key`` array into a bool mask over uids
+(one vectorised compare, two for a run strictly inside the chain;
+``-1`` never matches), the NS winners are
+scattered into it and ``flatnonzero`` reads it out in uid order.  O(n)
+per answer with no gather, no sort, and no structure beyond the keys.
 """
 
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
+from operator import attrgetter
 
 import numpy as np
 
 __all__ = ["Partition", "PartialOrderPartitions", "ChainView"]
+
+#: Order keys live in ``[0, KEY_SPACE)``; the last partition's gap runs
+#: to ``KEY_SPACE``.  Keys and the ``-1`` sentinel fit ``int32``.
+KEY_SPACE = 1 << 30
+
+_key_of = attrgetter("key")
+
+
+def _even_keys(count: int) -> np.ndarray:
+    """``count`` evenly spaced order keys, as ``int32``."""
+    return (np.arange(count, dtype=np.int64)
+            * (KEY_SPACE // max(count, 1))).astype(np.int32)
 
 
 def _readonly(array: np.ndarray) -> np.ndarray:
@@ -80,17 +108,18 @@ def _readonly(array: np.ndarray) -> np.ndarray:
 class Partition:
     """One partition of the chain: an unordered set of tuple uids.
 
-    ``slot`` is the stable integer id the owning chain uses for vectorised
-    uid→ordinal lookups; ``-1`` for partitions not (yet) in a chain.
+    ``key`` is the owning chain's order key for this partition (see
+    "Order keys" in the module docstring); ``-1`` for partitions not
+    (yet) in a chain.
     """
 
-    __slots__ = ("_array", "_pending", "slot")
+    __slots__ = ("_array", "_pending", "key")
 
-    def __init__(self, uids, slot: int = -1):
+    def __init__(self, uids, key: int = -1):
         # Own copy: callers routinely pass views into shared buffers.
         self._array = np.array(uids, dtype=np.uint64, copy=True).ravel()
         self._pending: list[int] = []
-        self.slot = slot
+        self.key = key
 
     def __len__(self) -> int:
         return self._array.size + len(self._pending)
@@ -146,25 +175,21 @@ class PartialOrderPartitions:
         #: ``on_merge``, ``on_insert``, ``on_delete``).  The durability
         #: journal hooks in here to write-ahead-log every refinement.
         self.listener = None
-        first = Partition(np.asarray(uids, dtype=np.uint64), slot=0)
+        first = Partition(np.asarray(uids, dtype=np.uint64), key=0)
         self._chain: list[Partition] = [first]
         self._buffer: np.ndarray | None = None
         self._offsets: np.ndarray | None = None
-        self._next_slot = 1
         members = first.uids
         self._num_tuples = int(members.size)
-        #: ``slot -> Partition`` (dead slots hold ``None``); together with
-        #: ``_slot_of_uid`` this replaces the old per-uid dict map.
-        self._partition_by_slot: list[Partition | None] = [first]
         capacity = int(members.max()) + 1 if members.size else 0
-        self._slot_of_uid = np.full(capacity, -1, dtype=np.int64)
+        #: ``uid -> order key`` of its partition, ``-1`` when untracked.
+        self._key_of_uid = np.full(capacity, -1, dtype=np.int32)
         if members.size:
-            self._slot_of_uid[members] = 0
-        self._slot_ordinals: np.ndarray | None = None
-        #: Serializes the lazy buffer/ordinal rebuilds so that concurrent
-        #: snapshot readers (holding the owning index's read lock) never
-        #: observe a half-built table; structural mutations stay guarded
-        #: by the index write lock above this layer.
+            self._key_of_uid[members] = 0
+        #: Serializes the lazy buffer rebuild so that concurrent snapshot
+        #: readers (holding the owning index's read lock) never observe a
+        #: half-built buffer; structural mutations stay guarded by the
+        #: index write lock above this layer.
         self._rebuild_lock = threading.Lock()
 
     @classmethod
@@ -176,7 +201,8 @@ class PartialOrderPartitions:
         the prefix sums (``offsets[i]`` = first position of ``P_i``).  The
         reconstruction is O(n + k) and reproduces the exact
         partition-internal uid order of the serialized chain — required
-        for bit-identical post-restore sampling.
+        for bit-identical post-restore sampling.  Order keys are not
+        serialized; the rebuilt chain gets evenly spaced ones.
         """
         members = np.asarray(members, dtype=np.uint64)
         offsets = np.asarray(offsets, dtype=np.int64)
@@ -185,19 +211,15 @@ class PartialOrderPartitions:
             raise ValueError("offsets do not describe the member array")
         self = cls.__new__(cls)
         self.listener = None
-        self._chain = []
-        self._slot_ordinals = None
         self._num_tuples = int(members.size)
+        keys = _even_keys(offsets.size - 1)
+        self._chain = [
+            Partition(members[offsets[position]:offsets[position + 1]],
+                      key=key)
+            for position, key in enumerate(keys.tolist())]
         capacity = int(members.max()) + 1 if members.size else 0
-        self._slot_of_uid = np.full(capacity, -1, dtype=np.int64)
-        for position in range(offsets.size - 1):
-            segment = members[offsets[position]:offsets[position + 1]]
-            partition = Partition(segment, slot=position)
-            self._chain.append(partition)
-            if segment.size:
-                self._slot_of_uid[segment] = position
-        self._partition_by_slot = list(self._chain)
-        self._next_slot = len(self._chain)
+        self._key_of_uid = np.full(capacity, -1, dtype=np.int32)
+        self._key_of_uid[members] = np.repeat(keys, np.diff(offsets))
         self._buffer = members.copy()
         self._offsets = offsets.copy()
         self._rebuild_lock = threading.Lock()
@@ -226,94 +248,94 @@ class PartialOrderPartitions:
         """Total number of tuples across all partitions."""
         return self._num_tuples
 
+    def _position_of_key(self, key: int) -> int:
+        """Chain position of the partition holding order key ``key``
+        (binary search over the chain's keys), or ``-1``."""
+        chain = self._chain
+        position = bisect_left(chain, key, key=_key_of)
+        if position < len(chain) and chain[position].key == key:
+            return position
+        return -1
+
     def partition_of(self, uid: int) -> Partition:
         """The partition containing ``uid``."""
         uid = int(uid)
-        slot = (int(self._slot_of_uid[uid])
-                if 0 <= uid < self._slot_of_uid.size else -1)
-        if slot < 0:
+        key_of_uid = self._key_of_uid
+        key = int(key_of_uid[uid]) if 0 <= uid < key_of_uid.size else -1
+        position = self._position_of_key(key) if key >= 0 else -1
+        if position < 0:
             raise KeyError(uid)
-        return self._partition_by_slot[slot]
+        return self._chain[position]
 
     def tracked_uids(self) -> np.ndarray:
-        """Every uid currently covered by the chain (unordered)."""
-        return np.flatnonzero(self._slot_of_uid >= 0).astype(np.uint64)
+        """Every uid currently covered by the chain, in increasing order."""
+        return np.flatnonzero(self._key_of_uid >= 0).astype(np.uint64)
 
     def index_of(self, partition: Partition) -> int:
-        """Chain position of ``partition`` (cached until structure changes).
-
-        Served from the slot→ordinal table shared with
-        :meth:`ordinals_of_uids`, so a structural change costs one table
-        rebuild, not one rebuild per lookup kind.
-        """
-        self._ensure_ordinals()
-        slot = partition.slot
-        ordinal = (int(self._slot_ordinals[slot])
-                   if 0 <= slot < self._slot_ordinals.size else -1)
-        if ordinal < 0 or self._chain[ordinal] is not partition:
-            raise KeyError(f"partition (slot {slot}) not in chain")
-        return ordinal
+        """Chain position of ``partition``: a binary search over the
+        chain's keys, verified by identity (``KeyError`` when the
+        partition is no longer in the chain)."""
+        position = self._position_of_key(partition.key)
+        if position < 0 or self._chain[position] is not partition:
+            raise KeyError(f"partition (key {partition.key}) not in chain")
+        return position
 
     def index_of_uid(self, uid: int) -> int:
         """Chain position of the partition holding ``uid``."""
         return self.index_of(self.partition_of(uid))
 
-    # -- vectorised uid -> chain-position lookups ----------------------- #
+    # -- order keys ------------------------------------------------------ #
 
-    def _grow_slot_array(self, capacity: int) -> None:
-        old = self._slot_of_uid
-        grown = np.full(max(capacity, 2 * old.size), -1, dtype=np.int64)
-        grown[:old.size] = old
-        self._slot_of_uid = grown
+    def keys_of_uids(self, uids: np.ndarray) -> np.ndarray:
+        """Order keys of many uids as one ``int32`` array — one gather.
 
-    def _fresh_slot(self, partition: Partition,
-                    members: np.ndarray) -> None:
-        """Give ``partition`` a new slot and point its members at it."""
-        partition.slot = self._next_slot
-        self._next_slot += 1
-        self._partition_by_slot.append(partition)
-        self._slot_of_uid[members] = partition.slot
-
-    def _compact_slots(self) -> None:
-        """Renumber slots densely after heavy structural churn."""
-        for position, partition in enumerate(self._chain):
-            partition.slot = position
-            self._slot_of_uid[partition.uids] = position
-        self._partition_by_slot = list(self._chain)
-        self._next_slot = len(self._chain)
-
-    def _slots_sparse(self) -> bool:
-        return self._next_slot > max(64, 8 * len(self._chain))
-
-    def _ensure_ordinals(self) -> None:
-        if self._slot_ordinals is not None:
-            return
-        with self._rebuild_lock:
-            if self._slot_ordinals is not None:
-                return
-            if self._slots_sparse():
-                self._compact_slots()
-            table = np.full(self._next_slot, -1, dtype=np.int64)
-            for position, partition in enumerate(self._chain):
-                table[partition.slot] = position
-            self._slot_ordinals = table
-
-    def ordinals_of_uids(self, uids: np.ndarray) -> np.ndarray:
-        """Chain positions of many uids as one int64 array.
-
-        Two numpy gathers (uid→slot, slot→ordinal); no per-uid Python.
-        Raises ``KeyError`` if any uid is not tracked by the chain.
+        Keys increase along the chain, so they compare as the uids'
+        chain positions do, and two uids share a key exactly when they
+        share a partition.  Raises ``KeyError`` if any uid is not
+        tracked by the chain.
         """
-        self._ensure_ordinals()
         uids = np.asarray(uids, dtype=np.uint64).ravel()
         if uids.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        if int(uids.max()) >= self._slot_of_uid.size:
-            raise KeyError("untracked uid in ordinals_of_uids")
-        slots = self._slot_of_uid[uids]
-        if int(slots.min()) < 0:
-            raise KeyError("untracked uid in ordinals_of_uids")
-        return self._slot_ordinals[slots]
+            return np.zeros(0, dtype=np.int32)
+        key_of_uid = self._key_of_uid
+        if int(uids.max()) >= key_of_uid.size:
+            raise KeyError("untracked uid in keys_of_uids")
+        keys = key_of_uid[uids]
+        if int(keys.min()) < 0:
+            raise KeyError("untracked uid in keys_of_uids")
+        return keys
+
+    def keys_in_run(self, keys: np.ndarray, first: int,
+                    last: int) -> np.ndarray:
+        """Mask of the ``int32`` order ``keys`` held by chain positions
+        ``[first, last)`` (``first < last``): a compare against the
+        run's end keys.  ``-1`` (untracked) never matches: read unsigned,
+        it is larger than every key, and it is below every lower end."""
+        chain = self._chain
+        if last >= len(chain):
+            return keys >= chain[first].key
+        high = chain[last].key
+        if first == 0:
+            return keys.view(np.uint32) < high
+        # Two bool compares, not one on ``keys - low``: as fast, and no
+        # int32 temporary the size of the uid space.
+        hit = keys >= chain[first].key
+        hit &= keys < high
+        return hit
+
+    def _rekey(self) -> None:
+        """Space the chain's keys evenly again (a split found no gap).
+
+        One vectorised pass over the chain buffer; the new ``uid -> key``
+        array is published by reference swap.
+        """
+        self._ensure_offsets()
+        keys = _even_keys(len(self._chain))
+        fresh = np.full(self._key_of_uid.size, -1, dtype=np.int32)
+        fresh[self._buffer] = np.repeat(keys, np.diff(self._offsets))
+        for partition, key in zip(self._chain, keys.tolist()):
+            partition.key = key
+        self._key_of_uid = fresh
 
     def sizes(self) -> list[int]:
         """Partition sizes along the chain."""
@@ -389,19 +411,13 @@ class PartialOrderPartitions:
         name whole live partitions.  ``stop <= start`` names none.
         """
         self._ensure_offsets()
-        self._ensure_ordinals()
-        # One read each: both tables are republished by reference swap.
-        ordinals, slot_of_uid = self._slot_ordinals, self._slot_of_uid
+        # One read: re-keying republishes the array by reference swap.
+        key_of_uid = self._key_of_uid
         first, last = np.searchsorted(self._offsets, (start, stop))
         if first < last:
-            # The trailing False is where a deleted or untracked uid's
-            # ``-1`` slot lands.
-            wanted = np.zeros(ordinals.size + 1, dtype=bool)
-            np.logical_and(ordinals >= first, ordinals < last,
-                           out=wanted[:-1])
-            hit = wanted[slot_of_uid]
+            hit = self.keys_in_run(key_of_uid, int(first), int(last))
         else:
-            hit = np.zeros(slot_of_uid.size, dtype=bool)
+            hit = np.zeros(key_of_uid.size, dtype=bool)
         for uids in extra:
             hit[uids] = True
         return np.flatnonzero(hit).view(np.uint64)
@@ -421,33 +437,6 @@ class PartialOrderPartitions:
     # refinement                                                          #
     # ------------------------------------------------------------------ #
 
-    def _splice_ordinals(self, index: int, died: int, born: int) -> None:
-        """Patch the slot→ordinal table after one structural change.
-
-        Mirrors ``chain[index:index + died] = [newest] * born``: the
-        slots at those ``died`` positions are dead, the newest slot
-        (``born`` is 0 or 1) sits at ``index`` and every later position
-        moved by ``born - died``.  Written into a *new* array published
-        by one reference swap, so a reader holding the previous table
-        never sees it half-shifted.  With no table yet, or once slot
-        churn crosses the compaction threshold, it is left to the lazy
-        rebuild (which compacts).
-        """
-        table = self._slot_ordinals
-        if table is None:
-            return
-        if self._slots_sparse():
-            self._slot_ordinals = None
-            return
-        shifted = np.empty(self._next_slot, dtype=np.int64)
-        kept = shifted[:table.size]
-        np.add(table, (born - died) * (table >= index + died), out=kept)
-        if died:
-            kept[(table >= index) & (table < index + died)] = -1
-        if born:
-            shifted[-1] = index
-        self._slot_ordinals = shifted
-
     def split(self, index: int, first_uids: np.ndarray,
               second_uids: np.ndarray) -> tuple[Partition, Partition]:
         """Replace ``P[index]`` by two partitions in the given chain order.
@@ -456,7 +445,8 @@ class PartialOrderPartitions:
         i.e. which half sits adjacent to which neighbour; this method only
         performs the structural replacement.
         """
-        old = self._chain[index]
+        chain = self._chain
+        old = chain[index]
         first_uids = np.asarray(first_uids, dtype=np.uint64)
         second_uids = np.asarray(second_uids, dtype=np.uint64)
         if first_uids.size == 0 or second_uids.size == 0:
@@ -466,24 +456,30 @@ class PartialOrderPartitions:
                 "split halves do not partition the original "
                 f"({first_uids.size} + {second_uids.size} != {len(old)})"
             )
-        # The first half inherits the old slot (its uids already map
-        # there); only the second half's uids need repointing.
-        first = Partition(first_uids, slot=old.slot)
-        second = Partition(second_uids)
-        self._partition_by_slot[old.slot] = first
-        self._fresh_slot(second, second_uids)
-        self._chain[index:index + 1] = [first, second]
+        # The first half keeps the old key (its uids already hold it);
+        # the second takes the midpoint of the gap to the next key.
+        following = (chain[index + 1].key if index + 1 < len(chain)
+                     else KEY_SPACE)
+        key = (old.key + following) // 2
+        first = Partition(first_uids, key=old.key)
+        second = Partition(second_uids, key=key)
+        chain[index:index + 1] = [first, second]
         if self._buffer is not None:
             # Reorder the split partition's own segment in place (the two
             # halves are copies, so overlapping writes are safe) and grow
             # the offset list by the new boundary.  Positions outside the
             # segment are untouched, which keeps frozen views set-stable.
-            lo = int(self._offsets[index])
+            offsets = self._offsets
+            lo = int(offsets[index])
             cut = lo + first_uids.size
             self._buffer[lo:cut] = first_uids
             self._buffer[cut:lo + len(old)] = second_uids
-            self._offsets = np.insert(self._offsets, index + 1, cut)
-        self._splice_ordinals(index + 1, died=0, born=1)
+            self._offsets = np.concatenate(
+                (offsets[:index + 1], (cut,), offsets[index + 1:]))
+        if key > old.key:
+            self._key_of_uid[second_uids] = key
+        else:
+            self._rekey()  # no gap left between the neighbours
         if self.listener is not None:
             self.listener.on_split(index, first_uids, second_uids)
         return first, second
@@ -501,19 +497,18 @@ class PartialOrderPartitions:
             raise IndexError(f"merge range [{first}, {last}] out of bounds")
         if first == last:
             return self._chain[first]
+        head = self._chain[first]
         merged_uids = np.concatenate(
             [self._chain[i].uids for i in range(first, last + 1)])
-        merged = Partition(merged_uids)
-        for i in range(first, last + 1):
-            self._partition_by_slot[self._chain[i].slot] = None
-        self._fresh_slot(merged, merged_uids)
+        # The merged partition keeps the first key; the rest repoint.
+        merged = Partition(merged_uids, key=head.key)
+        self._key_of_uid[merged_uids[len(head):]] = head.key
         self._chain[first:last + 1] = [merged]
         if self._offsets is not None:
             # The buffer already stores the merged members contiguously;
             # only the interior boundaries disappear.
-            self._offsets = np.delete(self._offsets,
-                                      np.arange(first + 1, last + 1))
-        self._splice_ordinals(first, died=last - first + 1, born=1)
+            self._offsets = np.concatenate(
+                (self._offsets[:first + 1], self._offsets[last + 1:]))
         if self.listener is not None:
             self.listener.on_merge(first, last)
         return merged
@@ -525,14 +520,17 @@ class PartialOrderPartitions:
     def insert(self, uid: int, index: int) -> None:
         """Place a newly inserted tuple into partition ``index``."""
         uid = int(uid)
-        if (0 <= uid < self._slot_of_uid.size
-                and self._slot_of_uid[uid] >= 0):
+        key_of_uid = self._key_of_uid
+        if 0 <= uid < key_of_uid.size and key_of_uid[uid] >= 0:
             raise ValueError(f"uid {uid} already tracked by POP")
         partition = self._chain[index]
         partition.add(uid)
-        if uid >= self._slot_of_uid.size:
-            self._grow_slot_array(uid + 1)
-        self._slot_of_uid[uid] = partition.slot
+        if uid >= key_of_uid.size:
+            grown = np.full(max(uid + 1, 2 * key_of_uid.size), -1,
+                            dtype=np.int32)
+            grown[:key_of_uid.size] = key_of_uid
+            self._key_of_uid = key_of_uid = grown
+        key_of_uid[uid] = partition.key
         self._num_tuples += 1
         self._drop_buffer()
         if self.listener is not None:
@@ -549,7 +547,7 @@ class PartialOrderPartitions:
         uid = int(uid)
         partition = self.partition_of(uid)
         partition.remove(uid)
-        self._slot_of_uid[uid] = -1
+        self._key_of_uid[uid] = -1
         self._num_tuples -= 1
         self._drop_buffer()
         if self.listener is not None:
@@ -558,8 +556,6 @@ class PartialOrderPartitions:
             return None
         index = self.index_of(partition)
         del self._chain[index]
-        self._partition_by_slot[partition.slot] = None
-        self._splice_ordinals(index, died=1, born=0)
         return index
 
     # ------------------------------------------------------------------ #
@@ -569,36 +565,42 @@ class PartialOrderPartitions:
     def check_invariants(self, plain_value_of=None) -> None:
         """Assert the POP invariants; optionally check order consistency.
 
-        ``plain_value_of`` maps uid → plaintext value (ground truth known
-        only to tests).  The chain must then be monotone *as partitions* in
-        one direction or the other (Definition 4.2).
+        Structure: partitions are non-empty and disjoint, their keys
+        strictly increase inside ``[0, KEY_SPACE)``, every member holds
+        its partition's key in the ``uid -> key`` array, every other uid
+        holds ``-1``, and :meth:`partition_of` / :meth:`index_of` agree
+        with the chain.  ``plain_value_of`` maps uid → plaintext value
+        (ground truth known only to tests).  The chain must then be
+        monotone *as partitions* in one direction or the other
+        (Definition 4.2).
         """
-        seen: set[int] = set()
-        for partition in self._chain:
-            if len(partition) == 0:
+        keys = [partition.key for partition in self._chain]
+        if any(not 0 <= key < KEY_SPACE for key in keys) or any(
+                a >= b for a, b in zip(keys, keys[1:])):
+            raise AssertionError(f"keys do not increase along the chain: "
+                                 f"{keys}")
+        key_of_uid = self._key_of_uid
+        expected = np.full(key_of_uid.size, -1, dtype=np.int32)
+        claimed = np.zeros(key_of_uid.size, dtype=np.int64)
+        for position, partition in enumerate(self._chain):
+            members = partition.uids
+            if members.size == 0:
                 raise AssertionError("empty partition in chain")
-            members = {int(u) for u in partition.uids}
-            if members & seen:
-                raise AssertionError("partitions are not disjoint")
-            seen |= members
-            for u in members:
-                try:
-                    mapped = self.partition_of(u)
-                except KeyError:
-                    mapped = None
-                if mapped is not partition:
-                    raise AssertionError(f"uid {u} mapped to wrong partition")
-        if seen != set(int(u) for u in self.tracked_uids()) \
-                or len(seen) != self._num_tuples:
+            if int(members.max()) >= key_of_uid.size:
+                raise AssertionError("member beyond the uid -> key array")
+            np.add.at(claimed, members, 1)
+            expected[members] = partition.key
+            if self.index_of(partition) != position:
+                raise AssertionError("index_of disagrees with the chain")
+            probe = int(members[position % members.size])
+            if self.partition_of(probe) is not partition:
+                raise AssertionError(f"uid {probe} mapped to wrong partition")
+        if int(claimed.max(initial=0)) > 1:
+            raise AssertionError("partitions are not disjoint")
+        if not np.array_equal(key_of_uid, expected):
+            raise AssertionError("uid -> key array disagrees with the chain")
+        if int(claimed.sum()) != self._num_tuples:
             raise AssertionError("partition map does not cover the chain")
-        if seen:
-            members = np.asarray(sorted(seen), dtype=np.uint64)
-            want = np.asarray([self.index_of(self.partition_of(int(u)))
-                               for u in members], dtype=np.int64)
-            got = self.ordinals_of_uids(members)
-            if not np.array_equal(got, want):
-                raise AssertionError(
-                    "uid -> ordinal array disagrees with partition map")
         if plain_value_of is None or len(self._chain) == 1:
             return
         ranges = []

@@ -51,13 +51,6 @@ class SkylineResolver:
 
     # -- server-side candidate pruning ------------------------------------ #
 
-    def _cell_of(self, uid: int) -> tuple[int, ...]:
-        """Grid cell = vector of chain positions across attributes."""
-        return tuple(
-            self.indexes[attr].pop.index_of_uid(uid)
-            for attr in self._attributes
-        )
-
     @staticmethod
     def _cell_dominates(winner: tuple[int, ...], loser: tuple[int, ...],
                         signs: tuple[int, ...]) -> bool:
@@ -76,7 +69,11 @@ class SkylineResolver:
     def candidates(self) -> np.ndarray:
         """A provable superset of the skyline, from POP knowledge alone."""
         uids = self._table.uids
-        cells = {int(u): self._cell_of(int(u)) for u in uids}
+        # Grid cell = vector of order keys across attributes: keys
+        # compare as chain positions do, which is all dominance reads.
+        keys = np.stack([self.indexes[attr].pop.keys_of_uids(uids)
+                         for attr in self._attributes], axis=1)
+        cells = dict(zip(uids.tolist(), map(tuple, keys.tolist())))
         occupied = sorted(set(cells.values()))
         d = len(self._attributes)
         survivors_by_cell: set[tuple[int, ...]] = set()

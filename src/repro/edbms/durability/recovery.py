@@ -229,19 +229,23 @@ class RecoveryManager:
         The table WAL commits before the dependent index transactions,
         so after a crash an index can lag its table (or, under relaxed
         fsync with power loss, retain rows the table lost).  Both
-        directions are repaired deterministically, in uid order.
+        directions are repaired deterministically, in uid order: both
+        sides are sorted ``uint64`` arrays, so each difference is one
+        ``setdiff1d`` that keeps that order.
         """
         counter = self.qpf.counter
         for table_name, indexes in self.server.all_indexes().items():
             table = self.server.table(table_name)
-            table_uids = set(int(u) for u in table.uids)
+            table_uids = np.sort(table.uids.astype(np.uint64))
             for index in indexes.values():
-                tracked = set(int(u) for u in index.pop.tracked_uids())
+                tracked = index.pop.tracked_uids()
                 before = counter.qpf_uses
-                dropped = sorted(tracked - table_uids)
+                dropped = np.setdiff1d(tracked, table_uids,
+                                       assume_unique=True)
                 index.delete_many(dropped)
                 stats.orphans_dropped += len(dropped)
-                reindexed = sorted(table_uids - tracked)
+                reindexed = np.setdiff1d(table_uids, tracked,
+                                         assume_unique=True)
                 index.insert_many(reindexed)
                 stats.orphans_reindexed += len(reindexed)
                 stats.repair_qpf_uses += counter.qpf_uses - before

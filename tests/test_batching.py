@@ -347,3 +347,60 @@ class TestRotationInWindows:
             assert np.array_equal(answer.winners, want), constant
         assert merges == []
         assert index.num_partitions == 6
+
+
+def _pack_keys(pop) -> None:
+    """Space the chain's order keys one apart, so the next split
+    anywhere before the last partition finds no gap and re-keys."""
+    for position, partition in enumerate(pop):
+        partition.key = position
+        pop._key_of_uid[partition.uids] = position
+    pop.check_invariants()
+
+
+class TestRekeyInWindows:
+    def test_sibling_split_rekeys_mid_window(self, monkeypatch):
+        """A re-key publishes new keys while a lock-step window's
+        siblings still hold spans of the frozen view: their read-outs
+        stay exact, and keys never reach sampling or accounting, so the
+        per-statement QPF equals an unpacked twin's window by window."""
+        from repro.core.partitions import PartialOrderPartitions
+
+        sqls = [f"SELECT * FROM t WHERE X < {int(c)}"
+                for c in np.random.default_rng(13).integers(*DOMAIN,
+                                                            size=12)]
+        twin = _database(seed=13, warm=20)
+        twin_answers = twin.execute_many(sqls, window=4)
+        db = _database(seed=13, warm=20)
+        _pack_keys(db.server.index("t", "X").pop)
+        events = []
+        rekey, read_out = (PartialOrderPartitions._rekey,
+                           PartialOrderPartitions.uids_in_order)
+
+        def logged_rekey(self):
+            events.append("rekey")
+            return rekey(self)
+
+        def logged_read_out(self, start, stop, extra=()):
+            events.append("answer")
+            return read_out(self, start, stop, extra)
+
+        monkeypatch.setattr(PartialOrderPartitions, "_rekey", logged_rekey)
+        monkeypatch.setattr(PartialOrderPartitions, "uids_in_order",
+                            logged_read_out)
+        answers = db.execute_many(sqls, window=4)
+        # A split re-keyed the chain before the first window's fourth
+        # read-out: a sibling answered against the new keys.
+        read_outs = [i for i, event in enumerate(events)
+                     if event == "answer"]
+        assert events.index("rekey") < read_outs[3]
+        plain = db.owner.plain_table("t")
+        for sql, answer, other in zip(sqls, answers, twin_answers):
+            constant = int(sql.rsplit(" ", 1)[1])
+            want = np.sort(plain.uids[plain.columns["X"] < constant])
+            assert np.array_equal(answer.uids, want), sql
+            assert np.array_equal(other.uids, want), sql
+            assert answer.qpf_uses == other.qpf_uses, sql
+        db.server.index("t", "X").pop.check_invariants(
+            dict(zip(plain.uids.tolist(),
+                     plain.columns["X"].tolist())).__getitem__)

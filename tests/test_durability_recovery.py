@@ -15,12 +15,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core.prkb import PRKBIndex
 from repro.edbms.durability import (
     CrashSpec,
     FaultInjector,
     SimulatedCrash,
     WALCorruptionError,
 )
+from repro.edbms.durability.recovery import RecoveryManager, RecoveryStats
 from repro.edbms.engine import EncryptedDatabase
 
 pytestmark = pytest.mark.durability
@@ -258,6 +260,54 @@ def test_delete_crash_drops_index_orphans(tmp_path):
     assert recovered_probe == reference_probe
     recovered.close()
     reference.close()
+
+
+def _set_reference_repair(server) -> dict:
+    """The set-based orphan repair plan: per index, the uids to drop and
+    the uids to re-file, each in uid order."""
+    plan = {}
+    for table_name, indexes in server.all_indexes().items():
+        table_uids = {int(u) for u in server.table(table_name).uids}
+        for attribute, index in indexes.items():
+            tracked = {int(u) for u in index.pop.tracked_uids()}
+            plan[(table_name, attribute)] = (sorted(tracked - table_uids),
+                                             sorted(table_uids - tracked))
+    return plan
+
+
+def test_orphan_repair_of_an_index_that_lags_and_leads(monkeypatch):
+    db = EncryptedDatabase(seed=SEED)
+    db.create_table("t", {"A": DOMAIN, "B": DOMAIN}, _data())
+    db.enable_prkb("t", ["A", "B"])
+    _run(db, QUERIES[:4])
+    # "A" lags its table (it forgot rows the table keeps); both indexes
+    # lead it (the table lost rows they still track).
+    db.server.index("t", "A").delete_many([150, 3, 259, 40])
+    db.server.table("t").delete_rows(np.asarray([200, 7, 91],
+                                                dtype=np.uint64))
+    want = _set_reference_repair(db.server)
+    assert want[("t", "A")] == ([7, 91, 200], [3, 40, 150, 259])
+    assert want[("t", "B")] == ([7, 91, 200], [])
+    got = {}
+    for name in ("delete_many", "insert_many"):
+        real = getattr(PRKBIndex, name)
+
+        def logged(self, uids, real=real, name=name):
+            got.setdefault((self.attribute, name), []).extend(
+                int(u) for u in uids)
+            return real(self, uids)
+
+        monkeypatch.setattr(PRKBIndex, name, logged)
+    stats = RecoveryStats()
+    RecoveryManager(None, db.server, db.qpf)._repair_orphans(stats)
+    for (__, attribute), (dropped, reindexed) in want.items():
+        assert got[(attribute, "delete_many")] == dropped
+        assert got[(attribute, "insert_many")] == reindexed
+    assert stats.orphans_dropped == 6 and stats.orphans_reindexed == 4
+    table_uids = np.sort(db.server.table("t").uids)
+    for index in db.server.all_indexes()["t"].values():
+        assert np.array_equal(index.pop.tracked_uids(), table_uids)
+        index.pop.check_invariants()
 
 
 def test_power_loss_with_fsync_off_recovers_to_checkpoint(tmp_path):

@@ -67,7 +67,9 @@ class TestPopAttack:
             bed.warm_up("X", warm, seed=seed)
         index = bed.prkb["X"]
         sizes = index.pop.sizes()
-        tuple_partition = index.pop.ordinals_of_uids(bed.plain.uids)
+        # Dense ranks of the order keys are the chain positions.
+        tuple_partition = np.unique(index.pop.keys_of_uids(bed.plain.uids),
+                                    return_inverse=True)[1]
         truth = bed.plain.columns["X"]
         rng = np.random.default_rng(seed + 1)
         auxiliary = rng.integers(domain[0], domain[1] + 1, size=n)

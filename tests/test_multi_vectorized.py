@@ -2,7 +2,7 @@
 
 Candidate collection, OUT-pruning and NS grouping in
 :mod:`repro.core.multi` are specified to run as numpy mask arithmetic
-over the chain's ``uid -> ordinal`` arrays.  A per-uid regression
+over the chain's ``uid -> order key`` array.  A per-uid regression
 (``for uid in ...`` over candidates, scalar ``partition_of`` probes,
 one-tuple QPF calls) is cheap to miss in review and catastrophic at
 scale, so this test pins the property on a 10k-tuple table three ways:

@@ -11,8 +11,8 @@ plaintext answer.
 PRKB-backed answers get their order from the chain itself
 (``PartialOrderPartitions.uids_in_order``), so the directed tests below
 walk every path that reads it: equivalence-cache repeats of each kind,
-BETWEEN's free run plus scanned edges, chains whose ``uid -> slot``
-table grew and lost rows, lock-step windows whose siblings split the
+BETWEEN's free run plus scanned edges, chains whose ``uid -> key``
+array grew and lost rows, lock-step windows whose siblings split the
 live chain mid-window, and PRKB over secret shares.
 """
 
@@ -192,14 +192,14 @@ def test_between_free_run_plus_scanned_edges(monkeypatch):
 def test_grown_and_shrunk_tables_never_answer_dead_uids():
     db, columns, uids = _database(4, {5, 17, 60})
     rng = np.random.default_rng(4)
-    for __ in range(3):  # 3 x 100 rows: uid -> slot grows past twice
+    for __ in range(3):  # 3 x 100 rows: uid -> key grows past twice
         rows = {name: rng.integers(_DOMAIN[0], _DOMAIN[1] + 1, 100)
                 for name in "XYZ"}
         fresh = db.insert("t", rows)
         uids = np.concatenate([uids, fresh])
         columns = {name: np.concatenate([columns[name], rows[name]])
                    for name in "XYZ"}
-    assert db.server.index("t", "X").pop._slot_of_uid.size > 2 * _ROWS
+    assert db.server.index("t", "X").pop._key_of_uid.size > 2 * _ROWS
     doomed = np.concatenate([uids[:9], uids[-9:], uids[200:211]])
     db.delete("t", doomed)
     keep = ~np.isin(uids, doomed)

@@ -66,13 +66,16 @@ class TestPop:
             pop.split(0, np.asarray([0], dtype=np.uint64),
                       np.asarray([1], dtype=np.uint64))
 
-    def test_ordinals_of_uids(self):
+    def test_keys_of_uids(self):
         pop = PartialOrderPartitions(np.arange(6, dtype=np.uint64))
-        pop.split(0, np.asarray([0, 1], dtype=np.uint64),
-                  np.asarray([2, 3, 4, 5], dtype=np.uint64))
-        got = pop.ordinals_of_uids(np.asarray([0, 5, 1, 3],
-                                              dtype=np.uint64))
-        assert got.tolist() == [0, 1, 0, 1]
+        first, second = pop.split(0, np.asarray([0, 1], dtype=np.uint64),
+                                  np.asarray([2, 3, 4, 5], dtype=np.uint64))
+        got = pop.keys_of_uids(np.asarray([0, 5, 1, 3], dtype=np.uint64))
+        assert got.dtype == np.int32
+        assert got.tolist() == [first.key, second.key] * 2
+        assert first.key < second.key
+        with pytest.raises(KeyError):
+            pop.keys_of_uids(np.asarray([6], dtype=np.uint64))
 
     def test_insert(self):
         pop = PartialOrderPartitions(np.arange(4, dtype=np.uint64))
@@ -272,8 +275,8 @@ class TestUidsInOrder:
 
     def test_deleted_and_grown_uids(self):
         pop = self._chain()
-        # Grow ``uid -> slot`` well past twice its size, then delete: the
-        # dead uid's -1 slot must land on the table's trailing False.
+        # Grow ``uid -> key`` well past twice its size, then delete: the
+        # dead uid's -1 key must never match a run.
         pop.insert(45, 2)
         pop.delete(2)
         pop.delete(9)

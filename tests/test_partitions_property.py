@@ -1,15 +1,16 @@
-"""Property tests for the POP chain's vectorised uid->ordinal machinery.
+"""Property tests for the POP chain's order keys and snapshots.
 
-Two invariants introduced by the vectorised grid pipeline are pinned
-with hypothesis:
+Two invariants are pinned with hypothesis:
 
-* the dense ``uid -> partition ordinal`` lookup
-  (:meth:`PartialOrderPartitions.ordinals_of_uids`) stays consistent
-  with actual :class:`Partition` membership across arbitrary interleaved
-  split / merge / insert / delete sequences — the incremental slot
-  bookkeeping must never drift from the chain, and the slot→ordinal
-  table it patches in place always equals a from-scratch rebuild
-  (through emptied-partition drops, slot compaction and pickling); and
+* the order keys stay consistent with the chain across arbitrary
+  interleaved split / merge / insert / delete / pickle / ``from_segments``
+  sequences, checked after every step against a linear scan: keys
+  strictly increase along the chain, every tracked uid holds its
+  partition's key and every other uid ``-1``, :meth:`index_of` and
+  :meth:`partition_of` find what the scan finds, and
+  :meth:`uids_in_order` over random boundary spans equals the
+  ``np.unique`` oracle — including through the even re-keying a split
+  forces once it finds no gap left; and
 * :class:`ChainView` snapshots are *set-stable*: while a shard pool is
   reading a window's payloads on worker threads, concurrent splits of
   the live chain never change which uids any snapshot slice contains.
@@ -19,10 +20,11 @@ import pickle
 import threading
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bench import Testbed
-from repro.core.partitions import PartialOrderPartitions
+from repro.core.partitions import KEY_SPACE, PartialOrderPartitions
 from repro.edbms.costs import CostCounter
 from repro.edbms.qpf import (
     CrossingLatency,
@@ -34,26 +36,49 @@ from repro.workloads import uniform_table
 from conftest import plain_lookup
 
 
-def _assert_ordinals_consistent(pop: PartialOrderPartitions) -> None:
-    """The vectorised lookup equals membership-derived ordinals."""
-    uids, want = [], []
+def _assert_keys_consistent(pop: PartialOrderPartitions,
+                            words: tuple[int, ...] = (0, 1, 2)) -> None:
+    """The keys against a linear scan of the chain; ``words`` pick the
+    read-out spans and extras to check."""
+    keys = [partition.key for partition in pop]
+    assert all(0 <= key < KEY_SPACE for key in keys)
+    assert all(a < b for a, b in zip(keys, keys[1:])), keys
+    key_of_uid = pop._key_of_uid
+    want = np.full(key_of_uid.size, -1, dtype=np.int32)
     for position, partition in enumerate(pop):
-        members = partition.uids
-        uids.append(members)
-        want.append(np.full(members.size, position, dtype=np.int64))
-    all_uids = np.concatenate(uids)
-    got = pop.ordinals_of_uids(all_uids)
-    assert np.array_equal(got, np.concatenate(want))
+        want[partition.uids] = partition.key
+        assert pop.index_of(partition) == position
+        for uid in partition.uids.tolist():
+            assert pop.partition_of(uid) is partition
+            assert pop.index_of_uid(uid) == position
+    assert np.array_equal(key_of_uid, want)
+    with pytest.raises(KeyError):
+        pop.partition_of(key_of_uid.size + 3)
+    _assert_read_outs(pop, words)
     pop.check_invariants()
 
 
-def _rebuilt_ordinals(pop: PartialOrderPartitions) -> np.ndarray:
-    """The slot→ordinal table from scratch: the reference loop that
-    used to run after every structural change."""
-    table = np.full(pop._next_slot, -1, dtype=np.int64)
-    for position, partition in enumerate(pop):
-        table[partition.slot] = position
-    return table
+def _assert_read_outs(pop: PartialOrderPartitions,
+                      words: tuple[int, ...]) -> None:
+    """``uids_in_order`` over prefix, suffix, middle and empty spans, with
+    and without extras, equals the ``np.unique`` oracle."""
+    k = pop.num_partitions
+    offsets = pop.offsets
+    members = [partition.uids for partition in pop]
+    tracked = np.concatenate(members)
+    a, b, c = (word % (k + 1) for word in words)
+    lo, hi = min(a, b), max(a, b)
+    spans = {(0, hi), (lo, k), (lo, hi), (hi, lo), (a, a), (0, k)}
+    extra = tracked[np.arange(c, tracked.size, 3)]
+    for first, last in spans:
+        inside = members[first:last] if first < last else []
+        for extras in ((), (extra,), (extra[:1], extra[1:])):
+            want = np.unique(np.concatenate(
+                [np.zeros(0, dtype=np.uint64), *inside, *extras]))
+            got = pop.uids_in_order(int(offsets[first]),
+                                    int(offsets[last]), extras)
+            assert got.dtype == np.uint64
+            assert np.array_equal(got, want), (first, last, len(extras))
 
 
 def _apply(pop: PartialOrderPartitions, op: tuple, next_uid: int,
@@ -62,14 +87,17 @@ def _apply(pop: PartialOrderPartitions, op: tuple, next_uid: int,
     chain.  ``seen`` tallies the rare events the directed test wants."""
     code, a, b = op
     k = pop.num_partitions
-    slots_before = pop._next_slot
+    keys_before = {id(p): p.key for p in pop}
     if code == 0:  # split a partition with >= 2 members
         splittable = [i for i, size in enumerate(pop.sizes()) if size >= 2]
         if splittable:
             index = splittable[a % len(splittable)]
-            members = pop[index].uids.copy()
+            old = pop[index]
+            members = old.uids.copy()
             cut = 1 + b % (members.size - 1)
             pop.split(index, members[:cut], members[cut:])
+            with pytest.raises(KeyError):
+                pop.index_of(old)  # the split partition left the chain
     elif code == 1:  # merge an adjacent run
         if k >= 2:
             first = a % (k - 1)
@@ -81,36 +109,30 @@ def _apply(pop: PartialOrderPartitions, op: tuple, next_uid: int,
             tracked = np.sort(np.concatenate([p.uids for p in pop]))
             if pop.delete(int(tracked[a % tracked.size])) is not None:
                 seen["drops"] += 1
-    elif code == 4:  # empty one whole partition: its chain slot drops
+    elif code == 4:  # empty one whole partition: it drops off the chain
         if k >= 2:
             for uid in pop[a % k].uids.copy():
                 if pop.delete(int(uid)) is not None:
                     seen["drops"] += 1
-    else:  # pickle round trip (checkpoints)
+    elif code == 5:  # pickle round trip (checkpoints)
         pop = pickle.loads(pickle.dumps(pop))
         seen["pickles"] += 1
-    pop._ensure_ordinals()
-    if pop._next_slot < slots_before:
-        seen["compactions"] += 1
+    else:  # serialized (members, offsets) round trip: keys re-spaced
+        pop = PartialOrderPartitions.from_segments(
+            pop.range_uids(0, k - 1).copy(), pop.offsets.copy())
+        seen["restores"] += 1
+        return pop
+    if any(keys_before.get(id(p), p.key) != p.key for p in pop):
+        seen["rekeys"] += 1
     return pop
 
 
 def _drive(ops, size: int = 16) -> dict:
     pop = PartialOrderPartitions(np.arange(size, dtype=np.uint64))
-    pop._ensure_ordinals()  # maintained incrementally from here on
-    seen = {"drops": 0, "pickles": 0, "compactions": 0}
+    seen = {"drops": 0, "pickles": 0, "restores": 0, "rekeys": 0}
     for next_uid, op in enumerate(ops, start=size):
         pop = _apply(pop, op, next_uid, seen)
-        assert np.array_equal(pop._slot_ordinals, _rebuilt_ordinals(pop))
-        _assert_ordinals_consistent(pop)
-    # Untracked uids must be rejected, not silently mis-mapped.
-    try:
-        pop.ordinals_of_uids(
-            np.asarray([size + len(ops) + 7], dtype=np.uint64))
-    except KeyError:
-        pass
-    else:
-        raise AssertionError("untracked uid produced an ordinal")
+        _assert_keys_consistent(pop, op)
     return seen
 
 
@@ -123,26 +145,55 @@ _OPS = st.lists(
 
 @given(ops=_OPS)
 @settings(max_examples=60, deadline=None)
-def test_ordinal_array_tracks_membership(ops):
+def test_keys_track_membership(ops):
     _drive(ops)
 
 
 @given(ops=st.lists(
-    st.tuples(st.integers(0, 5), st.integers(0, 1_000_000),
+    st.tuples(st.integers(0, 6), st.integers(0, 1_000_000),
               st.integers(0, 1_000_000)), max_size=80))
 @settings(max_examples=60, deadline=None)
-def test_incremental_ordinals_equal_rebuild(ops):
+def test_keys_survive_random_histories(ops):
     _drive(ops, size=32)
 
 
-def test_incremental_ordinals_through_drop_compaction_and_pickle():
-    # Split/merge churn on a short chain burns two slots a pair, so the
-    # table crosses the compaction threshold (64 slots) mid-stream.
-    ops = ([(0, 0, 3), (0, 1, 1), (4, 1, 0), (5, 0, 0)]
-           + [(0, 0, 7), (1, 0, 0)] * 40
-           + [(0, 0, 5), (5, 0, 0), (0, 1, 2), (4, 0, 0), (2, 0, 0)])
-    seen = _drive(ops)
-    assert seen["drops"] and seen["pickles"] and seen["compactions"]
+def _hot_spot(pop: PartialOrderPartitions, splits: int, seen: dict) -> None:
+    """Split P1 ``splits`` times, shedding its last member each time:
+    every split halves the gap between P1's key and the next one."""
+    for __ in range(splits):
+        members = pop[0].uids.copy()
+        keys_before = [p.key for p in pop]
+        pop.split(0, members[:-1], members[-1:])
+        if [p.key for p in pop][2:] != keys_before[1:]:
+            seen["rekeys"] += 1
+        _assert_keys_consistent(pop, (1, members.size, 7))
+
+
+def test_hot_spot_splits_force_a_rekey():
+    # The gap closes after ~30 splits, so the chain must be re-keyed;
+    # later ops run on the re-spaced keys, and the hot spot runs again
+    # after a pickle, a drop and a restore.
+    seen = {"drops": 0, "pickles": 0, "restores": 0, "rekeys": 0}
+    pop = PartialOrderPartitions(np.arange(128, dtype=np.uint64))
+    pop = _apply(pop, (0, 0, 100), 128, seen)
+    _hot_spot(pop, 45, seen)
+    assert seen["rekeys"] == 1
+    for next_uid, op in enumerate([(5, 0, 0), (1, 3, 1), (4, 2, 0),
+                                   (2, 1, 0), (6, 0, 0), (3, 7, 0)],
+                                  start=129):
+        pop = _apply(pop, op, next_uid, seen)
+        _assert_keys_consistent(pop, op)
+    _hot_spot(pop, 45, seen)
+    assert seen["rekeys"] >= 2
+    assert seen["drops"] and seen["pickles"] and seen["restores"]
+
+
+def test_untracked_uids_have_no_key():
+    pop = PartialOrderPartitions(np.arange(8, dtype=np.uint64))
+    pop.delete(3)
+    for probe in (3, 8, 10**6):
+        with pytest.raises(KeyError):
+            pop.keys_of_uids(np.asarray([0, probe], dtype=np.uint64))
 
 
 @given(plan=st.lists(st.tuples(st.integers(0, 1_000_000),

@@ -11,10 +11,10 @@ with hypothesis across random workloads, duplicates and boundary values:
   tables, attributes, operator families, repeated trapdoors, one-uid,
   duplicate and empty payloads, with and without the decrypted-column
   cache, and when a request's decrypt raises;
-* the dense uid -> chain-ordinal gather
-  (:meth:`PartialOrderPartitions.ordinals_of_uids`) agrees with the
-  scalar :meth:`index_of_uid` on duplicate-laden probe arrays over
-  randomly split/merged chains; and
+* the dense uid -> order-key gather
+  (:meth:`PartialOrderPartitions.keys_of_uids`), ranked against the
+  chain's keys, agrees with the scalar :meth:`index_of_uid` on
+  duplicate-laden probe arrays over randomly split/merged chains; and
 * the scalar splitmix64 fast path of :func:`prf_words` /
   :func:`prf_keystream` (taken below the small-probe cutoff) produces
   the same keystream words as the vectorised numpy pipeline, including
@@ -182,7 +182,8 @@ def test_dense_ordinal_gather_matches_scalar_on_duplicates(ops, probes):
             first = a % (k - 1)
             pop.merge_range(first, min(k - 1, first + 1 + b % 3))
     probe = np.asarray(probes, dtype=np.uint64)
-    got = pop.ordinals_of_uids(probe)
+    chain_keys = np.asarray([partition.key for partition in pop])
+    got = np.searchsorted(chain_keys, pop.keys_of_uids(probe))
     want = np.asarray([pop.index_of_uid(int(uid)) for uid in probe],
                       dtype=np.int64)
     assert np.array_equal(got, want)
