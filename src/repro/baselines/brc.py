@@ -32,7 +32,7 @@ import numpy as np
 from ..crypto.primitives import SecretKey
 from ..edbms.costs import CostCounter
 from .dyadic import TDAG
-from .sse import SSEIndex, unpack_signed
+from .sse import SSEIndex
 
 __all__ = ["dyadic_cover", "LogBRCIndex", "LogSRCIndex"]
 
@@ -132,8 +132,8 @@ class LogBRCIndex(_DomainScheme):
         for level, start in dyadic_cover(self._point(low),
                                          self._point(high)):
             token = self._sse.token(self._keyword(level, start))
-            records = self._sse.reveal_records(self._sse.search(token))
-            winners.update(uid for uid, __, __ in records)
+            words = self._sse.reveal_records(self._sse.search(token))
+            winners.update(words[:, 0].tolist())
         return np.asarray(sorted(winners), dtype=np.uint64)
 
     def query_open(self, low: int, high: int) -> np.ndarray:
@@ -171,12 +171,10 @@ class LogSRCIndex(_DomainScheme):
         cover = self._tdag.single_range_cover(self._point(low),
                                               self._point(high))
         token = self._sse.token(self._keyword(cover.level, cover.start))
-        records = self._sse.open_records(self._sse.search(token))
-        winners = sorted(
-            uid for uid, value, __ in records
-            if low <= unpack_signed(value) <= high
-        )
-        return np.asarray(winners, dtype=np.uint64), len(records)
+        words = self._sse.open_records(self._sse.search(token))
+        values = words[:, 1].view(np.int64)
+        winners = np.sort(words[(values >= low) & (values <= high), 0])
+        return winners, len(words)
 
     def query_open(self, low: int, high: int) -> tuple[np.ndarray, int]:
         """Open-interval form of :meth:`query_inclusive`."""

@@ -35,9 +35,10 @@ import bisect
 import numpy as np
 
 from ..crypto.primitives import SecretKey
+from ..distinct import distinct_inverse, run_starts
 from ..edbms.costs import CostCounter
 from .dyadic import TDAG
-from .sse import SSEIndex, node_keyword, unpack_signed
+from .sse import SSEIndex, node_keyword
 
 __all__ = ["LogSRCiIndex"]
 
@@ -73,9 +74,13 @@ class LogSRCiIndex:
         # after an insert/delete is O(duplicates) rather than O(n).
         self._value_positions: dict[int, list[int]] = {}
         # Serial handles of filed SSE records, so updates remove exactly
-        # the affected postings in O(1) each instead of decrypting lists.
+        # the affected postings without decrypting lists: implied by the
+        # bulk filing for owners filed at build time, kept per record for
+        # owners a later update re-filed.
         self._ds1_refs: dict[int, list[tuple[bytes, int]]] = {}
         self._ds2_refs: dict[int, list[tuple[bytes, int]]] = {}
+        self._ds1_bulk: _BulkFiling
+        self._ds2_bulk: _BulkFiling
         self._tdag2 = TDAG(max(POSITION_GAP,
                                len(np.asarray(uids)) * POSITION_GAP * 2))
         self._bulk_load(np.asarray(uids, dtype=np.uint64),
@@ -100,13 +105,13 @@ class LogSRCiIndex:
         uids, values = uids[order], values[order]
         # Values are sorted, so each distinct value's duplicates (and
         # their positions) are one contiguous run.
-        distinct, first, counts = np.unique(values, return_index=True,
-                                            return_counts=True)
+        first = run_starts(values)
+        distinct = values[first]
         lo, hi = self.domain
         outside = distinct[(distinct < lo) | (distinct > hi)]
         if outside.size:
             self._point(int(outside[0]))  # raises the domain error
-        stop = first + counts
+        stop = np.append(first, values.size)[1:]
         positions = np.arange(1, uids.size + 1, dtype=np.int64) * POSITION_GAP
         position_list = positions.tolist()
         self._entries = [list(entry) for entry in zip(
@@ -116,34 +121,14 @@ class LogSRCiIndex:
             run = position_list[begin:end]
             self._value_positions[value] = run
             self._value_span[value] = [run[0], run[-1]]
-        self._file_bulk(
+        self._ds2_bulk = _file_bulk(
             self._ds2, self._tdag2, b"ds2", positions, uids.tolist(),
             np.stack([uids, values.view(np.uint64),
-                      np.zeros(uids.size, dtype=np.uint64)], axis=1),
-            self._ds2_refs)
-        self._file_bulk(
+                      np.zeros(uids.size, dtype=np.uint64)], axis=1))
+        self._ds1_bulk = _file_bulk(
             self._ds1, self._tdag1, b"ds1", distinct - lo, distinct.tolist(),
             np.stack([distinct, positions[first], positions[stop - 1]],
-                     axis=1).view(np.uint64),
-            self._ds1_refs)
-
-    def _file_bulk(self, sse: SSEIndex, tdag: TDAG, tag: bytes,
-                   points: np.ndarray, owners: list[int], words: np.ndarray,
-                   refs: dict[int, list[tuple[bytes, int]]]) -> None:
-        """File record ``words[i]`` under every ``tdag`` node covering
-        ``points[i]``, in the order one ``_file_ds*`` call per point
-        would, and note the handles under ``owners[i]``."""
-        owner, level, start = tdag.node_ids_covering_points(points)
-        nodes, group = np.unique(level * tdag.capacity + start,
-                                 return_inverse=True)
-        keywords = [_KEYWORD % (*divmod(node, tdag.capacity), tag)
-                    for node in nodes.tolist()]
-        serials = sse.add_grouped(keywords, group, words[owner])
-        filed = list(zip([keywords[index] for index in group.tolist()],
-                         serials.tolist()))
-        bounds = np.searchsorted(owner, np.arange(len(owners) + 1)).tolist()
-        for who, begin, end in zip(owners, bounds, bounds[1:]):
-            refs.setdefault(who, []).extend(filed[begin:end])
+                     axis=1).view(np.uint64))
 
     def _file_ds1(self, value: int, pos_lo: int, pos_hi: int) -> None:
         refs = self._ds1_refs.setdefault(value, [])
@@ -154,7 +139,8 @@ class LogSRCiIndex:
                          self._ds1.add(keyword, (value, pos_lo, pos_hi))))
 
     def _unfile_ds1(self, value: int) -> None:
-        for keyword, serial in self._ds1_refs.pop(value, []):
+        for keyword, serial in (self._ds1_bulk.pop(value)
+                                + self._ds1_refs.pop(value, [])):
             self._ds1.remove_serial(keyword, serial)
 
     def _file_ds2(self, uid: int, value: int, position: int) -> None:
@@ -164,7 +150,8 @@ class LogSRCiIndex:
             refs.append((keyword, self._ds2.add(keyword, (uid, value, 0))))
 
     def _unfile_ds2(self, uid: int, position: int) -> None:
-        for keyword, serial in self._ds2_refs.pop(uid, []):
+        for keyword, serial in (self._ds2_bulk.pop(uid)
+                                + self._ds2_refs.pop(uid, [])):
             self._ds2.remove_serial(keyword, serial)
 
     def _respan_ds1(self, value: int) -> None:
@@ -238,24 +225,16 @@ class LogSRCiIndex:
                                                 self._point(high))
         token1 = self._ds1.token(
             node_keyword(cover1.token_material()) + b"|ds1")
-        records1 = self._ds1.open_records(self._ds1.search(token1))
-        spans = [
-            (pos_lo, pos_hi) for value, pos_lo, pos_hi in records1
-            if low <= unpack_signed(value) <= high
-        ]
-        if not spans:
+        words1 = self._ds1.open_records(self._ds1.search(token1))
+        spans = words1[_within(words1[:, 0], low, high)]
+        if not spans.size:
             return np.zeros(0, dtype=np.uint64)
-        r1 = min(pos_lo for pos_lo, __ in spans)
-        r2 = max(pos_hi for __, pos_hi in spans)
-        cover2 = self._tdag2.single_range_cover(r1, r2)
+        cover2 = self._tdag2.single_range_cover(int(spans[:, 1].min()),
+                                                int(spans[:, 2].max()))
         token2 = self._ds2.token(
             node_keyword(cover2.token_material()) + b"|ds2")
-        records2 = self._ds2.open_records(self._ds2.search(token2))
-        winners = [
-            uid for uid, value, __ in records2
-            if low <= unpack_signed(value) <= high
-        ]
-        return np.asarray(sorted(winners), dtype=np.uint64)
+        words2 = self._ds2.open_records(self._ds2.search(token2))
+        return np.sort(words2[_within(words2[:, 1], low, high), 0])
 
     def query_open(self, low: int, high: int) -> np.ndarray:
         """Uids with ``low < value < high`` (the paper's query form)."""
@@ -273,6 +252,78 @@ class LogSRCiIndex:
     def num_tuples(self) -> int:
         """Number of indexed tuples."""
         return len(self._entries)
+
+
+def _within(column: np.ndarray, low: int, high: int) -> np.ndarray:
+    """Mask of the opened words of one record column whose signed value
+    lies in ``[low, high]``."""
+    values = column.view(np.int64)
+    return (values >= low) & (values <= high)
+
+
+def _file_bulk(sse: SSEIndex, tdag: TDAG, tag: bytes, points: np.ndarray,
+               owners: list[int], words: np.ndarray) -> _BulkFiling:
+    """File record ``words[i]`` under every ``tdag`` node covering
+    ``points[i]``, in the order one ``_file_ds*`` call per point would;
+    returns the filing, which implies the handles of ``owners[i]``."""
+    owner, level, start = tdag.node_ids_covering_points(points)
+    nodes, group = distinct_inverse(level * tdag.capacity + start)
+    levels, starts = np.divmod(nodes, tdag.capacity)
+    keywords = [_KEYWORD % (node_level, node_start, tag)
+                for node_level, node_start in zip(levels.tolist(),
+                                                  starts.tolist())]
+    serials = sse.add_grouped(keywords, group, words[owner])
+    return _BulkFiling(
+        owners, np.searchsorted(owner, np.arange(len(owners) + 1)),
+        nodes, group, int(serials[0]) if serials.size else 0,
+        tdag.capacity, tag)
+
+
+class _BulkFiling:
+    """The serial handles of one :func:`_file_bulk` call, implied by its
+    filing arrays rather than kept per record.
+
+    Record ``j`` of the call has serial ``first + j`` and lies under node
+    ``nodes[group[j]]``; owner ``owners[i]`` filed records ``bounds[i]``
+    to ``bounds[i + 1]``.  An owner leaves the filing when an update
+    re-files or deletes its records.
+    """
+
+    __slots__ = ("_slot", "_bounds", "_nodes", "_group", "_first",
+                 "_capacity", "_tag")
+
+    def __init__(self, owners: list[int], bounds: np.ndarray,
+                 nodes: np.ndarray, group: np.ndarray, first: int,
+                 capacity: int, tag: bytes):
+        self._slot = dict(zip(owners, range(len(owners))))
+        self._bounds = bounds
+        self._nodes = nodes
+        self._group = group
+        self._first = first
+        self._capacity = capacity
+        self._tag = tag
+
+    def handles(self, owner: int) -> list[tuple[bytes, int]]:
+        """The ``(keyword, serial)`` handles the owner filed here; ``[]``
+        for an owner not (or no longer) in the filing."""
+        slot = self._slot.get(owner)
+        if slot is None:
+            return []
+        begin, end = self._bounds[slot:slot + 2].tolist()
+        nodes = self._nodes[self._group[begin:end]].tolist()
+        return [(_KEYWORD % (*divmod(node, self._capacity), self._tag),
+                 self._first + record)
+                for record, node in zip(range(begin, end), nodes)]
+
+    def pop(self, owner: int) -> list[tuple[bytes, int]]:
+        """:meth:`handles`, which the filing then forgets."""
+        handles = self.handles(owner)
+        self._slot.pop(owner, None)
+        return handles
+
+    def owners(self) -> list[int]:
+        """The owners whose handles the filing still implies."""
+        return list(self._slot)
 
 
 def multi_dimensional_query(indexes: dict[str, LogSRCiIndex],

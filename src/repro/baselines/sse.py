@@ -11,6 +11,7 @@ SRC-i's query costs are measured on the same scale as PRKB's.
 from __future__ import annotations
 
 import hashlib
+import threading
 
 import numpy as np
 
@@ -27,38 +28,49 @@ POSTING_BYTES = 32
 TOKEN_BYTES = 16
 
 #: Word mask: records carry 64-bit words; signed values are stored in
-#: two's complement (see :func:`pack_signed` / :func:`unpack_signed`).
+#: two's complement (see :func:`pack_signed`; an opened block reads them
+#: back with ``.view(np.int64)``).
 _WORD_MASK = (1 << 64) - 1
 
 
 class SSEIndex:
-    """Encrypted multimap: token → list of encrypted 3-word records.
+    """Encrypted multimap: token → block of encrypted 3-word records.
 
     Records are triples of 64-bit words (Logarithmic-SRC-i stores either
     ``(value, pos_lo, pos_hi)`` or ``(uid, 0, 0)``), encrypted with the
-    PRF stream keyed per record.
+    PRF stream keyed per record.  A token's postings are one ``(m, 4)``
+    uint64 block in serial order: word 0 is the record's serial, in the
+    clear, and words 1–3 the ciphertext.
     """
 
     def __init__(self, key: SecretKey, counter: CostCounter):
         self._key = key.subkey("sse")
         self.counter = counter
-        # token -> {record serial -> encrypted record}.  The serial is the
-        # record's public handle (it is stored in the clear as word 0), so
-        # deletion is O(1) without decrypting the posting list.
-        self._postings: dict[bytes, dict[int, np.ndarray]] = {}
+        # token -> (m, 4) block, serials increasing.  The serial is the
+        # record's public handle, so a removal finds its row by binary
+        # search without decrypting the posting list.
+        self._postings: dict[bytes, np.ndarray] = {}
+        # token -> blocks filed under a token already in ``_postings``
+        # since its last read; folded onto it by :meth:`_block`, so a
+        # run of adds costs no copy of a growing posting list.
+        self._pending: dict[bytes, list[np.ndarray]] = {}
+        self._fold_lock = threading.Lock()
+        self._num_records = 0
         self._record_serial = 0
         self._record_key = self._key.subkey("records")
         # Keyed BLAKE2b is a bona fide MAC and much faster than HMAC-SHA256
-        # for the hundreds of thousands of token derivations bulk index
-        # construction performs.
-        self._token_key = self._key.subkey("tokens").raw[:32]
+        # for the tens of thousands of token derivations bulk index
+        # construction performs; the key block is absorbed once, here.
+        self._token_mac = hashlib.blake2b(
+            key=self._key.subkey("tokens").raw[:32], digest_size=TOKEN_BYTES)
 
     # -- owner-side token derivation ---------------------------------------- #
 
     def token(self, keyword: bytes) -> bytes:
         """Searchable token for a keyword (keyed-PRF output)."""
-        return hashlib.blake2b(keyword, key=self._token_key,
-                               digest_size=TOKEN_BYTES).digest()
+        mac = self._token_mac.copy()
+        mac.update(keyword)
+        return mac.digest()
 
     def _keystream(self, serials: np.ndarray) -> np.ndarray:
         """``(count, 3)`` keystream words of the records with these
@@ -76,24 +88,54 @@ class SSEIndex:
                                   self._record_serial + count,
                                   dtype=np.uint64)
         self._record_serial += count
+        self._num_records += count
         records[:, 1:] = words ^ self._keystream(records[:, 0])
         return records
 
-    def _unseal(self, records: list[np.ndarray]) -> np.ndarray:
+    def _unseal(self, records: np.ndarray) -> np.ndarray:
         """Plain ``(count, 3)`` words of a block of retrieved records —
-        one stacked array, one keystream expansion."""
+        one keystream expansion."""
         block = np.asarray(records, dtype=np.uint64).reshape(-1, 4)
         return block[:, 1:] ^ self._keystream(block[:, 0])
+
+    def _file(self, token: bytes, block: np.ndarray) -> None:
+        """File freshly sealed records (later serials than any filed)."""
+        if token in self._postings:
+            self._pending.setdefault(token, []).append(block)
+        else:
+            self._postings[token] = block
+
+    def _block(self, token: bytes) -> np.ndarray | None:
+        """The token's posting block with its pending records folded in."""
+        if self._pending:
+            with self._fold_lock:
+                pending = self._pending.get(token)
+                if pending:
+                    self._postings[token] = np.concatenate(
+                        [self._postings[token], *pending])
+                    # Dropped only once the folded block is visible, so a
+                    # concurrent reader never sees it missing records.
+                    del self._pending[token]
+        return self._postings.get(token)
+
+    def _store(self, token: bytes, block: np.ndarray,
+               kept: np.ndarray) -> None:
+        """Replace the token's posting block by ``kept``, a subset of
+        its rows; an emptied token leaves the dictionary."""
+        self._num_records -= len(block) - len(kept)
+        if len(kept):
+            self._postings[token] = kept
+        else:
+            del self._postings[token]
 
     # -- index maintenance ---------------------------------------------------- #
 
     def add(self, keyword: bytes, words: tuple[int, int, int]) -> int:
         """File one record under a keyword; returns its serial handle."""
-        record = self._seal(_pack_words([words]))[0]
-        serial = int(record[0])
-        self._postings.setdefault(self.token(keyword), {})[serial] = record
+        record = self._seal(_pack_words([words]))
+        self._file(self.token(keyword), record)
         self.counter.charge(index_updates=1)
-        return serial
+        return int(record[0, 0])
 
     def add_grouped(self, keywords: list[bytes], group: np.ndarray,
                     words: np.ndarray) -> np.ndarray:
@@ -104,7 +146,7 @@ class SSEIndex:
         Same serials, ciphertexts and postings as one :meth:`add` per
         record in order, but the block shares one keystream expansion
         and each distinct keyword costs one token derivation and one
-        dictionary update, however many records it receives.
+        slice of the sealed block, however many records it receives.
         """
         group = np.asarray(group, dtype=np.intp)
         count = group.size
@@ -113,19 +155,18 @@ class SSEIndex:
         records = self._seal(np.asarray(words, dtype=np.uint64)
                              .reshape(count, 3))
         serials = records[:, 0].copy()
-        # Runs of equal keyword after a stable sort keep serial order, so
-        # each posting list fills in the order per-record adds would.
-        order = np.argsort(group, kind="stable")
+        # Sorting by (group, serial) — unique keys, so any sort is the
+        # stable one — makes each keyword's records one run in serial
+        # order, the order per-record adds would file them in.
+        order = np.argsort(group * count + np.arange(count))
         grouped = group[order]
+        block = records[order]
+        del records
         starts = np.flatnonzero(np.diff(grouped, prepend=-1))
-        handles = serials[order].tolist()
-        rows = list(records[order])
-        for index, start, stop in zip(grouped[starts].tolist(),
-                                      starts.tolist(),
-                                      [*starts[1:].tolist(), count]):
-            self._postings.setdefault(
-                self.token(keywords[index]), {}
-            ).update(zip(handles[start:stop], rows[start:stop]))
+        bounds = [*starts.tolist(), count]
+        for index, start, stop in zip(grouped[starts].tolist(), bounds,
+                                      bounds[1:]):
+            self._file(self.token(keywords[index]), block[start:stop])
         self.counter.charge(index_updates=count)
         return serials
 
@@ -144,14 +185,18 @@ class SSEIndex:
                                 _pack_words([words for __, words in items]))
 
     def remove_serial(self, keyword: bytes, serial: int) -> bool:
-        """Remove one record by its serial handle — O(1), no decryption."""
+        """Remove one record by its serial handle — a binary search on
+        the block's serial column, no decryption."""
         token = self.token(keyword)
-        postings = self._postings.get(token)
-        if not postings or serial not in postings:
+        block = self._block(token)
+        if block is None:
             return False
-        del postings[serial]
-        if not postings:
-            del self._postings[token]
+        serials = block[:, 0]
+        row = int(serials.searchsorted(serial))
+        if row == len(serials) or serials[row] != serial:
+            return False
+        self._store(token, block,
+                    np.concatenate((block[:row], block[row + 1:])))
         self.counter.charge(index_updates=1)
         return True
 
@@ -163,39 +208,38 @@ class SSEIndex:
         the caller kept the serial handles.
         """
         token = self.token(keyword)
-        postings = self._postings.get(token)
-        if not postings:
+        block = self._block(token)
+        if block is None:
             return 0
-        target = first_word & _WORD_MASK
-        first_words = self._unseal(list(postings.values()))[:, 0].tolist()
-        doomed = [serial for serial, word in zip(postings, first_words)
-                  if word == target]
-        for serial in doomed:
-            del postings[serial]
-        if not postings:
-            del self._postings[token]
-        self.counter.charge(index_updates=len(doomed))
-        return len(doomed)
+        target = np.uint64(first_word & _WORD_MASK)
+        doomed = self._unseal(block)[:, 0] == target
+        removed = int(np.count_nonzero(doomed))
+        if removed:
+            self._store(token, block, block[~doomed])
+        self.counter.charge(index_updates=removed)
+        return removed
 
     # -- server-side search ----------------------------------------------------- #
 
-    def search(self, token: bytes) -> list[np.ndarray]:
-        """Encrypted postings for a token — one SSE lookup."""
-        postings = self._postings.get(token, {})
-        self.counter.charge(sse_lookups=1, tuples_retrieved=len(postings))
-        return list(postings.values())
+    def search(self, token: bytes) -> np.ndarray:
+        """Encrypted postings for a token, one ``(m, 4)`` block in serial
+        order (``m`` may be 0) — one SSE lookup."""
+        block = self._block(token)
+        if block is None:
+            block = _NO_RECORDS
+        self.counter.charge(sse_lookups=1, tuples_retrieved=len(block))
+        return block
 
     # -- trusted-machine decryption ----------------------------------------------- #
 
-    def open_records(self, records: list[np.ndarray]
-                     ) -> list[tuple[int, int, int]]:
-        """Decrypt retrieved records (TM side); QPF-like cost per record."""
+    def open_records(self, records: np.ndarray) -> np.ndarray:
+        """Decrypt a retrieved block (TM side) into its ``(m, 3)`` uint64
+        plain words; QPF-like cost per record."""
         self.counter.charge(qpf_uses=len(records))
-        return [tuple(row) for row in self._unseal(records).tolist()]
+        return self._unseal(records)
 
-    def reveal_records(self, records: list[np.ndarray]
-                       ) -> list[tuple[int, int, int]]:
-        """Decode retrieved records server-side — cheap, no TM involved.
+    def reveal_records(self, records: np.ndarray) -> np.ndarray:
+        """Decode a retrieved block server-side — cheap, no TM involved.
 
         Standard result-revealing SSE lets the server decode the postings
         it legitimately retrieved (the token carries the decoding
@@ -205,19 +249,24 @@ class SSEIndex:
         trusted-machine confirmation step.
         """
         self.counter.charge(comparisons=len(records))
-        return [tuple(row) for row in self._unseal(records).tolist()]
+        return self._unseal(records)
 
     # -- accounting ------------------------------------------------------------------ #
 
     @property
     def num_records(self) -> int:
         """Total records across all postings."""
-        return sum(len(p) for p in self._postings.values())
+        return self._num_records
 
     def storage_bytes(self) -> int:
         """Index footprint: dictionary keys plus encrypted postings."""
         return (len(self._postings) * TOKEN_BYTES
-                + self.num_records * POSTING_BYTES)
+                + self._num_records * POSTING_BYTES)
+
+
+#: The block :meth:`SSEIndex.search` returns for a token with no postings.
+_NO_RECORDS = np.zeros((0, 4), dtype=np.uint64)
+_NO_RECORDS.flags.writeable = False
 
 
 def _pack_words(triples: list[tuple[int, int, int]]) -> np.ndarray:
@@ -230,13 +279,6 @@ def _pack_words(triples: list[tuple[int, int, int]]) -> np.ndarray:
 def pack_signed(value: int) -> int:
     """Map a signed integer into the 64-bit word space for records."""
     return value & ((1 << 64) - 1)
-
-
-def unpack_signed(word: int) -> int:
-    """Invert :func:`pack_signed`."""
-    if word >= 1 << 63:
-        return word - (1 << 64)
-    return word
 
 
 def node_keyword(material: bytes) -> bytes:

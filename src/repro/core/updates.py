@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..crypto.primitives import SecretKey, encrypt_words
+from ..distinct import has_duplicates
 from ..edbms.durability.wal import commit_epoch
 from ..edbms.encryption import EncryptedTable, attribute_key
 from .prkb import PRKBIndex
@@ -116,7 +117,7 @@ class TableUpdater:
         # that never performed the delete, failing recovery permanently.
         # A repeated uid fails on its second removal from an index, after
         # the record is logged and before the table drops the rows.
-        if np.unique(uids).size != uids.size:
+        if has_duplicates(uids):
             raise ValueError("duplicate uids in delete")
         self.table.positions(uids)
         with commit_epoch():

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..distinct import distinct
 from .primitives import SecretKey, prf_words
 
 __all__ = ["OrderPreservingEncryption"]
@@ -101,7 +102,7 @@ class OrderPreservingEncryption:
         self._ensure_chunks(int(chunk_indices.max()))
         bases = np.asarray(self._chunk_base, dtype=np.uint64)[chunk_indices]
         out = np.empty(values.size, dtype=np.uint64)
-        for chunk in np.unique(chunk_indices):
+        for chunk in distinct(chunk_indices):
             mask = chunk_indices == chunk
             out[mask] = self._chunk_prefix[int(chunk)][within[mask]]
         return bases + out

@@ -42,6 +42,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from ..distinct import distinct_inverse
 from .costs import CostCounter
 from .qpf import QPFRequest
 
@@ -58,7 +59,7 @@ class _Group:
     """All pending probes of one (trapdoor, table) pair, deduplicated.
 
     Submitted uid arrays are only *chunked* here (an O(1) append each);
-    deduplication happens once per flush with a single ``np.unique`` over
+    deduplication happens once per flush with a single sort over
     the concatenated chunks, whose inverse mapping fans the labels back
     out to every submitter.  The payload ships the (sorted) unique uids —
     labels are per-uid, so neither accounting nor answers depend on the
@@ -88,12 +89,12 @@ class _Group:
             # One submitter: its probe array is duplicate-free by
             # construction (endpoint samples, partition members, whole
             # tables), so the chunk *is* the payload.  Skipping the
-            # ``np.unique`` sort here is what keeps small windows from
+            # deduplicating sort here is what keeps small windows from
             # paying more flush overhead than serial execution saves.
             self._inverse = None
             return QPFRequest(self.trapdoor, self.table, self._chunks[0])
         stacked = np.concatenate(self._chunks)
-        unique, self._inverse = np.unique(stacked, return_inverse=True)
+        unique, self._inverse = distinct_inverse(stacked)
         return QPFRequest(self.trapdoor, self.table, unique)
 
     def labels_for(self, chunk: int) -> np.ndarray:

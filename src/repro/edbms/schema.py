@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..distinct import has_duplicates
+
 __all__ = ["AttributeSpec", "Schema", "PlainTable"]
 
 
@@ -114,7 +116,7 @@ class PlainTable:
             self.uids = np.asarray(self.uids, dtype=np.uint64)
             if len(self.uids) != n:
                 raise ValueError("uids length does not match row count")
-            if len(np.unique(self.uids)) != n:
+            if has_duplicates(self.uids):
                 raise ValueError("uids must be unique")
 
     @property

@@ -10,7 +10,10 @@ The top of the serving stack.  One :class:`QueryServer` owns a
                         ── worker: session.query under statement gates
                         ── release slot, charge QPF to tenant window
 
-Worker threads share each tenant's planner (plan cache + trapdoor
+:meth:`QueryServer.query`, the synchronous form, admits the same way
+and then serves on the caller's thread: no pool handoff either way.
+
+Serving threads share each tenant's planner (plan cache + trapdoor
 memo — both thread-safe) and the database-wide trusted-machine caches;
 per-query cost accounting uses thread-local measurement scopes, so
 ``QueryAnswer.qpf_uses`` is exact under any interleaving.
@@ -21,7 +24,7 @@ Observability: when the database has metrics enabled the server feeds
 ``repro_serve_qpf_total{tenant}``, ``repro_serve_latency_seconds``, a
 per-tenant ``repro_serve_request_seconds{tenant}`` histogram and an
 in-flight gauge; when tracing is enabled every request runs inside a
-``serve.request`` span on its worker thread, with the engine's
+``serve.request`` span on the thread serving it, with the engine's
 ``query`` span nesting beneath it.  :meth:`endpoint` returns the
 database's :class:`~repro.edbms.server.ObservabilityEndpoint` wired to
 this server, which adds ``POST /query`` to the GET routes.
@@ -42,11 +45,12 @@ __all__ = ["QueryServer"]
 class QueryServer:
     """Concurrent serving facade over one encrypted database.
 
-    ``workers`` sizes the dispatch pool; ``admission`` defaults to a
-    fresh :class:`AdmissionController` (capacity bounded, permissive
-    per-tenant quota); ``sessions`` defaults to a fresh
+    ``workers`` sizes the pool behind :meth:`submit`; ``admission``
+    defaults to a fresh :class:`AdmissionController` (capacity bounded,
+    permissive per-tenant quota); ``sessions`` defaults to a fresh
     :class:`SessionManager`.  Registers itself on the database so
-    ``db.close()`` drains the pool before engine teardown.
+    ``db.close()`` drains the pool and waits out synchronous queries
+    before engine teardown.
     """
 
     def __init__(self, db, workers: int = 4,
@@ -61,6 +65,10 @@ class QueryServer:
         self._pool = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="repro-serve")
         self._lock = threading.Lock()
+        # Synchronous queries in flight on caller threads; close() waits
+        # for the count to reach zero.
+        self._inline = 0
+        self._idle = threading.Condition(self._lock)
         self._closed = False
         self._served = 0
         self._failed = 0
@@ -88,13 +96,7 @@ class QueryServer:
         with self._lock:
             if self._closed:
                 raise RuntimeError("query server is closed")
-        session = self.session(tenant)
-        try:
-            self.admission.admit(tenant)
-        except Overloaded as exc:
-            self._count(tenant, "shed")
-            self._count_shed(tenant, exc.code)
-            raise
+        session = self._admit(tenant)
         try:
             return self._pool.submit(self._serve, session, sql, strategy)
         except BaseException:
@@ -102,8 +104,31 @@ class QueryServer:
             raise
 
     def query(self, tenant: str, sql: str, strategy: str = "auto"):
-        """Synchronous :meth:`submit` — admit, run, return the answer."""
-        return self.submit(tenant, sql, strategy).result()
+        """Synchronous :meth:`submit` — admit, then serve on the calling
+        thread and return the answer."""
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("query server is closed")
+            self._inline += 1
+        try:
+            return self._serve(self._admit(tenant), sql, strategy)
+        finally:
+            with self._lock:
+                self._inline -= 1
+                if not self._inline:
+                    self._idle.notify_all()
+
+    def _admit(self, tenant: str) -> Session:
+        """The tenant's session, once admission grants a slot (sheds
+        raise here, counted)."""
+        session = self.session(tenant)
+        try:
+            self.admission.admit(tenant)
+        except Overloaded as exc:
+            self._count(tenant, "shed")
+            self._count_shed(tenant, exc.code)
+            raise
+        return session
 
     # -- worker body -------------------------------------------------------- #
 
@@ -118,8 +143,8 @@ class QueryServer:
             if tracer is None:
                 answer = session.query(sql, strategy=strategy)
             else:
-                # parent=None: each request is its own trace root on its
-                # worker thread; the engine's "query" span nests under.
+                # parent=None: each request is its own trace root on the
+                # thread serving it; the engine's "query" span nests under.
                 with tracer.span("serve.request", parent=None,
                                  tenant=tenant, sql=sql):
                     answer = session.query(sql, strategy=strategy)
@@ -206,10 +231,13 @@ class QueryServer:
         """Stop accepting work, drain queued requests, stop the pool.
 
         Idempotent; also invoked by ``db.close()``.  Queued and
-        executing requests run to completion before this returns.
+        executing requests, synchronous ones included, run to completion
+        before this returns.
         """
         with self._lock:
             if self._closed:
                 return
             self._closed = True
+            while self._inline:
+                self._idle.wait()
         self._pool.shutdown(wait=True)

@@ -9,6 +9,8 @@ from repro.baselines import LogBRCIndex, LogSRCIndex, dyadic_cover
 from repro.crypto import generate_key
 from repro.edbms import CostCounter
 
+pytestmark = pytest.mark.hybrid
+
 
 class TestDyadicCover:
     def test_single_point(self):

@@ -1,5 +1,7 @@
 """Unit tests for the Logarithmic-SRC-i competitor."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from repro.baselines import TDAG, LogSRCiIndex
 from repro.baselines.log_src_i import POSITION_GAP, multi_dimensional_query
 from repro.crypto import generate_key
 from repro.edbms import CostCounter
+
+pytestmark = pytest.mark.hybrid
 
 
 def make_index(values, domain=(0, 1000), seed=0):
@@ -119,15 +123,32 @@ class TestUpdates:
             index.insert(uid=100, value=11)
 
 
+def postings(sse):
+    """Every token's posting block, pending adds folded in, as
+    ``[serial, c1, c2, c3]`` rows."""
+    return {token: sse._block(token).tolist()
+            for token in list(sse._postings)}
+
+
+def handles_of(index):
+    """Per level, every owner's ``(keyword, serial)`` handles, whether
+    implied by the bulk filing or kept for a re-filed owner."""
+    levels = {}
+    for name, refs, bulk in (("ds1", index._ds1_refs, index._ds1_bulk),
+                             ("ds2", index._ds2_refs, index._ds2_bulk)):
+        # An owner's handles live in exactly one of the two places.
+        assert not set(refs) & set(bulk.owners())
+        handles = {owner: bulk.handles(owner) for owner in bulk.owners()}
+        handles.update(refs)
+        levels[name] = handles
+    return levels
+
+
 def state_of(index, counter):
     """Everything construction and maintenance leave behind."""
-    def postings(sse):
-        return {token: {serial: record.tolist()
-                        for serial, record in filed.items()}
-                for token, filed in sse._postings.items()}
-
+    handles = handles_of(index)
     return {"ds1": postings(index._ds1), "ds2": postings(index._ds2),
-            "ds1_refs": index._ds1_refs, "ds2_refs": index._ds2_refs,
+            "ds1_refs": handles["ds1"], "ds2_refs": handles["ds2"],
             "spans": index._value_span,
             "positions": index._value_positions,
             "entries": index._entries, "counter": counter.as_dict(),
@@ -153,14 +174,16 @@ def filed_per_item(bulk, values, domain, seed):
 
 
 def assert_refs_intact(index):
-    """Every kept handle names a live posting, and nothing else is
-    stored: the O(1) removals of later updates depend on it."""
-    for sse, refs in ((index._ds1, index._ds1_refs),
-                      (index._ds2, index._ds2_refs)):
+    """Every handle names a live posting, and nothing else is stored:
+    the handle-based removals of later updates depend on it."""
+    levels = handles_of(index)
+    for sse, refs in ((index._ds1, levels["ds1"]),
+                      (index._ds2, levels["ds2"])):
         handles = [handle for filed in refs.values() for handle in filed]
         assert len(handles) == sse.num_records
+        assert len(set(handles)) == len(handles)
         for keyword, serial in handles:
-            assert serial in sse._postings[sse.token(keyword)]
+            assert serial in sse._block(sse.token(keyword))[:, 0]
 
 
 class TestBulkLoad:
@@ -205,6 +228,64 @@ class TestBulkLoad:
                           (200, 450), (990, 1000)):
             want = np.sort(uids[(column >= low) & (column <= high)])
             assert np.array_equal(index.query_inclusive(low, high), want)
+
+    def test_refiling_every_bulk_owner(self):
+        """Delete and re-insert every tuple, so each bulk-filed owner of
+        both levels is re-filed; duplicates respan their DS1 record on
+        every step, and a new duplicate is added on top."""
+        rng = np.random.default_rng(11)
+        values = rng.integers(0, 1001, 40)
+        values[:6] = values[6]  # one value with seven duplicates
+        index, __, lookup = make_index(values)
+        for uid in range(values.size):
+            value = lookup[uid]
+            index.delete(uid=uid, value=value)
+            index.insert(uid=uid, value=value)
+        index.insert(uid=500, value=int(values[6]))
+        lookup[500] = int(values[6])
+        assert not index._ds1_bulk.owners()
+        assert not index._ds2_bulk.owners()
+        assert_refs_intact(index)
+        for sse, refs in ((index._ds1, index._ds1_refs),
+                          (index._ds2, index._ds2_refs)):
+            handles = [handle for filed in refs.values() for handle in filed]
+            keywords = {keyword for keyword, __ in handles}
+            assert sse.storage_bytes() == 16 * len(keywords) \
+                + 32 * len(handles)
+        column = np.asarray(list(lookup.values()))
+        uids = np.asarray(list(lookup), dtype=np.uint64)
+        for low, high in ((0, 1000), (int(values[6]), int(values[6])),
+                          (100, 600), (0, 0)):
+            want = np.sort(uids[(column >= low) & (column <= high)])
+            assert np.array_equal(index.query_inclusive(low, high), want)
+
+
+#: A seeded 1000-row build in the ``hybrid_budget`` shape, pinned when
+#: each token's postings were a dict of serial -> record: per level the
+#: token count, the record count and a SHA-256 over every token in byte
+#: order followed by its ``[serial, c1, c2, c3]`` rows in serial order.
+PINNED_BUILD = {
+    "ds1": (14120, 31775, "eaafc8412cd9953a9212dd84d3631454"
+                          "189cab18ad3eebe768bf9157e8ce2e8b"),
+    "ds2": (9005, 26987, "4e12aeda30be0cc07747f00a07885419"
+                         "9c5d6c763d4e4b547b909c3af5ffbc40"),
+}
+
+
+def test_bulk_build_matches_pinned_digest():
+    values = np.random.default_rng(2024).integers(1, 100_001, 1000)
+    values[:40] = values[40:80]
+    index = LogSRCiIndex(generate_key(7), CostCounter(), "Y", (1, 100_000),
+                         np.arange(1000, dtype=np.uint64) * 3 + 5, values)
+    for name, (tokens, records, want) in PINNED_BUILD.items():
+        sse = getattr(index, f"_{name}")
+        digest = hashlib.sha256()
+        for token, rows in sorted(postings(sse).items()):
+            digest.update(token)
+            digest.update(np.asarray(rows, dtype="<u8").tobytes())
+        assert (len(sse._postings), sse.num_records, digest.hexdigest()) \
+            == (tokens, records, want), name
+    assert index.storage_bytes() == 2_250_384
 
 
 class TestMultiDimensional:

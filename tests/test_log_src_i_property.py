@@ -1,12 +1,15 @@
 """Property-based tests for Logarithmic-SRC-i under mixed workloads."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import LogSRCiIndex
 from repro.crypto import generate_key
 from repro.edbms import CostCounter
+
+pytestmark = pytest.mark.hybrid
 
 DOMAIN = (0, 200)
 

@@ -80,6 +80,47 @@ class TestQueryServer:
         with pytest.raises(RuntimeError, match="closed"):
             server.query("acme", "SELECT * FROM t WHERE X < 100")
 
+    def test_close_waits_for_a_synchronous_query(self, monkeypatch):
+        """A synchronous query runs on its caller's thread, outside the
+        pool; close() must still wait for its answer before teardown."""
+        server = make_server(workers=1)
+        session = server.session("acme")
+        entered, release = threading.Event(), threading.Event()
+        events, served_on = [], []
+        query = session.query
+
+        def blocked(sql, strategy="auto"):
+            served_on.append(threading.get_ident())
+            entered.set()
+            release.wait(10)
+            answer = query(sql, strategy=strategy)
+            events.append("answer")
+            return answer
+
+        monkeypatch.setattr(session, "query", blocked)
+        caller = threading.Thread(
+            target=server.query,
+            args=("acme", "SELECT * FROM t WHERE X < 5000"))
+        caller.start()
+        assert entered.wait(10)
+        assert served_on == [caller.ident]
+
+        def close():
+            server.db.close()
+            events.append("closed")
+
+        closer = threading.Thread(target=close)
+        closer.start()
+        closer.join(0.3)
+        assert closer.is_alive(), "close() returned under a live query"
+        release.set()
+        closer.join(10)
+        caller.join(10)
+        assert events == ["answer", "closed"]
+        assert server.stats()["served"] == 1
+        with pytest.raises(RuntimeError, match="closed"):
+            server.query("acme", "SELECT * FROM t WHERE X < 100")
+
     def test_double_close_with_server(self):
         server = make_server()
         server.query("acme", "SELECT * FROM t WHERE X < 5000")
