@@ -9,8 +9,9 @@ coalesced windows via ``execute_many()`` at batch sizes 4/16/64.
 Checks: batched winner sets are byte-identical to serial, serial
 physical QPF totals are untouched by the new layer, and batch size 16
 cuts enclave roundtrips per query by >= 3x (it is typically well over
-10x warm).  Results also land in ``BENCH_batching.json`` at the repo
-root for machine consumption.
+10x warm).  Script runs also write ``BENCH_batching.json`` at the repo
+root (or ``--out``) for machine consumption; pytest runs write it under
+``benchmarks/results/``.
 
 Run standalone with ``python benchmarks/bench_batching_throughput.py
 --tiny`` for a seconds-scale smoke run without pytest.
@@ -28,8 +29,8 @@ from repro.bench import bench_seed, format_cache_stats
 from repro.edbms.engine import EncryptedDatabase
 from repro.workloads import distinct_comparison_thresholds
 
-from _common import (emit, emit_note, parse_bench_args, scaled,
-                     write_bench_json)
+from _common import (RESULTS_DIR, emit, emit_note, parse_bench_args,
+                     scaled, write_bench_json)
 
 DOMAIN = (1, 30_000_000)
 BATCH_SIZES = [4, 16, 64]
@@ -170,7 +171,9 @@ def _report(results: dict, n: int, out=None) -> None:
 def test_batching_throughput(benchmark):
     n = scaled(6_000)
     results = _measure(n, warm_queries=100, workload_size=64)
-    _report(results, n)
+    # Under pytest the root baseline stays untouched: only script mode
+    # (and CI's ``--out``) writes a gate file.
+    _report(results, n, out=RESULTS_DIR / "BENCH_batching.json")
     serial_rt = results["serial"]["roundtrips_per_query"]
     batched_rt = results["batch16"]["roundtrips_per_query"]
     assert serial_rt >= 3 * batched_rt, \

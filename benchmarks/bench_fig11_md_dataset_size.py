@@ -25,8 +25,9 @@ def _measure_at_size(n: int, seed: int):
     table = uniform_table("t", n, ATTRS, domain=DOMAIN, seed=seed)
     bed = Testbed(table, ATTRS, max_partitions=PARTITIONS,
                   with_log_src_i=True, seed=seed)
-    for attr in ATTRS:
-        bed.warm_up(attr, WARM, seed=seed + hash(attr) % 97)
+    # Seeded by position: ``hash(str)`` is salted per process.
+    for position, attr in enumerate(ATTRS):
+        bed.warm_up(attr, WARM, seed=seed + 10 + position)
     queries = multi_range_bounds(ATTRS, DOMAIN, SELECTIVITY, count=4,
                                  seed=seed + 3)
     md = [bed.run_md(q, strategy="md", update=False) for q in queries]

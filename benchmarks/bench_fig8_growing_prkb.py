@@ -6,9 +6,9 @@ Logarithmic-SRC-i.  PRKB matches Logarithmic-SRC-i around query 50 and
 beats it by an order of magnitude by query 600; Baseline is flat at n.
 
 Our setting: 20k tuples (scaled), same 600-query schedule, milestones
-sampled along the way.  Shape checks: cold PRKB costs n; by the last
-milestone the cost has dropped by >=2 orders of magnitude and is below
-Logarithmic-SRC-i's simulated time.
+sampled along the way.  Shape checks: cold PRKB costs n; over queries
+501-600 the mean cost has dropped by >=2 orders of magnitude, and the
+last milestone is below Logarithmic-SRC-i's simulated time.
 """
 
 from __future__ import annotations
@@ -33,19 +33,21 @@ def _grow_and_sample():
     thresholds = distinct_comparison_thresholds(DOMAIN, 600, seed=bench_seed() + 1)
     selectivity_width = int(0.01 * (DOMAIN[1] - DOMAIN[0]))
     samples = {}
+    qpf = []
     for i, threshold in enumerate(thresholds, start=1):
         trapdoor = bed.owner.comparison_trapdoor("X", "<", int(threshold))
         m = bed.measure("PRKB(SD)", lambda: processor.select(trapdoor))
+        qpf.append(m.qpf_uses)
         if i in MILESTONES:
             low = int(threshold) % (DOMAIN[1] - selectivity_width)
             src = bed.run_log_src_i("X", (low, low + selectivity_width))
             samples[i] = (m, src)
     baseline = bed.run_baseline("X", (10_000_000, 10_300_000))
-    return bed, samples, baseline, n
+    return bed, samples, baseline, n, qpf
 
 
 def test_fig8_growing_prkb(benchmark):
-    bed, samples, baseline, n = _grow_and_sample()
+    bed, samples, baseline, n, qpf = _grow_and_sample()
     rows = []
     for i in MILESTONES:
         prkb, src = samples[i]
@@ -76,8 +78,12 @@ def test_fig8_growing_prkb(benchmark):
     first_prkb = samples[MILESTONES[0]][0]
     last_prkb, last_src = samples[MILESTONES[-1]]
     # Cold PRKB == full scan; warm PRKB >= 2 orders of magnitude cheaper.
+    # Warm cost is checked as the mean of queries 501-600, the stretch
+    # the paper plots: one query is a single draw, and ~5 % of warm
+    # queries cost n/100 or more.
     assert first_prkb.qpf_uses >= n
-    assert last_prkb.qpf_uses < first_prkb.qpf_uses / 100
+    warm = qpf[500:600]
+    assert sum(warm) / len(warm) < n / 100
     # Warm PRKB beats both competitors (paper: one order of magnitude
     # under Log-SRC-i by query 600).
     assert last_prkb.simulated_ms < last_src.simulated_ms

@@ -15,8 +15,9 @@ fully-bounded one- and two-dimensional ranges and unindexed predicates
 
 Checks: all three policies return identical winner sets, the adaptive
 policy never spends more QPF than the forced scan, and the plan cache
-serves repeats (hits > 0, invalidations < misses).  Results land in
-``BENCH_planner.json`` at the repo root for ``bench_diff.py``/CI.
+serves repeats (hits > 0, invalidations < misses).  Script runs write
+``BENCH_planner.json`` at the repo root (or ``--out``) for
+``bench_diff.py``/CI; pytest runs write it under ``benchmarks/results/``.
 
 Run standalone with ``python benchmarks/bench_planner.py --tiny`` for a
 seconds-scale smoke run without pytest.
@@ -34,8 +35,8 @@ from repro.bench import bench_seed
 from repro.edbms.engine import EncryptedDatabase
 from repro.workloads import distinct_comparison_thresholds
 
-from _common import (emit, emit_note, parse_bench_args, scaled,
-                     write_bench_json)
+from _common import (RESULTS_DIR, emit, emit_note, parse_bench_args,
+                     scaled, write_bench_json)
 
 DOMAIN = (1, 1_000_000)
 MODES = {"adaptive": "auto", "forced_prkb": "md",
@@ -210,7 +211,9 @@ def _check(results: dict) -> None:
 def test_planner_dispatch(benchmark):
     n = scaled(4_000)
     results = _measure(n, warm_queries=40, workload_size=50)
-    _report(results, n)
+    # Under pytest the root baseline stays untouched: only script mode
+    # (and CI's ``--out``) writes a gate file.
+    _report(results, n, out=RESULTS_DIR / "BENCH_planner.json")
     _check(results)
     # Benchmark the planning fast path: repeat plans served from cache.
     db = _build(n, warm_queries=40)

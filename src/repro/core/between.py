@@ -27,6 +27,7 @@ from collections import deque
 import numpy as np
 
 from ..crypto.trapdoor import EncryptedPredicate
+from ..edbms.qpf import QPFRequest, drive
 from .prkb import PRKBIndex
 
 __all__ = ["BetweenProcessor"]
@@ -51,16 +52,16 @@ class BetweenProcessor:
         self.anchor_samples = anchor_samples
 
     # ------------------------------------------------------------------ #
-    # probing helpers                                                     #
+    # probing helpers: request generators, run with ``yield from``        #
     # ------------------------------------------------------------------ #
 
     def _probe(self, trapdoor: EncryptedPredicate, cache: dict[int, bool],
-               words, position: int) -> bool:
+               words, position: int):
         """Sample-probe one partition (memoised) — one QPF use when fresh."""
         if position not in cache:
-            pop = self.index.pop
-            uid = pop[position].sample(next(words))
-            cache[position] = self.index.qpf(trapdoor, self.index.table, uid)
+            uid = self.index.pop[position].sample(next(words))
+            labels = yield QPFRequest(trapdoor, self.index.table, [uid])
+            cache[position] = bool(labels[0])
         return cache[position]
 
     @staticmethod
@@ -85,7 +86,7 @@ class BetweenProcessor:
             pending.append((mid, hi))
 
     def _find_anchor(self, trapdoor: EncryptedPredicate,
-                     cache: dict[int, bool], words) -> int | None:
+                     cache: dict[int, bool], words):
         """Probe partition samples until one with output 1 is found.
 
         First pass follows the bisection order with memoised samples;
@@ -96,21 +97,22 @@ class BetweenProcessor:
         pop = self.index.pop
         order = list(self._bisection_order(pop.num_partitions))
         for position in order:
-            if self._probe(trapdoor, cache, words, position):
+            if (yield from self._probe(trapdoor, cache, words, position)):
                 return position
         for __ in range(1, self.anchor_samples):
             for position in order:
                 if len(pop[position]) <= 1:
                     continue  # a single-tuple partition is fully sampled
                 uid = pop[position].sample(next(words))
-                if self.index.qpf(trapdoor, self.index.table, uid):
+                labels = yield QPFRequest(trapdoor, self.index.table, [uid])
+                if labels[0]:
                     cache[position] = True
                     return position
         return None
 
     def _search_edge(self, trapdoor: EncryptedPredicate,
                      cache: dict[int, bool], words, zero_end: int,
-                     one_end: int) -> list[int]:
+                     one_end: int):
         """Binary-search one band edge between a 0-sample and a 1-sample.
 
         Returns the NS positions (an adjacent pair) that may contain the
@@ -120,7 +122,7 @@ class BetweenProcessor:
         lo, hi = zero_end, one_end
         while abs(hi - lo) > 1:
             mid = (lo + hi) // 2
-            if self._probe(trapdoor, cache, words, mid):
+            if (yield from self._probe(trapdoor, cache, words, mid)):
                 hi = mid
             else:
                 lo = mid
@@ -130,11 +132,10 @@ class BetweenProcessor:
     # scanning and refinement                                             #
     # ------------------------------------------------------------------ #
 
-    def _scan(self, trapdoor: EncryptedPredicate,
-              position: int) -> tuple[np.ndarray, np.ndarray]:
+    def _scan(self, trapdoor: EncryptedPredicate, position: int):
         """Full QPF scan of one partition; returns (true, false) uids."""
         uids = self.index.pop[position].uids
-        labels = self.index.qpf.batch(trapdoor, self.index.table, uids)
+        labels = yield QPFRequest(trapdoor, self.index.table, uids)
         return uids[labels], uids[~labels]
 
     def _apply_band_splits(self, trapdoor: EncryptedPredicate,
@@ -191,6 +192,12 @@ class BetweenProcessor:
         increasing (the free run and the scanned edges go through
         :meth:`~repro.core.partitions.PartialOrderPartitions.uids_in_order`
         before any refinement moves the chain)."""
+        [winners] = drive(self.index.qpf,
+                          [self._select_steps(trapdoor, update)])
+        return winners
+
+    def _select_steps(self, trapdoor: EncryptedPredicate, update: bool):
+        """:meth:`select` as a request generator."""
         if trapdoor.kind != "between":
             raise ValueError(
                 f"BetweenProcessor handles BETWEEN trapdoors; got kind "
@@ -208,8 +215,8 @@ class BetweenProcessor:
         cache: dict[int, bool] = {}
         # One ordinal per statement: every probe below draws from it.
         words = self.index._sample_words()
-        anchor = None if k == 1 else self._find_anchor(trapdoor, cache, words)
-        free_winner_positions: list[int] = []
+        anchor = None if k == 1 else (
+            yield from self._find_anchor(trapdoor, cache, words))
         if anchor is None:
             # Either a single partition, or no sample hit the band: the
             # appendix's worst case — scan in chain order.  Contiguity
@@ -219,44 +226,36 @@ class BetweenProcessor:
             scans = {}
             seen_in_band = False
             for position in range(k):
-                scans[position] = self._scan(trapdoor, position)
+                scans[position] = yield from self._scan(trapdoor, position)
                 if scans[position][0].size:
                     seen_in_band = True
                 elif seen_in_band:
                     break
-            winners = pop.uids_in_order(
-                0, 0, [true_u for true_u, __ in scans.values()])
-            if update and self.index.can_grow:
-                known_one_positions = {
-                    s for s, (true_u, __) in scans.items() if true_u.size
-                }
-                self._apply_band_splits(trapdoor, scans,
-                                        known_one_positions)
-            self.index.commit_journal()
-            return winners
+            free_run, free_winner_positions = (0, 0), set()
         else:
-            if self._probe(trapdoor, cache, words, 0):
+            if (yield from self._probe(trapdoor, cache, words, 0)):
                 ns_left = [0]
             else:
-                ns_left = self._search_edge(trapdoor, cache, words, 0,
-                                            anchor)
-            if self._probe(trapdoor, cache, words, k - 1):
+                ns_left = yield from self._search_edge(trapdoor, cache,
+                                                       words, 0, anchor)
+            if (yield from self._probe(trapdoor, cache, words, k - 1)):
                 ns_right = [k - 1]
             else:
-                ns_right = self._search_edge(trapdoor, cache, words, k - 1,
-                                             anchor)
-            scan_positions = sorted(set(ns_left) | set(ns_right))
+                ns_right = yield from self._search_edge(trapdoor, cache,
+                                                        words, k - 1, anchor)
+            scans = {}
+            for s in sorted(set(ns_left) | set(ns_right)):
+                scans[s] = yield from self._scan(trapdoor, s)
             # Partitions strictly between the innermost NS positions of
             # the two edges are certainly in-band — free winners.
-            free_winner_positions = list(range(ns_left[-1] + 1, ns_right[0]))
-        scans = {s: self._scan(trapdoor, s) for s in scan_positions}
-        offsets = pop.offsets
+            free_winner_positions = set(range(ns_left[-1] + 1, ns_right[0]))
+            free_run = (int(pop.offsets[ns_left[-1] + 1]),
+                        int(pop.offsets[ns_right[0]]))
         winners = pop.uids_in_order(
-            int(offsets[ns_left[-1] + 1]), int(offsets[ns_right[0]]),
-            [true_u for true_u, _ in scans.values()])
+            *free_run, [true_u for true_u, __ in scans.values()])
         if update and self.index.can_grow:
-            known_one_positions = set(free_winner_positions) | {
-                s for s, (true_u, _) in scans.items() if true_u.size
+            known_one_positions = free_winner_positions | {
+                s for s, (true_u, __) in scans.items() if true_u.size
             }
             self._apply_band_splits(trapdoor, scans, known_one_positions)
         self.index.commit_journal()

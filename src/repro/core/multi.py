@@ -46,6 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..crypto.trapdoor import EncryptedPredicate
+from ..edbms.qpf import drive
 from .partitions import ChainView, PartialOrderPartitions, Partition
 from .prkb import PRKBIndex, QFilterOutcome
 from .single import SingleDimensionProcessor
@@ -295,35 +296,13 @@ class MultiDimensionProcessor:
                 index._check_attribute(trapdoor)
                 searches.append((position, index, trapdoor,
                                  index._qfilter_gen(trapdoor, view)))
-        outcomes = self._lock_step([search[3] for search in searches])
+        outcomes = drive(self._qpf, [search[3] for search in searches])
         contexts: dict[int, list[_PredicateContext]] = {}
         for (position, index, trapdoor, __), filtered in zip(searches,
                                                              outcomes):
             contexts.setdefault(position, []).append(
                 self._classify(index, trapdoor, filtered))
         return contexts
-
-    def _lock_step(self, generators: list) -> list:
-        """Drive request generators together, one crossing per round;
-        return their results in input order."""
-        outcomes: list = [None] * len(generators)
-        pending = []
-        for slot, steps in enumerate(generators):
-            try:
-                pending.append((slot, steps, next(steps)))
-            except StopIteration as stop:
-                outcomes[slot] = stop.value
-        while pending:
-            answers = self._qpf.batch_many(
-                [request for __, __, request in pending])
-            advanced = []
-            for (slot, steps, __), labels in zip(pending, answers):
-                try:
-                    advanced.append((slot, steps, steps.send(labels)))
-                except StopIteration as stop:
-                    outcomes[slot] = stop.value
-            pending = advanced
-        return outcomes
 
     @staticmethod
     def _classify(index: PRKBIndex, trapdoor: EncryptedPredicate,

@@ -45,7 +45,7 @@ import numpy as np
 from ..crypto.primitives import _WORD_MASK, _mix64
 from ..crypto.trapdoor import EncryptedPredicate
 from ..edbms.encryption import EncryptedTable
-from ..edbms.qpf import QPFRequest, QueryProcessingFunction
+from ..edbms.qpf import QPFRequest, QueryProcessingFunction, drive
 from .locks import SnapshotLock
 from .partitions import ChainView, PartialOrderPartitions, Partition
 
@@ -73,7 +73,7 @@ class _Separator:
     certifies the tuple lies after the boundary (it is >= the band's low
     end), ``edge == "high"`` means a 1-output certifies it lies at or
     before the boundary.  A 0-output ("outside the band") is ambiguous on
-    its own; :meth:`PRKBIndex.locate_partition` resolves it using the
+    its own; :meth:`PRKBIndex._narrow` resolves it using the
     position of the ``partner`` edge of the same band when possible and
     otherwise degrades knowledge by merging (see the module docstring of
     :mod:`repro.core.between`).
@@ -683,21 +683,6 @@ class PRKBIndex:
         # Case 1 of Lemma 4.5: the predicate is equivalent to a stored one.
         return QScanOutcome(winners, None)
 
-    def _drive(self, steps):
-        """Run a request generator serially against this index's QPF.
-
-        Every yielded request becomes one ``qpf.batch`` call (one
-        roundtrip); the generator's return value is passed through.
-        """
-        try:
-            request = next(steps)
-            while True:
-                labels = self.qpf.batch(request.trapdoor, request.table,
-                                        request.uids)
-                request = steps.send(labels)
-        except StopIteration as stop:
-            return stop.value
-
     # ------------------------------------------------------------------ #
     # updatePRKB                                                          #
     # ------------------------------------------------------------------ #
@@ -890,8 +875,8 @@ class PRKBIndex:
             # ``_commit_split``'s supersession check absorbs any sibling
             # refinement that landed in the unlocked gap.
             with self.lock.read():
-                result, deferred = self._drive(
-                    self.select_steps(trapdoor, update=update))
+                [(result, deferred)] = drive(
+                    self.qpf, [self.select_steps(trapdoor, update=update)])
             if deferred is not None or self._journal is not None:
                 with self.lock.write():
                     if deferred is not None:
@@ -901,9 +886,9 @@ class PRKBIndex:
             with tracer.span("prkb.select",
                              attribute=self.attribute) as root:
                 with self.lock.read():
-                    result, deferred = self._drive(
-                        self.select_steps(trapdoor, update=update,
-                                          span=root))
+                    [(result, deferred)] = drive(
+                        self.qpf, [self.select_steps(trapdoor, update=update,
+                                                     span=root)])
                 uspan = tracer.begin("prkb.update", parent=root)
                 committed = False
                 if deferred is not None or self._journal is not None:
@@ -1041,16 +1026,13 @@ class PRKBIndex:
             self._journal.sep_del(best, best + 1)
         return protect - 1 if best < protect else protect
 
-    def _probe_boundary(self, uid: int, boundary: int,
-                        lo: int, hi: int) -> tuple[int, int] | None:
-        """Evaluate the separator at ``boundary`` on the new tuple.
-
-        Returns the narrowed candidate range, or ``None`` when the probe is
-        inconclusive (only possible for a 0-output on a BETWEEN edge whose
-        partner edge lies inside the candidate range).
-        """
+    def _narrow(self, boundary: int, label, lo: int,
+                hi: int) -> tuple[int, int] | None:
+        """The candidate range left by the separator at ``boundary``
+        labelling the new tuple ``label``; ``None`` when inconclusive
+        (only a 0-output on a BETWEEN edge whose partner edge lies inside
+        the candidate range)."""
         separator = self._separators[boundary]
-        label = self.qpf(separator.trapdoor, self.table, uid)
         if separator.edge is None:
             # Comparison separator: decisive both ways (Sec. 7.1).
             if label == separator.prefix_label:
@@ -1084,58 +1066,78 @@ class PRKBIndex:
                 return boundary + 1, hi
         return None
 
-    def locate_partition(self, uid: int) -> int | tuple[int, int]:
-        """Find the chain partition a new tuple belongs to (Sec. 7.1).
+    def _placement_steps(self, uid: int):
+        """Find the chain partition a new tuple belongs to (Sec. 7.1), as
+        a request generator.
 
         Binary search over the stored separators: each probe asks Θ of one
         stored trapdoor on the new tuple — O(log k) QPF uses when all
         separators come from comparison predicates (the case the paper
-        analyses).  BETWEEN-created boundaries can be inconclusive on a
-        0-output; the search then looks for any decisive boundary inside
-        the range and, failing that, returns the unresolved range so the
-        caller can degrade knowledge by merging.
+        analyses).  A BETWEEN edge can be inconclusive on a 0-output; the
+        search then probes the range's other boundaries for a decisive
+        one and, failing that, returns the unresolved ``(lo, hi)`` range
+        so the caller can degrade knowledge by merging.
         """
+        probe = np.asarray([uid], dtype=np.uint64)
         lo, hi = 0, self.pop.num_partitions - 1
         while lo < hi:
             mid = lo + (hi - lo) // 2
-            narrowed = self._probe_boundary(uid, mid, lo, hi)
+            labels = yield QPFRequest(self._separators[mid].trapdoor,
+                                      self.table, probe)
+            narrowed = self._narrow(mid, labels[0], lo, hi)
             if narrowed is None:
-                narrowed = self._probe_decisive_fallback(uid, lo, hi, mid)
-            if narrowed is None:
-                return lo, hi  # genuinely ambiguous: caller merges
+                for boundary in range(lo, hi):
+                    if boundary == mid:
+                        continue
+                    labels = yield QPFRequest(
+                        self._separators[boundary].trapdoor, self.table,
+                        probe)
+                    narrowed = self._narrow(boundary, labels[0], lo, hi)
+                    if narrowed is not None:
+                        break
+                else:
+                    return lo, hi  # genuinely ambiguous: caller merges
             lo, hi = narrowed
         return lo
-
-    def _probe_decisive_fallback(self, uid: int, lo: int, hi: int,
-                                 skip: int) -> tuple[int, int] | None:
-        """Try the remaining boundaries in [lo, hi) for a decisive probe."""
-        for boundary in range(lo, hi):
-            if boundary == skip:
-                continue
-            narrowed = self._probe_boundary(uid, boundary, lo, hi)
-            if narrowed is not None:
-                return narrowed
-        return None
 
     def insert_many(self, uids) -> list[int]:
         """Register freshly inserted encrypted tuples with the index.
 
         The tuples must already be present in the encrypted table (the
         QPF needs their ciphertexts).  Returns the chain index each was
-        filed under.  If a placement is ambiguous (BETWEEN boundaries
-        only), the candidate range is merged into one partition first —
-        sound, but coarser.  The whole batch is one index transaction:
-        one write-lock hold, one equivalence-cache clear and one journal
-        ``commit`` record, so a crash inside it rolls the index back to
-        the previous operation, never to part of this one.
+        filed under.  Every row's placement search runs on the chain as
+        the batch found it, all in lock step (one crossing per round),
+        then the rows are filed in order.  If a placement is ambiguous
+        (BETWEEN boundaries only), its range is merged into one partition
+        first — sound, but coarser; a later row placed inside a merged
+        range folds to the merged partition.  The whole batch is one
+        index transaction: one write-lock hold, one equivalence-cache
+        clear and one journal ``commit`` record, so a crash inside it
+        rolls the index back to the previous operation, never to part of
+        this one.
         """
+        uids = [int(uid) for uid in uids]
         with self.lock.write():
             # Two predicates equivalent on the old data may disagree on
             # a new value, so cached equivalences cannot survive an
             # insert.
             with self._stats_lock:
                 self._equiv_cache.clear()
-            located = [self._file(int(uid)) for uid in uids]
+            placed = drive(self.qpf,
+                           [self._placement_steps(uid) for uid in uids])
+            merges: list[tuple[int, int]] = []
+            located = []
+            for uid, place in zip(uids, placed):
+                lo, hi = place if isinstance(place, tuple) else (place, place)
+                for first, last in merges:
+                    lo, hi = _fold(lo, first, last), _fold(hi, first, last)
+                if lo < hi:
+                    self.pop.merge_range(lo, hi)
+                    del self._separators[lo:hi]
+                    if self._journal is not None:
+                        self._journal.sep_del(lo, hi)
+                    merges.append((lo, hi))
+                located.append(self._file(uid, lo))
             self.commit_journal()
             return located
 
@@ -1143,24 +1145,16 @@ class PRKBIndex:
         """:meth:`insert_many` of one tuple; returns its chain index."""
         return self.insert_many([uid])[0]
 
-    def _file(self, uid: int) -> int:
-        """Place one tuple in the chain (caller holds the write lock)."""
+    def _file(self, uid: int, position: int) -> int:
+        """Place one tuple at ``position`` (caller holds the write lock)."""
         if self.pop.num_partitions == 0:
             self.pop = PartialOrderPartitions(
                 np.asarray([uid], dtype=np.uint64))
             if self._journal is not None:
                 self._journal.chain_reinit([uid])
             return 0
-        located = self.locate_partition(uid)
-        if isinstance(located, tuple):
-            lo, hi = located
-            self.pop.merge_range(lo, hi)
-            del self._separators[lo:hi]
-            if self._journal is not None:
-                self._journal.sep_del(lo, hi)
-            located = lo
-        self.pop.insert(uid, located)
-        return located
+        self.pop.insert(uid, position)
+        return position
 
     def delete_many(self, uids) -> None:
         """Drop tuples; retire a separator for each partition that
@@ -1182,6 +1176,13 @@ class PRKBIndex:
     def delete(self, uid: int) -> None:
         """:meth:`delete_many` of one tuple."""
         self.delete_many([uid])
+
+
+def _fold(position: int, first: int, last: int) -> int:
+    """Where ``position`` lands once partitions ``first..last`` merge."""
+    if position > last:
+        return position - (last - first)
+    return min(position, first)
 
 
 def _p90(ordered: list[int]) -> int:

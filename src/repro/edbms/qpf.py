@@ -14,7 +14,7 @@ scales would otherwise take minutes in pure Python; the accounting is
 identical — a batch of ``n`` tuples costs ``n`` QPF uses, exactly as if the
 server had looped.
 
-Two kinds of batching exist and are metered differently:
+A Θ backend has exactly two crossings, metered alike:
 
 * :meth:`TrustedMachine.evaluate_batch` — one trapdoor over many uids.
   One enclave *roundtrip* (``qpf_roundtrips += 1``), ``n`` QPF uses.
@@ -22,6 +22,11 @@ Two kinds of batching exist and are metered differently:
   :class:`QPFRequest` entries (possibly different trapdoors and tables)
   shipped in a single crossing.  Still one roundtrip; QPF uses equal the
   total tuple count, exactly as if each request had been sent alone.
+
+Every search over the POP chain (QFilter, BETWEEN's anchor hunt and edge
+searches, insert placement) is a generator that yields
+:class:`QPFRequest` payloads and receives their labels; :func:`drive`
+runs one search, or several in lock step, against those two crossings.
 
 Θ therefore has exactly two oracles: the lone machine, or a
 :class:`QPFShardPool` — N in-process worker trusted machines (one
@@ -60,8 +65,8 @@ from .costs import CostCounter
 from .encryption import EncryptedTable, attribute_key
 
 __all__ = ["TrustedMachine", "QueryProcessingFunction", "QPFRequest",
-           "QPFShardPool", "CrossingLatency", "PredicateLRU", "ColumnCache",
-           "build_trusted_machine",
+           "drive", "QPFShardPool", "CrossingLatency", "PredicateLRU",
+           "ColumnCache", "build_trusted_machine",
            "PREDICATE_CACHE_SIZE", "COLUMN_CACHE_BYTES"]
 
 #: Default bound on the number of unsealed predicates an enclave keeps
@@ -233,27 +238,80 @@ class PredicateLRU:
             self._entries.popitem(last=False)
 
 
-@dataclass(frozen=True)
 class QPFRequest:
     """One pending Θ evaluation: a trapdoor applied to ``uids`` of a table.
 
-    The unit of work queued by the batching layer
-    (:mod:`repro.edbms.batching`) and shipped — possibly coalesced with
-    other requests — through a single enclave crossing via
-    :meth:`TrustedMachine.evaluate_many`.
+    The unit every search yields and the batching layer
+    (:mod:`repro.edbms.batching`) queues, shipped — possibly coalesced
+    with other requests — through one crossing.  A plain slotted record:
+    every probe builds one, so construction stays cheap.
     """
 
-    trapdoor: EncryptedPredicate
-    table: object  # EncryptedTable or SecretSharedTable
-    uids: np.ndarray
+    __slots__ = ("trapdoor", "table", "uids")
 
-    def __post_init__(self):
-        uids = self.uids
-        # The batching layer constructs requests at a high rate; skip the
-        # asarray round trip when the caller already holds uint64 uids.
+    def __init__(self, trapdoor: EncryptedPredicate, table, uids):
+        self.trapdoor = trapdoor
+        self.table = table  # EncryptedTable or SecretSharedTable
+        # Skip the asarray round trip when the caller holds uint64 uids.
         if not (isinstance(uids, np.ndarray) and uids.dtype == np.uint64):
-            object.__setattr__(self, "uids",
-                               np.asarray(uids, dtype=np.uint64))
+            uids = np.asarray(uids, dtype=np.uint64)
+        self.uids = uids
+
+
+def drive(qpf, searches: list) -> list:
+    """Run request generators against Θ; return their results in order.
+
+    A lone search sends each request through ``qpf.batch`` — one
+    crossing per request.  Several advance in lock step: each round
+    ships every pending request in one ``qpf.batch_many`` crossing, so
+    the batch costs as many crossings as its longest search.  QPF uses
+    are the same either way.
+    """
+    if len(searches) == 1:
+        steps = searches[0]
+        try:
+            request = next(steps)
+            while True:
+                request = steps.send(qpf.batch(
+                    request.trapdoor, request.table, request.uids))
+        except StopIteration as stop:
+            return [stop.value]
+    results: list = [None] * len(searches)
+    pending = []
+    for slot, steps in enumerate(searches):
+        try:
+            pending.append((slot, steps, next(steps)))
+        except StopIteration as stop:
+            results[slot] = stop.value
+    while pending:
+        answers = qpf.batch_many([request for __, __, request in pending])
+        advanced = []
+        for (slot, steps, __), labels in zip(pending, answers):
+            try:
+                advanced.append((slot, steps, steps.send(labels)))
+            except StopIteration as stop:
+                results[slot] = stop.value
+        pending = advanced
+    return results
+
+
+def _unseal_cached(key: SecretKey, registers: PredicateLRU,
+                   trapdoor: EncryptedPredicate, deltas: dict):
+    """Unseal (and memoise) the plaintext predicate of a trapdoor.
+
+    Caching models a Θ backend keeping recent predicate registers warm;
+    it is LRU-bounded so a long-lived server does not leak memory, and
+    it does not change QPF accounting, which is per *tuple* evaluation.
+    Hits and misses land in the crossing's ``deltas``.
+    """
+    cached = registers.get(trapdoor.serial)
+    if cached is None:
+        _bump(deltas, "predicate_cache_misses")
+        cached = unseal_predicate(key, trapdoor)
+        registers.put(trapdoor.serial, cached)
+    else:
+        _bump(deltas, "predicate_cache_hits")
+    return cached
 
 
 @dataclass(frozen=True)
@@ -306,23 +364,6 @@ class TrustedMachine:
         #: gathers.  ``column_cache_bytes=0`` disables it.
         self._column_cache = ColumnCache(column_cache_bytes)
 
-    def _plain_predicate(self, trapdoor: EncryptedPredicate, deltas: dict):
-        """Unseal (and memoise) the plaintext predicate of a trapdoor.
-
-        Caching models the trusted machine keeping recent predicate
-        registers warm; it is LRU-bounded so a long-lived server does not
-        leak memory, and it does not change QPF accounting, which is per
-        *tuple* evaluation.
-        """
-        cached = self._predicate_cache.get(trapdoor.serial)
-        if cached is None:
-            _bump(deltas, "predicate_cache_misses")
-            cached = unseal_predicate(self._key, trapdoor)
-            self._predicate_cache.put(trapdoor.serial, cached)
-        else:
-            _bump(deltas, "predicate_cache_hits")
-        return cached
-
     def _cross(self, tuples: int) -> dict:
         """Open the tally of one enclave crossing carrying ``tuples``.
 
@@ -354,9 +395,9 @@ class TrustedMachine:
         # Warm path: a cached decrypted column turns the request into a
         # pure position gather — zero keystream work.  Version-keyed, so
         # any insert/delete invalidates on the next lookup.  A plain
-        # ``int`` is the one-tuple lane (QFilter probes, insert
-        # placement): a scalar position lookup and a one-cell view
-        # instead of a vector gather.
+        # ``int`` is the one-tuple lane (search probes): a scalar
+        # position lookup and a one-cell view instead of a vector
+        # gather.
         version = table.version
         if self._column_cache.budget_bytes:
             column = self._column_cache.get(table.name, attribute, version)
@@ -421,11 +462,6 @@ class TrustedMachine:
         """Live :meth:`ColumnCache.stats` of this machine's cache."""
         return self._column_cache.stats()
 
-    def evaluate(self, trapdoor: EncryptedPredicate, table: EncryptedTable,
-                 uid: int) -> bool:
-        """Θ for a single encrypted tuple — one QPF use."""
-        return bool(self._evaluate(trapdoor, table, int(uid), 1)[0])
-
     def evaluate_batch(self, trapdoor: EncryptedPredicate,
                        table: EncryptedTable,
                        uids: np.ndarray) -> np.ndarray:
@@ -433,25 +469,20 @@ class TrustedMachine:
 
         One call is one enclave roundtrip (``qpf_roundtrips``), however
         many tuples ride in it; empty payloads are never shipped (and
-        charge nothing).
+        charge nothing).  All of its accounting lands in one charge; a
+        one-uid batch takes the scalar lane of :meth:`_decrypt_cells`.
         """
         uids = np.asarray(uids, dtype=np.uint64)
         tuples = int(uids.size)
         if tuples == 0:
             return np.zeros(0, dtype=bool)
-        return self._evaluate(trapdoor, table,
-                              uids.item(0) if tuples == 1 else uids,
-                              tuples)
-
-    def _evaluate(self, trapdoor: EncryptedPredicate, table: EncryptedTable,
-                  uids: "np.ndarray | int", tuples: int) -> np.ndarray:
-        """One homogeneous crossing (``uids`` is an ``int`` for the
-        one-tuple lane); all of its accounting lands in one charge."""
         deltas = self._cross(tuples)
         try:
-            predicate = self._plain_predicate(trapdoor, deltas)
-            values = self._decrypt_cells(table, trapdoor.attribute, uids,
-                                         deltas)
+            predicate = _unseal_cached(self._key, self._predicate_cache,
+                                       trapdoor, deltas)
+            values = self._decrypt_cells(
+                table, trapdoor.attribute,
+                uids.item(0) if tuples == 1 else uids, deltas)
             return _evaluate_plain(predicate, values)
         finally:
             self.counter.charge(**deltas)
@@ -479,7 +510,8 @@ class TrustedMachine:
                 if uids.size == 0:
                     results.append(np.zeros(0, dtype=bool))
                     continue
-                predicate = self._plain_predicate(request.trapdoor, deltas)
+                predicate = _unseal_cached(self._key, self._predicate_cache,
+                                           request.trapdoor, deltas)
                 values = self._decrypt_cells(
                     request.table, request.trapdoor.attribute,
                     uids.item(0) if uids.size == 1 else uids, deltas)
@@ -517,8 +549,8 @@ class QPFShardPool:
     """N worker trusted machines answering one Θ payload in parallel.
 
     Drop-in for :class:`TrustedMachine` behind
-    :class:`QueryProcessingFunction`: same ``evaluate`` /
-    ``evaluate_batch`` / ``evaluate_many`` surface, same shared
+    :class:`QueryProcessingFunction`: same ``evaluate_batch`` /
+    ``evaluate_many`` surface, same shared
     :class:`CostCounter`.  Each worker is a full machine with its own
     predicate registers; a payload is partitioned across them
     (contiguous chunks for a homogeneous batch, deterministic
@@ -647,14 +679,6 @@ class QPFShardPool:
         return totals
 
     # -- Θ surface -------------------------------------------------------- #
-
-    def evaluate(self, trapdoor: EncryptedPredicate, table: EncryptedTable,
-                 uid: int) -> bool:
-        """Θ for a single tuple — never worth sharding."""
-        return bool(
-            self.evaluate_batch(trapdoor, table,
-                                np.asarray([uid], dtype=np.uint64))[0]
-        )
 
     def evaluate_batch(self, trapdoor: EncryptedPredicate,
                        table: EncryptedTable,
@@ -796,8 +820,9 @@ class QueryProcessingFunction:
 
     def __call__(self, trapdoor: EncryptedPredicate, table: EncryptedTable,
                  uid: int) -> bool:
-        """Θ(p̂, t̂) for one tuple."""
-        return self._tm.evaluate(trapdoor, table, uid)
+        """Θ(p̂, t̂) for one tuple: a one-uid :meth:`batch`."""
+        return bool(self._tm.evaluate_batch(
+            trapdoor, table, np.asarray([uid], dtype=np.uint64))[0])
 
     def batch(self, trapdoor: EncryptedPredicate, table: EncryptedTable,
               uids: np.ndarray) -> np.ndarray:

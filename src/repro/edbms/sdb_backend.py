@@ -34,13 +34,10 @@ import numpy as np
 
 from ..crypto.primitives import SecretKey
 from ..crypto.secret_sharing import SecretSharingScheme
-from ..crypto.trapdoor import (
-    EncryptedPredicate,
-    unseal_predicate,
-)
+from ..crypto.trapdoor import EncryptedPredicate
 from .costs import CostCounter
 from .qpf import PREDICATE_CACHE_SIZE, PredicateLRU, QPFRequest, \
-    _bump, _evaluate_plain
+    _evaluate_plain, _unseal_cached
 from .store import UidColumnStore
 
 __all__ = ["SecretSharedTable", "MPCQueryProcessingFunction",
@@ -103,8 +100,9 @@ def share_table(key: SecretKey, table) -> SecretSharedTable:
 class MPCQueryProcessingFunction:
     """Θ as a two-party computation between SP and DO (SDB style).
 
-    Drop-in replacement for :class:`QueryProcessingFunction`: same call
-    signatures, same 0/1 observable, different cost profile.  The DO-side
+    Drop-in replacement for :class:`QueryProcessingFunction`'s two
+    crossings (``batch`` and ``batch_many``): same 0/1 observable,
+    different cost profile.  The DO-side
     unmasking lives here because in SDB the owner *is* part of query
     processing (the paper's footnote 4 explicitly exempts this from the
     "no DO involvement" property, which concerns the index only).
@@ -130,28 +128,12 @@ class MPCQueryProcessingFunction:
                 "parallel_wall_roundtrips": 1,
                 "parallel_wall_qpf_uses": tuples}
 
-    def _plain_predicate(self, trapdoor: EncryptedPredicate, deltas: dict):
-        cached = self._predicate_cache.get(trapdoor.serial)
-        if cached is None:
-            _bump(deltas, "predicate_cache_misses")
-            cached = unseal_predicate(self._key, trapdoor)
-            self._predicate_cache.put(trapdoor.serial, cached)
-        else:
-            _bump(deltas, "predicate_cache_hits")
-        return cached
-
     def _recover_values(self, table: SecretSharedTable, attribute: str,
                         uids: np.ndarray) -> np.ndarray:
         """DO-side share recombination for the probed cells."""
         sp_shares, nonces = table.shares_for(attribute, uids)
         values = self._scheme.reconstruct_many(sp_shares, nonces)
         return values.view(np.int64) - table.domain_shift[attribute]
-
-    def __call__(self, trapdoor: EncryptedPredicate,
-                 table: SecretSharedTable, uid: int) -> bool:
-        """Θ(p̂, t̂) for one tuple — one QPF use, one message round-trip."""
-        return bool(self.batch(trapdoor, table,
-                               np.asarray([uid], dtype=np.uint64))[0])
 
     def batch(self, trapdoor: EncryptedPredicate,
               table: SecretSharedTable, uids: np.ndarray) -> np.ndarray:
@@ -162,16 +144,7 @@ class MPCQueryProcessingFunction:
         roundtrip figures are comparable across backends.  Empty
         payloads are never shipped (and charge nothing).
         """
-        uids = np.asarray(uids, dtype=np.uint64)
-        if uids.size == 0:
-            return np.zeros(0, dtype=bool)
-        deltas = self._exchange(int(uids.size))
-        try:
-            predicate = self._plain_predicate(trapdoor, deltas)
-            values = self._recover_values(table, trapdoor.attribute, uids)
-            return _evaluate_plain(predicate, values)
-        finally:
-            self.counter.charge(**deltas)
+        return self.batch_many([QPFRequest(trapdoor, table, uids)])[0]
 
     def batch_many(self, requests: Sequence[QPFRequest]) -> list[np.ndarray]:
         """Θ over a coalesced multi-request payload — one SP↔DO exchange.
@@ -190,7 +163,8 @@ class MPCQueryProcessingFunction:
                 if request.uids.size == 0:
                     results.append(np.zeros(0, dtype=bool))
                     continue
-                predicate = self._plain_predicate(request.trapdoor, deltas)
+                predicate = _unseal_cached(self._key, self._predicate_cache,
+                                           request.trapdoor, deltas)
                 values = self._recover_values(
                     request.table, request.trapdoor.attribute, request.uids)
                 results.append(_evaluate_plain(predicate, values))

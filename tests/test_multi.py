@@ -7,6 +7,7 @@ from repro.bench import Testbed
 from repro.core import (MultiDimensionProcessor, PRKBIndex,
                         SingleDimensionProcessor)
 from repro.edbms import CostCounter
+from repro.edbms.qpf import drive
 from repro.edbms.sdb_backend import MPCQueryProcessingFunction, share_table
 from repro.workloads import uniform_table
 
@@ -229,7 +230,8 @@ class _LockStep(_Recording, MultiDimensionProcessor):
 
 class _SerialSearches(_Recording, MultiDimensionProcessor):
     """Reference: each predicate's QFilter driven alone through
-    ``index._drive``, in query order; records each search's crossings."""
+    :func:`~repro.edbms.qpf.drive`, in query order; records each
+    search's crossings."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -244,8 +246,8 @@ class _SerialSearches(_Recording, MultiDimensionProcessor):
             contexts[position] = []
             for trapdoor in dimension.trapdoors():
                 before = counter.qpf_roundtrips
-                filtered = index._drive(
-                    index._qfilter_gen(trapdoor, index.pop.freeze()))
+                [filtered] = drive(index.qpf, [
+                    index._qfilter_gen(trapdoor, index.pop.freeze())])
                 lengths.append(counter.qpf_roundtrips - before)
                 contexts[position].append(
                     self._classify(index, trapdoor, filtered))

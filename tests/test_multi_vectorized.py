@@ -26,7 +26,7 @@ from repro.bench import Testbed
 from repro.core import MultiDimensionProcessor
 from repro.core.multi import _observed_labels
 from repro.core.partitions import PartialOrderPartitions
-from repro.edbms.qpf import TrustedMachine
+from repro.edbms.qpf import QueryProcessingFunction
 from repro.workloads import uniform_table
 
 N = 10_000
@@ -67,7 +67,7 @@ def test_no_scalar_lookups_on_ten_k_table(bed, monkeypatch):
     want = bed.owner.expected_range_result("t", bounds)
     _forbid(monkeypatch, PartialOrderPartitions, "partition_of")
     _forbid(monkeypatch, PartialOrderPartitions, "index_of_uid")
-    _forbid(monkeypatch, TrustedMachine, "evaluate")  # single-uid QPF
+    _forbid(monkeypatch, QueryProcessingFunction, "__call__")  # scalar Θ
     got = _select(bed, bounds)
     assert np.array_equal(got, want)
 
