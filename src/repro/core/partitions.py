@@ -56,9 +56,17 @@ merge deletes offsets and leaves the buffer untouched.  Because splits
 never move uids *across* pre-existing segment boundaries, any boundary
 captured earlier remains a boundary, which is what makes
 :meth:`PartialOrderPartitions.freeze` snapshots (:class:`ChainView`)
-set-stable while later queries keep refining the chain.  Tuple inserts
-and deletes discard the buffer (rebuilt lazily as a *new* array, so
-outstanding views are never corrupted).
+set-stable while later queries keep refining the chain.  A tuple insert
+puts the uid at the end of its partition's segment (where
+:meth:`Partition.add` appends it) and a delete takes it out of its
+segment; both shift the later offsets, and a partition that empties
+drops its boundary.  Both build *new* arrays (``np.insert`` /
+``np.delete``), so outstanding views keep their slices.  Segment
+``P_i`` of the buffer always equals ``P_i.uids`` in order.
+
+A chain built from scratch (a new chain, :meth:`from_segments`) has no
+buffer until its first reader builds it with one concatenate, so
+recovery replays journaled inserts and deletes without patching one.
 
 Answers in uid order
 --------------------
@@ -152,14 +160,17 @@ class Partition:
         """Insert a tuple uid (Sec. 7.1 insertion lands here)."""
         self._pending.append(int(uid))
 
-    def remove(self, uid: int) -> None:
-        """Delete a tuple uid (Sec. 7.2); O(size) but deletes are rare."""
+    def remove(self, uid: int) -> int:
+        """Delete a tuple uid (Sec. 7.2); O(size) but deletes are rare.
+        Returns where it sat among the members, in :attr:`uids` order."""
         if self._pending:
             self._fold_pending()
         hits = np.flatnonzero(self._array == np.uint64(uid))
         if hits.size == 0:
             raise ValueError(f"uid {uid} not in partition")
-        self._array = np.delete(self._array, hits[0])
+        slot = int(hits[0])
+        self._array = np.delete(self._array, slot)
+        return slot
 
 
 class PartialOrderPartitions:
@@ -202,7 +213,9 @@ class PartialOrderPartitions:
         reconstruction is O(n + k) and reproduces the exact
         partition-internal uid order of the serialized chain — required
         for bit-identical post-restore sampling.  Order keys are not
-        serialized; the rebuilt chain gets evenly spaced ones.
+        serialized; the rebuilt chain gets evenly spaced ones.  The chain
+        buffer is built by its first reader, so a replay of journaled
+        inserts and deletes that follows patches none.
         """
         members = np.asarray(members, dtype=np.uint64)
         offsets = np.asarray(offsets, dtype=np.int64)
@@ -220,8 +233,8 @@ class PartialOrderPartitions:
         capacity = int(members.max()) + 1 if members.size else 0
         self._key_of_uid = np.full(capacity, -1, dtype=np.int32)
         self._key_of_uid[members] = np.repeat(keys, np.diff(offsets))
-        self._buffer = members.copy()
-        self._offsets = offsets.copy()
+        self._buffer = None
+        self._offsets = None
         self._rebuild_lock = threading.Lock()
         return self
 
@@ -327,12 +340,15 @@ class PartialOrderPartitions:
         """Space the chain's keys evenly again (a split found no gap).
 
         One vectorised pass over the chain buffer; the new ``uid -> key``
-        array is published by reference swap.
+        array is published by reference swap.  A chain without a buffer
+        (mid-replay) concatenates one for this pass and publishes none.
         """
-        self._ensure_offsets()
+        buffer, offsets = self._buffer, self._offsets
+        if buffer is None:
+            buffer, offsets = self.segments()
         keys = _even_keys(len(self._chain))
         fresh = np.full(self._key_of_uid.size, -1, dtype=np.int32)
-        fresh[self._buffer] = np.repeat(keys, np.diff(self._offsets))
+        fresh[buffer] = np.repeat(keys, np.diff(offsets))
         for partition, key in zip(self._chain, keys.tolist()):
             partition.key = key
         self._key_of_uid = fresh
@@ -345,30 +361,33 @@ class PartialOrderPartitions:
     # chain-order slices and uid-order answers                            #
     # ------------------------------------------------------------------ #
 
+    def segments(self) -> tuple[np.ndarray, np.ndarray]:
+        """The chain as ``(members, offsets)`` — every uid in chain order
+        in one new array, plus prefix sums — built from the partitions
+        with one concatenate and one cumsum: the form
+        :meth:`from_segments` takes, and a fresh chain buffer."""
+        members = [partition.uids for partition in self._chain]
+        offsets = np.zeros(len(members) + 1, dtype=np.int64)
+        np.cumsum([array.size for array in members], out=offsets[1:])
+        if not members:
+            return np.zeros(0, dtype=np.uint64), offsets
+        return np.concatenate(members), offsets
+
     def _ensure_offsets(self) -> None:
-        """(Re)build the contiguous uid buffer and its prefix sums."""
+        """Build the contiguous uid buffer and its prefix sums, if absent."""
         if self._buffer is not None:
             return
         with self._rebuild_lock:
             if self._buffer is not None:
                 return
-            total = self.num_tuples
-            buffer = np.empty(total, dtype=np.uint64)
-            offsets = np.empty(len(self._chain) + 1, dtype=np.int64)
-            offsets[0] = 0
-            cursor = 0
-            for i, partition in enumerate(self._chain):
-                members = partition.uids
-                buffer[cursor:cursor + members.size] = members
-                cursor += members.size
-                offsets[i + 1] = cursor
+            buffer, offsets = self.segments()
             # Publish offsets first: readers test ``_buffer`` for
             # doneness, so it must become non-None last.
             self._offsets = offsets
             self._buffer = buffer
 
     def _drop_buffer(self) -> None:
-        """Discard the buffer (tuple-set changed); rebuilt lazily anew."""
+        """Discard the buffer; the next reader builds it anew."""
         self._buffer = None
         self._offsets = None
 
@@ -519,22 +538,51 @@ class PartialOrderPartitions:
 
     def insert(self, uid: int, index: int) -> None:
         """Place a newly inserted tuple into partition ``index``."""
-        uid = int(uid)
+        self.insert_many([uid], [index])
+
+    def insert_many(self, uids, positions) -> None:
+        """Place new tuples, ``uids[j]`` into partition ``positions[j]``,
+        in order (Sec. 7.1), as if by one :meth:`insert` each.
+
+        Each uid lands at the end of its partition; a live chain buffer
+        takes the whole batch with one ``np.insert`` into a new array.
+        """
+        uids = [int(uid) for uid in uids]
+        positions = [int(position) for position in positions]
         key_of_uid = self._key_of_uid
-        if 0 <= uid < key_of_uid.size and key_of_uid[uid] >= 0:
-            raise ValueError(f"uid {uid} already tracked by POP")
-        partition = self._chain[index]
-        partition.add(uid)
-        if uid >= key_of_uid.size:
-            grown = np.full(max(uid + 1, 2 * key_of_uid.size), -1,
+        if len(set(uids)) != len(uids):
+            raise ValueError("duplicate uids in insert")
+        for uid in uids:
+            if 0 <= uid < key_of_uid.size and key_of_uid[uid] >= 0:
+                raise ValueError(f"uid {uid} already tracked by POP")
+        chain = self._chain
+        if any(not 0 <= position < len(chain) for position in positions):
+            raise IndexError(f"insert positions {positions} out of bounds")
+        if not uids:
+            return
+        top = max(uids)
+        if top >= key_of_uid.size:
+            grown = np.full(max(top + 1, 2 * key_of_uid.size), -1,
                             dtype=np.int32)
             grown[:key_of_uid.size] = key_of_uid
             self._key_of_uid = key_of_uid = grown
-        key_of_uid[uid] = partition.key
-        self._num_tuples += 1
-        self._drop_buffer()
+        for uid, position in zip(uids, positions):
+            partition = chain[position]
+            partition.add(uid)
+            key_of_uid[uid] = partition.key
+        self._num_tuples += len(uids)
+        if self._buffer is not None:
+            # Equal insertion points keep the batch's order, which is
+            # the order the partitions appended the uids in.
+            at = np.asarray(positions, dtype=np.int64)
+            offsets = self._offsets.copy()
+            offsets[1:] += np.cumsum(np.bincount(at, minlength=len(chain)))
+            self._buffer = np.insert(self._buffer, self._offsets[at + 1],
+                                     np.asarray(uids, dtype=np.uint64))
+            self._offsets = offsets
         if self.listener is not None:
-            self.listener.on_insert(uid, index)
+            for uid, position in zip(uids, positions):
+                self.listener.on_insert(uid, position)
 
     def delete(self, uid: int) -> int | None:
         """Remove a tuple; returns the chain index of a partition that
@@ -542,19 +590,27 @@ class PartialOrderPartitions:
 
         When a partition empties, the knowledge degrades from ``POP_k`` to
         ``POP_{k-1}`` (Sec. 7.2); the caller retires the matching separator
-        predicate.
+        predicate.  A live chain buffer loses the uid's cell (a new
+        array) and, with the partition, its boundary.
         """
         uid = int(uid)
         partition = self.partition_of(uid)
-        partition.remove(uid)
+        slot = partition.remove(uid)
         self._key_of_uid[uid] = -1
         self._num_tuples -= 1
-        self._drop_buffer()
+        index = self.index_of(partition)
+        if self._buffer is not None:
+            offsets = self._offsets.copy()
+            offsets[index + 1:] -= 1
+            if not len(partition):
+                offsets = np.delete(offsets, index + 1)
+            self._buffer = np.delete(self._buffer,
+                                     int(self._offsets[index]) + slot)
+            self._offsets = offsets
         if self.listener is not None:
             self.listener.on_delete(uid)
         if len(partition) > 0:
             return None
-        index = self.index_of(partition)
         del self._chain[index]
         return index
 
@@ -569,10 +625,11 @@ class PartialOrderPartitions:
         strictly increase inside ``[0, KEY_SPACE)``, every member holds
         its partition's key in the ``uid -> key`` array, every other uid
         holds ``-1``, and :meth:`partition_of` / :meth:`index_of` agree
-        with the chain.  ``plain_value_of`` maps uid → plaintext value
-        (ground truth known only to tests).  The chain must then be
-        monotone *as partitions* in one direction or the other
-        (Definition 4.2).
+        with the chain.  A live chain buffer holds each partition's
+        members, in order, between its offsets.  ``plain_value_of`` maps
+        uid → plaintext value (ground truth known only to tests).  The
+        chain must then be monotone *as partitions* in one direction or
+        the other (Definition 4.2).
         """
         keys = [partition.key for partition in self._chain]
         if any(not 0 <= key < KEY_SPACE for key in keys) or any(
@@ -601,6 +658,15 @@ class PartialOrderPartitions:
             raise AssertionError("uid -> key array disagrees with the chain")
         if int(claimed.sum()) != self._num_tuples:
             raise AssertionError("partition map does not cover the chain")
+        if self._buffer is not None:
+            # Segment i of a live buffer is P_i's members, in order.
+            buffer, offsets = self.segments()
+            if not np.array_equal(self._offsets, offsets):
+                raise AssertionError("buffer offsets disagree with the "
+                                     "partition sizes")
+            if not np.array_equal(self._buffer, buffer):
+                raise AssertionError("buffer segments disagree with the "
+                                     "partitions' members")
         if plain_value_of is None or len(self._chain) == 1:
             return
         ranges = []
@@ -637,8 +703,11 @@ class ChainView:
       which is what lets :meth:`PartialOrderPartitions.uids_in_order`
       answer a snapshot range against the live chain.
 
-    Tuple inserts/deletes and merges invalidate snapshots; the batching
-    layer never interleaves them with a window.
+    Tuple inserts/deletes and merges move live boundaries, so a
+    snapshot's spans stop naming live partitions; its own slices stay as
+    they were (inserts and deletes build new arrays, merges leave the
+    buffer alone).  The batching layer never interleaves them with a
+    window.
     """
 
     __slots__ = ("_chain", "_buffer", "_offsets")

@@ -1126,18 +1126,22 @@ class PRKBIndex:
             placed = drive(self.qpf,
                            [self._placement_steps(uid) for uid in uids])
             merges: list[tuple[int, int]] = []
-            located = []
-            for uid, place in zip(uids, placed):
+            located: list[int] = []
+            filed = 0
+            for place in placed:
                 lo, hi = place if isinstance(place, tuple) else (place, place)
                 for first, last in merges:
                     lo, hi = _fold(lo, first, last), _fold(hi, first, last)
                 if lo < hi:
+                    self._file(uids[filed:len(located)], located[filed:])
+                    filed = len(located)
                     self.pop.merge_range(lo, hi)
                     del self._separators[lo:hi]
                     if self._journal is not None:
                         self._journal.sep_del(lo, hi)
                     merges.append((lo, hi))
-                located.append(self._file(uid, lo))
+                located.append(lo)
+            self._file(uids[filed:], located[filed:])
             self.commit_journal()
             return located
 
@@ -1145,16 +1149,18 @@ class PRKBIndex:
         """:meth:`insert_many` of one tuple; returns its chain index."""
         return self.insert_many([uid])[0]
 
-    def _file(self, uid: int, position: int) -> int:
-        """Place one tuple at ``position`` (caller holds the write lock)."""
-        if self.pop.num_partitions == 0:
+    def _file(self, uids: list[int], positions: list[int]) -> None:
+        """Place tuples at chain ``positions``, in order, with one chain
+        update (caller holds the write lock).  An empty chain is rebuilt
+        from the first tuple; every placement searched an empty chain
+        then, so all positions are 0."""
+        if uids and self.pop.num_partitions == 0:
             self.pop = PartialOrderPartitions(
-                np.asarray([uid], dtype=np.uint64))
+                np.asarray(uids[:1], dtype=np.uint64))
             if self._journal is not None:
-                self._journal.chain_reinit([uid])
-            return 0
-        self.pop.insert(uid, position)
-        return position
+                self._journal.chain_reinit(uids[:1])
+            uids, positions = uids[1:], positions[1:]
+        self.pop.insert_many(uids, positions)
 
     def delete_many(self, uids) -> None:
         """Drop tuples; retire a separator for each partition that

@@ -230,10 +230,7 @@ def index_state(index, format_version: int, kind: str,
     """``(metadata, arrays)`` of a :class:`~repro.core.prkb.PRKBIndex`:
     the chain as (members, offsets), the separators and the sampling
     seed and ordinal."""
-    chain = [partition.uids for partition in index.pop]
-    offsets = np.cumsum([0] + [len(c) for c in chain]).astype(np.int64)
-    members = (np.concatenate(chain) if chain
-               else np.zeros(0, dtype=np.uint64))
+    members, offsets = index.pop.segments()
     meta = {
         "format": format_version,
         "kind": kind,

@@ -86,28 +86,35 @@ class ColumnCache:
 
     Keyed by ``(table name, attribute)`` with the table's
     :attr:`~repro.edbms.encryption.EncryptedTable.version` stored
-    alongside: a version mismatch on lookup is an invalidation (the
-    stale column is dropped on the spot), so insert/delete bumps can
-    never serve stale plaintext.  ``budget_bytes`` bounds resident
-    plaintext; :meth:`put` evicts least-recently-used columns until the
-    budget holds again, and :meth:`admits` lets callers skip a
-    whole-column decrypt that could never be retained.  The cache lives
-    strictly inside the enclave simulation — the service provider never
-    observes whether a decrypt was served warm, so no new access-pattern
-    leakage is introduced — and since decryption is deterministic, a
-    warm gather is bit-identical to a fresh per-cell decrypt.
+    alongside.  A version mismatch on lookup is either a *catch-up* —
+    given the table and, at construction, the data ``key``, the stale
+    column is brought forward from the table's change record
+    (decrypting only appended cells) and replaces the stale one — or,
+    when that cannot be done, an invalidation (the stale column is
+    dropped on the spot), so insert/delete bumps can never serve stale
+    plaintext.  ``budget_bytes`` bounds resident plaintext; :meth:`put`
+    evicts least-recently-used columns until the budget holds again,
+    and :meth:`admits` lets callers skip a whole-column decrypt that
+    could never be retained.  The cache lives strictly inside the
+    enclave simulation — the service provider never observes whether a
+    decrypt was served warm, so no new access-pattern leakage is
+    introduced — and since decryption is deterministic, a warm gather
+    is bit-identical to a fresh per-cell decrypt.
     """
 
-    def __init__(self, budget_bytes: int = COLUMN_CACHE_BYTES):
+    def __init__(self, budget_bytes: int = COLUMN_CACHE_BYTES,
+                 key: SecretKey | None = None):
         if budget_bytes < 0:
             raise ValueError("budget_bytes must be non-negative")
         self.budget_bytes = int(budget_bytes)
+        self._key = key
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.invalidations = 0
         self.fills = 0
         self.rejects = 0
+        self.catch_ups = 0
         self._resident = 0
         # (table name, attribute) -> (table version, plaintext int64)
         self._entries: "OrderedDict[tuple[str, str], tuple[int, np.ndarray]]" \
@@ -125,11 +132,15 @@ class ColumnCache:
         """Whether a column of ``nbytes`` could be retained at all."""
         return 0 < nbytes <= self.budget_bytes
 
-    def get(self, table_name: str, attribute: str,
-            version: int) -> np.ndarray | None:
+    def get(self, table_name: str, attribute: str, version: int,
+            table=None) -> np.ndarray | None:
         """The cached plaintext column, or ``None`` (miss / stale).
 
-        A version mismatch drops the stale entry immediately and counts
+        On a version mismatch, a cache holding the data key brings the
+        stale column forward from ``table``'s change record (see
+        :meth:`_caught_up`); if that works and the patched column still
+        fits the budget, it replaces the stale one and counts as a hit
+        and a catch-up.  Otherwise the stale entry is dropped and counts
         as both an invalidation and a miss.
         """
         key = (table_name, attribute)
@@ -139,13 +150,59 @@ class ColumnCache:
             return None
         cached_version, column = entry
         if cached_version != version:
-            self.invalidations += 1
-            self.misses += 1
-            self._resident -= column.nbytes
-            del self._entries[key]
-            return None
+            stale = column
+            column = None if table is None or self._key is None \
+                else self._caught_up(table, attribute, cached_version, stale)
+            if column is None or self._resident + column.nbytes \
+                    - stale.nbytes > self.budget_bytes:
+                self.invalidations += 1
+                self.misses += 1
+                self._resident -= stale.nbytes
+                del self._entries[key]
+                return None
+            self.catch_ups += 1
+            self._resident += column.nbytes - stale.nbytes
+            self._entries[key] = (version, column)
         self.hits += 1
         self._entries.move_to_end(key)
+        return column
+
+    def _caught_up(self, table, attribute: str, since: int,
+                   column: np.ndarray) -> np.ndarray | None:
+        """``column`` (decrypted at table version ``since``) brought to
+        the table's current version, or ``None`` when the table's change
+        record no longer reaches back to ``since``.
+
+        Replays the record: an append grows the column by placeholder
+        cells, a delete is one ``np.delete``; then only the appended
+        cells that survived are decrypted.  Never writes to ``column``.
+        """
+        changes = table.changes_since(since)
+        if changes is None:
+            return None
+        appended = np.zeros(0, dtype=np.int64)
+        for change in changes:
+            if isinstance(change, slice):
+                if change.start != column.size:
+                    return None  # not this table's history
+                column = np.concatenate((column, np.empty(
+                    change.stop - change.start, dtype=np.int64)))
+                appended = np.concatenate((appended, np.arange(
+                    change.start, change.stop, dtype=np.int64)))
+            else:
+                if change.size and int(change[-1]) >= column.size:
+                    return None
+                column = np.delete(column, change)
+                if appended.size:
+                    appended = appended[~np.isin(appended, change)]
+                    appended -= np.searchsorted(change, appended)
+        if column.size != table.num_rows:
+            return None
+        if appended.size:
+            ciphertexts, nonces = table.full_column(attribute)
+            column[appended] = decrypt_words(
+                attribute_key(self._key, table.name, attribute),
+                ciphertexts[appended], nonces[appended]).view(np.int64)
         return column
 
     def put(self, table_name: str, attribute: str, version: int,
@@ -188,6 +245,7 @@ class ColumnCache:
             "invalidations": self.invalidations,
             "fills": self.fills,
             "rejects": self.rejects,
+            "catch_ups": self.catch_ups,
             "columns": len(self._entries),
             "resident_bytes": self._resident,
             "budget_bytes": self.budget_bytes,
@@ -362,7 +420,7 @@ class TrustedMachine:
         self._subkey_cache: dict[tuple[str, str], SecretKey] = {}
         #: Decrypted-column cache: warm decrypts are pure position
         #: gathers.  ``column_cache_bytes=0`` disables it.
-        self._column_cache = ColumnCache(column_cache_bytes)
+        self._column_cache = ColumnCache(column_cache_bytes, key)
 
     def _cross(self, tuples: int) -> dict:
         """Open the tally of one enclave crossing carrying ``tuples``.
@@ -393,14 +451,15 @@ class TrustedMachine:
     def _decrypt_cells(self, table: EncryptedTable, attribute: str,
                        uids: "np.ndarray | int", deltas: dict) -> np.ndarray:
         # Warm path: a cached decrypted column turns the request into a
-        # pure position gather — zero keystream work.  Version-keyed, so
-        # any insert/delete invalidates on the next lookup.  A plain
-        # ``int`` is the one-tuple lane (search probes): a scalar
-        # position lookup and a one-cell view instead of a vector
-        # gather.
+        # pure position gather — zero keystream work.  Version-keyed: a
+        # column an insert/delete left behind is caught up from the
+        # table's change record, or refilled.  A plain ``int`` is the
+        # one-tuple lane (search probes): a scalar position lookup and a
+        # one-cell view instead of a vector gather.
         version = table.version
         if self._column_cache.budget_bytes:
-            column = self._column_cache.get(table.name, attribute, version)
+            column = self._column_cache.get(table.name, attribute,
+                                            version, table)
             if column is not None:
                 _bump(deltas, "column_cache_hits")
             else:
@@ -450,8 +509,8 @@ class TrustedMachine:
         version = table.version
         if not self._column_cache.budget_bytes:
             return False
-        if self._column_cache.get(table.name, attribute,
-                                  version) is not None:
+        if self._column_cache.get(table.name, attribute, version,
+                                  table) is not None:
             return True
         deltas: dict = {}
         column = self._fill_column(table, attribute, version, deltas)

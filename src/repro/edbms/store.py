@@ -12,11 +12,18 @@ shares) only name what the words are.
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 
 from ..distinct import distinct, has_duplicates
 
-__all__ = ["UidColumnStore"]
+__all__ = ["UidColumnStore", "CHANGE_RECORD"]
+
+#: How many of its latest changes a store remembers
+#: (:meth:`UidColumnStore.changes_since`).  A reader that falls further
+#: behind starts over from the whole column.
+CHANGE_RECORD = 32
 
 
 class UidColumnStore:
@@ -55,6 +62,10 @@ class UidColumnStore:
                                                       dtype=np.int64)
         self._next_uid = capacity
         self._version = 0
+        #: The latest changes, oldest first: a ``slice`` of the positions
+        #: an append filled, or the sorted ``int64`` positions a delete
+        #: removed (positions as they were before that delete).
+        self._changes: deque = deque(maxlen=CHANGE_RECORD)
 
     # ------------------------------------------------------------------ #
     # read access                                                         #
@@ -74,6 +85,22 @@ class UidColumnStore:
         even when the row count happens to return to its old value.
         """
         return self._version
+
+    def changes_since(self, version: int) -> list | None:
+        """The changes that took this store from ``version`` to
+        :attr:`version`, oldest first, or ``None`` when the record does
+        not reach back that far.
+
+        Each is a ``slice`` of the positions an append filled, or the
+        sorted ``int64`` positions a delete removed, numbered as the
+        store stood just before that change.  Replayed in order on a
+        position-aligned copy of a column at ``version``, they give the
+        column now.
+        """
+        behind = self._version - version
+        if not 0 <= behind <= len(self._changes):
+            return None
+        return list(self._changes)[len(self._changes) - behind:]
 
     @property
     def uids(self) -> np.ndarray:
@@ -131,7 +158,11 @@ class UidColumnStore:
     # ------------------------------------------------------------------ #
 
     def allocate_uids(self, count: int) -> np.ndarray:
-        """Reserve ``count`` fresh uids for rows about to be inserted."""
+        """Reserve ``count`` fresh uids for rows about to be inserted.
+
+        Fresh means above every uid ever stored through this object,
+        including rows filed by :meth:`insert_rows` with uids allocated
+        elsewhere (a replayed journal)."""
         fresh = np.arange(self._next_uid, self._next_uid + count,
                           dtype=np.uint64)
         self._next_uid += count
@@ -168,22 +199,31 @@ class UidColumnStore:
                 self._position_lookup = lookup
             self._position_lookup[uids] = np.arange(
                 base, base + len(uids), dtype=np.int64)
+            self._next_uid = max(self._next_uid, needed)
+        self._changes.append(slice(base, base + len(uids)))
         self._version += 1
 
     def delete_rows(self, uids: np.ndarray) -> None:
-        """Remove rows by uid (compacting the columnar storage)."""
+        """Remove rows by uid (compacting the columnar storage).
+
+        Positions below the first removed one keep their rows, so only
+        the ``uid -> position`` entries after it are rewritten.
+        """
         doomed = distinct(np.asarray(uids, dtype=np.uint64))
         if doomed.size == 0:
             return
         missing = doomed[~self._known(doomed)]
         if missing.size:
             raise KeyError(f"unknown uids: {missing[:5].tolist()}")
+        positions = np.sort(self._position_lookup[doomed])
         keep = np.ones(len(self._uids), dtype=bool)
-        keep[self._position_lookup[doomed]] = False
+        keep[positions] = False
         self._uids = self._uids[keep]
         for attr in self.attribute_names:
             self._columns[attr] = self._columns[attr][keep]
-        self._position_lookup[:] = -1
-        self._position_lookup[self._uids] = np.arange(len(self._uids),
-                                                      dtype=np.int64)
+        self._position_lookup[doomed] = -1
+        first = int(positions[0])
+        self._position_lookup[self._uids[first:]] = np.arange(
+            first, len(self._uids), dtype=np.int64)
+        self._changes.append(positions)
         self._version += 1

@@ -2,9 +2,11 @@
 
 Covers the :class:`~repro.edbms.qpf.ColumnCache` container itself, the
 warm-gather decrypt path (bit-identical to cold), zero-QPF priming,
-byte-budget enforcement under eviction pressure, and the engine-level
-stale-read regression: version bumps from insert/delete must invalidate
-both the plan cache and the column cache.
+byte-budget enforcement under eviction pressure, the catch-up of a
+column a write left behind (and the refill once the table's change
+record is outrun), and the engine-level stale-read regression: version
+bumps from insert/delete must invalidate the plan cache and bring the
+column cache forward.
 """
 
 import numpy as np
@@ -19,8 +21,20 @@ from repro.edbms.qpf import (
     ColumnCache,
     TrustedMachine,
 )
-from repro.crypto.primitives import generate_key
+from repro.crypto.primitives import encrypt_words, generate_key
+from repro.edbms.encryption import attribute_key
+from repro.edbms.store import CHANGE_RECORD
 from repro.workloads import uniform_table
+
+
+def _insert(owner, table, values):
+    """Append rows the way the data owner encrypts them; their uids."""
+    values = np.asarray(values, dtype=np.int64)
+    uids = table.allocate_uids(values.size)
+    table.insert_rows(uids, {"X": encrypt_words(
+        attribute_key(owner.key, table.name, "X"), values.view(np.uint64),
+        uids)})
+    return uids
 
 
 def _machine_and_table(rows=200, attributes=("X",), seed=5,
@@ -82,7 +96,8 @@ class TestColumnCacheContainer:
         stats = ColumnCache().stats()
         assert set(stats) == {"hits", "misses", "evictions",
                               "invalidations", "fills", "rejects",
-                              "columns", "resident_bytes", "budget_bytes"}
+                              "catch_ups", "columns", "resident_bytes",
+                              "budget_bytes"}
         assert stats["budget_bytes"] == COLUMN_CACHE_BYTES
 
 
@@ -150,16 +165,38 @@ class TestWarmPath:
         assert machine.column_cache_stats()["resident_bytes"] == 0
         assert machine.counter.column_cache_misses == 1
 
-    def test_version_bump_refills_cache(self):
+    def test_write_catches_up_without_refill(self):
+        owner, machine, table, plain = _machine_and_table()
+        cold = TrustedMachine(owner.key, CostCounter(),
+                              column_cache_bytes=0)
+        trapdoor = owner.comparison_trapdoor("X", "<", 5000)
+        machine.evaluate_batch(trapdoor, table, plain.uids[:20])
+        table.delete_rows(plain.uids[3:9])
+        fresh = _insert(owner, table, [10, 9_000, 4_999])
+        live = table.uids.copy()
+        got = machine.evaluate_batch(trapdoor, table, live)
+        assert np.array_equal(got, cold.evaluate_batch(trapdoor, table,
+                                                       live))
+        assert got[-3:].tolist() == [True, False, True]
+        assert np.isin(fresh, live).all()
+        stats = machine.column_cache_stats()
+        assert (stats["fills"], stats["catch_ups"],
+                stats["invalidations"]) == (1, 1, 0)
+        assert machine.counter.column_cache_misses == 1
+
+    def test_outrun_change_record_refills(self):
         owner, machine, table, plain = _machine_and_table()
         trapdoor = owner.comparison_trapdoor("X", "<", 5000)
         machine.evaluate_batch(trapdoor, table, plain.uids[:20])
-        keep = plain.uids[20:]
-        table.delete_rows(plain.uids[:20])
-        machine.evaluate_batch(trapdoor, table, keep)
+        for uid in plain.uids[:CHANGE_RECORD + 1]:
+            table.delete_rows(np.asarray([uid], dtype=np.uint64))
+        live = table.uids.copy()
+        got = machine.evaluate_batch(trapdoor, table, live)
+        want = (plain.columns["X"][CHANGE_RECORD + 1:] < 5000)
+        assert np.array_equal(got, want)
         stats = machine.column_cache_stats()
-        assert stats["invalidations"] == 1
-        assert stats["fills"] == 2
+        assert (stats["fills"], stats["catch_ups"],
+                stats["invalidations"]) == (2, 0, 1)
 
 
 class TestEvictionPressure:

@@ -9,8 +9,8 @@ Pinned invariants:
 * a warm :class:`~repro.edbms.qpf.TrustedMachine` (column cache on, any
   byte budget — including one too small to hold a single column) gives
   bit-identical ``evaluate_batch`` / ``evaluate_many`` answers to a cold
-  machine across arbitrary interleavings of inserts, deletes and
-  queries.
+  machine across arbitrary interleavings of inserts, deletes, write
+  bursts deeper than the table's change record, and queries.
 """
 
 import numpy as np
@@ -23,9 +23,12 @@ from repro.crypto.primitives import (
     prf_words,
     prf_words_into,
 )
+from repro.crypto.primitives import encrypt_words
 from repro.edbms.costs import CostCounter
+from repro.edbms.encryption import attribute_key
 from repro.edbms.owner import DataOwner
 from repro.edbms.qpf import QPFRequest, TrustedMachine
+from repro.edbms.store import CHANGE_RECORD
 from repro.workloads import uniform_table
 
 _WORDS = st.integers(min_value=0, max_value=2**64 - 1)
@@ -69,6 +72,10 @@ _OPS = st.lists(
         st.tuples(st.just("delete"), st.integers(0, 2**31)),
         st.tuples(st.just("query"), st.integers(1, 10_000),
                   st.integers(0, 2**31)),
+        # A run of one-row writes with no read between them: shorter
+        # than the store's change record (caught up) or longer (refill).
+        st.tuples(st.just("burst"), st.integers(1, CHANGE_RECORD + 8),
+                  st.integers(0, 2**31)),
     ),
     min_size=1, max_size=12,
 )
@@ -85,27 +92,35 @@ def _build(seed, budget):
     return owner, table, warm, cold
 
 
+def _insert(owner, table, values):
+    values = np.asarray(values, dtype=np.int64)
+    uids = table.allocate_uids(values.size)
+    table.insert_rows(uids, {
+        attr: encrypt_words(attribute_key(owner.key, "t", attr),
+                            values.view(np.uint64), uids)
+        for attr in ("X", "Y")
+    })
+
+
 def _apply_ops(owner, table, warm, cold, ops, budget_label):
     """Replay ops against one shared table, comparing warm vs cold."""
     for op in ops:
         live = table.uids
         if op[0] == "insert":
-            values = np.asarray(op[1], dtype=np.int64)
-            uids = table.allocate_uids(values.size)
-            from repro.crypto.primitives import encrypt_words
-            from repro.edbms.encryption import attribute_key
-            table.insert_rows(uids, {
-                attr: encrypt_words(
-                    attribute_key(owner.key, "t", attr),
-                    values.view(np.uint64), uids)
-                for attr in ("X", "Y")
-            })
+            _insert(owner, table, op[1])
         elif op[0] == "delete":
             if live.size == 0:
                 continue
             rng = np.random.default_rng(op[1])
             count = int(rng.integers(1, min(6, live.size) + 1))
             table.delete_rows(rng.choice(live, size=count, replace=False))
+        elif op[0] == "burst":
+            rng = np.random.default_rng(op[2])
+            for __ in range(op[1]):
+                if table.num_rows and rng.integers(2):
+                    table.delete_rows(rng.choice(table.uids, size=1))
+                else:
+                    _insert(owner, table, rng.integers(1, 10_000, size=1))
         else:
             if live.size == 0:
                 continue

@@ -492,3 +492,23 @@ def test_wal_written_before_keyed_sampling_recovers(tmp_path):
         answer = db.query(f"SELECT * FROM t WHERE {sql}")
         assert answer.uids.tolist() == np.flatnonzero(wanted).tolist()
     db.close()
+
+
+def test_insert_after_replayed_inserts_gets_fresh_uids(tmp_path):
+    """Regression: rows a recovery replays from the table WAL advance
+    the uid allocator, so the first insert after reopening takes uids
+    above them instead of colliding with one."""
+    db = EncryptedDatabase.open(tmp_path / "db", seed=SEED)
+    db.create_table("t", {"A": DOMAIN},
+                    {"A": np.arange(100, dtype=np.int64)})
+    db.enable_prkb("t", ["A"])
+    db.checkpoint()
+    replayed = db.insert("t", {"A": np.asarray([5, 50, 500])})
+    db.close()
+
+    reopened = EncryptedDatabase.open(tmp_path / "db")
+    fresh = reopened.insert("t", {"A": np.asarray([7])})
+    assert int(fresh[0]) > int(replayed.max())
+    got = reopened.query("SELECT * FROM t WHERE A < 10").uids
+    assert np.isin(np.concatenate((replayed[:1], fresh)), got).all()
+    reopened.close()

@@ -13,7 +13,9 @@ Two invariants are pinned with hypothesis:
   forces once it finds no gap left; and
 * :class:`ChainView` snapshots are *set-stable*: while a shard pool is
   reading a window's payloads on worker threads, concurrent splits of
-  the live chain never change which uids any snapshot slice contains.
+  the live chain never change which uids any snapshot slice contains;
+  and inserts, deletes and merges, which patch the chain buffer into
+  new arrays, leave a pinned snapshot's slices exactly as they were.
 """
 
 import pickle
@@ -155,6 +157,41 @@ def test_keys_track_membership(ops):
 @settings(max_examples=60, deadline=None)
 def test_keys_survive_random_histories(ops):
     _drive(ops, size=32)
+
+
+@given(ops=st.lists(
+    st.tuples(st.integers(0, 4), st.integers(0, 1_000_000),
+              st.integers(0, 1_000_000)), max_size=40))
+@settings(max_examples=60, deadline=None)
+def test_buffer_patches_keep_pinned_views(ops):
+    # Code 4 files a batch of new uids with one ``insert_many``; the
+    # others are ``_apply``'s split / merge / insert / delete.  Before
+    # every step a view is pinned; afterwards its slices hold the same
+    # uids (the same array, in order, unless the step was a split), and
+    # the live buffer still equals the partitions' members in order
+    # (``check_invariants``).
+    pop = PartialOrderPartitions(np.arange(24, dtype=np.uint64))
+    seen = {"drops": 0, "pickles": 0, "restores": 0, "rekeys": 0}
+    next_uid = 24
+    for op in ops:
+        view = pop.freeze()
+        pinned = view.range_uids(0, len(view) - 1).copy()
+        segments = [np.sort(view.range_uids(i, i)) for i in range(len(view))]
+        if op[0] == 4:
+            count = 1 + op[2] % 5
+            pop.insert_many(range(next_uid, next_uid + count),
+                            [(op[1] + 7 * j) % pop.num_partitions
+                             for j in range(count)])
+            next_uid += count
+        else:
+            pop = _apply(pop, op, next_uid, seen)
+            next_uid += 1
+        for i, members in enumerate(segments):
+            assert np.array_equal(np.sort(view.range_uids(i, i)), members)
+        if op[0] != 0:
+            assert np.array_equal(view.range_uids(0, len(view) - 1), pinned)
+        assert pop._buffer is not None
+        pop.check_invariants()
 
 
 def _hot_spot(pop: PartialOrderPartitions, splits: int, seen: dict) -> None:

@@ -104,3 +104,35 @@ def test_lookup_grows_geometrically(make):
         sizes.add(table._position_lookup.size)
     assert len(sizes) <= 2
     assert table.positions(table.uids).tolist() == list(range(128))
+
+
+def test_change_record_replays_onto_an_old_column(make):
+    """``changes_since`` gives the appends (slices) and deletes (sorted
+    positions) that turn a column copied at an old version into today's;
+    it answers ``None`` once the bounded record is outrun."""
+    from repro.edbms.store import CHANGE_RECORD
+
+    table = make([0, 1, 2, 3, 4], [10, 11, 12, 13, 14])
+    column = table._columns["X"].copy()
+    table.insert_rows(_u64([8, 9]), {"X": _u64([18, 19])})
+    table.delete_rows(_u64([9, 1, 3]))
+    table.insert_rows(table.allocate_uids(1), {"X": _u64([20])})
+    changes = table.changes_since(0)
+    assert changes[0] == slice(5, 7) and changes[2] == slice(4, 5)
+    assert changes[1].tolist() == [1, 3, 6]
+    for change in changes:  # appended cells are placeholders (0)
+        if isinstance(change, slice):
+            assert change.start == column.size
+            column = np.concatenate((column, np.zeros(
+                change.stop - change.start, dtype=np.uint64)))
+        else:
+            column = np.delete(column, change)
+    assert column.tolist() == [10, 12, 14, 0, 0]
+    assert table._columns["X"].tolist() == [10, 12, 14, 18, 20]
+    assert table.positions(table.uids).tolist() == list(range(5))
+    assert table.changes_since(3) == [] and table.changes_since(4) is None
+    for __ in range(CHANGE_RECORD):
+        table.delete_rows(table.uids[:0])  # no-op: records nothing
+        table.insert_rows(table.allocate_uids(1), {"X": _u64([1])})
+    assert len(table.changes_since(3)) == CHANGE_RECORD
+    assert table.changes_since(2) is None

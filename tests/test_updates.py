@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from repro import EncryptedDatabase
 from repro.bench import Testbed
 from repro.core import SingleDimensionProcessor, TableUpdater
+from repro.core.partitions import PartialOrderPartitions
 from repro.crypto import ComparisonPredicate
+from repro.edbms.qpf import TrustedMachine
 from repro.workloads import uniform_table
 
 
@@ -168,3 +171,48 @@ class TestInterleavedWorkload:
             next_hint += 1
         bed.prkb["X"].pop.check_invariants(
             lambda uid: live[uid]["X"])
+
+
+class TestWriteCostsItsRows:
+    """A write patches the chain buffer, the trusted machine's decrypted
+    column and the column store: on a 50k-row indexed table neither the
+    write nor the select after it decrypts a whole column or rebuilds
+    the chain buffer from the partitions."""
+
+    def test_no_whole_column_work_around_small_writes(self, monkeypatch):
+        values = np.random.default_rng(7).integers(1, 1_000_000, 50_000)
+        db = EncryptedDatabase(seed=7)
+        db.create_table("t", {"X": (1, 1_000_000)}, {"X": values})
+        db.enable_prkb("t", ["X"])
+        for constant in range(50_000, 1_000_000, 50_000):
+            db.query(f"SELECT * FROM t WHERE X < {constant}")
+        assert db.server.index("t", "X").pop.num_partitions > 10
+
+        calls = {"fill": 0, "rebuild": 0}
+
+        def counted(cls, name, tally):
+            original = getattr(cls, name)
+
+            def wrapper(self, *args, **kwargs):
+                calls[tally] += 1
+                return original(self, *args, **kwargs)
+            monkeypatch.setattr(cls, name, wrapper)
+
+        counted(TrustedMachine, "_fill_column", "fill")
+        counted(PartialOrderPartitions, "segments", "rebuild")
+        truth = dict(zip(db.owner.plain_table("t").uids.tolist(),
+                         values.tolist()))
+        added = np.arange(1, 9) * 60_000
+        fresh = db.insert("t", {"X": added})
+        truth.update(zip(fresh.tolist(), added.tolist()))
+        sql = "SELECT * FROM t WHERE X < 333333"
+        want = sorted(u for u, v in truth.items() if v < 333_333)
+        assert db.query(sql).uids.tolist() == want
+        victims = np.asarray(want[:2] + sorted(truth)[-2:], dtype=np.uint64)
+        db.delete("t", victims)
+        for uid in victims.tolist():
+            del truth[uid]
+        want = sorted(u for u, v in truth.items() if v < 333_333)
+        assert db.query(sql).uids.tolist() == want
+        assert calls == {"fill": 0, "rebuild": 0}
+        db.server.index("t", "X").pop.check_invariants()
